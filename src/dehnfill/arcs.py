@@ -14,6 +14,7 @@ hold by construction.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import floor
 
 __all__ = [
@@ -261,11 +262,12 @@ def default_polarity(coords: BoundaryCoordinates, phase: int = 0):
 
 
 def enumerate_matchings(coords: BoundaryCoordinates, polarity: dict):
-    """All bijections from beta slots to gamma slots (desk scale only)."""
-    from itertools import permutations
+    """All bijections from beta slots to gamma slots, generated lazily.
 
+    The polarity is checked at the call; the ``k!`` matchings are then made
+    one at a time, so a caller can take the first few of a large set."""
     betas, gammas = _alternating_polarity(coords, polarity)
-    return [tuple(zip(betas, perm)) for perm in permutations(gammas)]
+    return (tuple(zip(betas, perm)) for perm in permutations(gammas))
 
 
 def refined_matching(

@@ -235,12 +235,11 @@ def _load_config(text):
 
 
 def _carried_doc(track):
-    cone = weight_cone(track)
     cs = carried_slopes(track)
     doc = {
         "schema": "carried_slopes_v1",
         "kind": cs.kind,
-        "extreme_rays": len(cone),
+        "extreme_rays": len(weight_cone(track, masks=True)),
         "extreme_classes": [list(c) for c in cs.extreme_classes],
     }
     if cs.kind == "single":
@@ -271,6 +270,8 @@ def _cmd_track(args):
 
 
 def _cmd_ladder(args):
+    if args.cases < 0:
+        raise ValueError("--cases must be a count >= 0, not %d" % args.cases)
     summary = verify_ladders(
         cases=args.cases,
         seed=args.seed,

@@ -10,6 +10,7 @@ orbit length ``c``.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 from .slopes import ProjectiveSlope
@@ -222,13 +223,14 @@ def locus_distance(locus: DegeneracyLocus, s: ProjectiveSlope) -> int:
 def euler_poincare_residual(genus, boundary_sing_counts, interior_prongs=()):
     """Advisory index check for a singular foliation on a fibered surface.
 
-    Returns ``chi - (sum over interior p-prong singularities of (1 - p/2)
-    - (total boundary singularities)/2)`` where
+    Returns the exact ``Fraction`` ``chi - (sum over interior p-prong
+    singularities of (1 - p/2) - (total boundary singularities)/2)`` where
     ``chi = 2 - 2*genus - #boundary circles``; zero means the data is
     consistent.  Advisory only: interior data is usually unknown here.
     """
     chi = 2 - 2 * genus - len(boundary_sing_counts)
-    index = sum(1 - Pr / 2 for Pr in interior_prongs) - sum(boundary_sing_counts) / 2
+    interior = sum(1 - Fraction(prongs, 2) for prongs in interior_prongs)
+    index = interior - Fraction(sum(boundary_sing_counts), 2)
     return chi - index
 
 

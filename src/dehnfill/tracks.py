@@ -12,7 +12,7 @@ cone's image decide the realizable slopes.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from math import floor
 
 from .monodromy import Coorientation, DegeneracyLocus, classify_coorientation
 from .slopes import ProjectiveSlope, SlopeInterval
@@ -131,64 +131,105 @@ def _switch_equations(track: TorusTrainTrack):
     return rows
 
 
-def _normalize_ray(vec):
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return None
-    return tuple(x // g for x in vec)
+def _reach(adj, s):
+    """Vertices ``>= s`` reachable from ``s`` through vertices ``>= s``."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for w, _ in adj[stack.pop()]:
+            if w >= s and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
-def weight_cone(track: TorusTrainTrack):
-    """Extreme rays of ``{w >= 0 : switch conditions}`` by double description.
+def _cycle_masks(track: TorusTrainTrack):
+    """Every simple directed cycle of the switch graph as a branch bitmask.
 
-    Exact integer arithmetic throughout; rays are primitive integer vectors in
-    a deterministic (lexicographic) order.  An empty list means the track
-    carries nothing.
+    Switches are the vertices and branch ``b`` is an edge from the switch at
+    its tail to the switch at its head, labelled with bit ``n - 1 - b``; a
+    cycle's mask is the union of its edge labels.  Johnson's circuit search
+    (SIAM J. Comput. 1975) runs iteratively: each start ``s`` is searched
+    within its strong component among the vertices ``>= s``, and the
+    blocking sets keep the work proportional to the number of cycles found.
+    Blocking is per vertex, so parallel branches each close their own cycle:
+    a vertex from which a cycle was found is unblocked before the next
+    branch into it is tried.
     """
     n = len(track.branches)
-    # Start from the nonnegative orthant; masks track which of the n
-    # inequalities w_i >= 0 are active (zero) on each ray.
-    rays = []
-    for i in range(n):
-        vec = tuple(1 if j == i else 0 for j in range(n))
-        rays.append(vec)
+    at = {}
+    for i, sw in enumerate(track.switches):
+        for end in _switch_ends(sw):
+            at[end] = i
+    masks = []
+    succ = [[] for _ in track.switches]  # per vertex: (head vertex, bit)
+    pred = [[] for _ in track.switches]  # per vertex: (tail vertex, bit)
+    for b in range(n):
+        bit = 1 << (n - 1 - b)
+        if (b, TAIL) not in at:
+            masks.append(bit)  # an unattached loop is a cycle on its own
+            continue
+        succ[at[b, TAIL]].append((at[b, HEAD], bit))
+        pred[at[b, HEAD]].append((at[b, TAIL], bit))
 
-    def zero_mask(vec):
-        m = 0
-        for i, x in enumerate(vec):
-            if x == 0:
-                m |= 1 << i
-        return m
+    for s in range(len(succ)):
+        comp = _reach(succ, s) & _reach(pred, s)
+        adj = {v: [(w, bit) for w, bit in succ[v] if w in comp] for v in comp}
+        blocked = {s}
+        held = {v: set() for v in comp}  # Johnson's B lists
+        path = [s]
+        prefix = [0]  # mask of the path up to each vertex
+        found = [False]  # whether a cycle was closed below each vertex
+        frames = [iter(adj[s])]
+        while frames:
+            for w, bit in frames[-1]:
+                if w == s:
+                    masks.append(prefix[-1] | bit)
+                    found[-1] = True
+                elif w not in blocked:
+                    blocked.add(w)
+                    path.append(w)
+                    prefix.append(prefix[-1] | bit)
+                    found.append(False)
+                    frames.append(iter(adj[w]))
+                    break
+            else:
+                frames.pop()
+                v = path.pop()
+                prefix.pop()
+                if found.pop():
+                    if found:
+                        found[-1] = True
+                    unblock = [v]
+                    while unblock:
+                        u = unblock.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            unblock.extend(held[u])
+                            held[u].clear()
+                else:
+                    for w, _ in adj[v]:
+                        held[w].add(v)
+    masks.sort()
+    return masks
 
-    for row in _switch_equations(track):
-        pos, neg, zero = [], [], []
-        for vec in rays:
-            val = sum(r * x for r, x in zip(row, vec))
-            (pos if val > 0 else neg if val < 0 else zero).append((vec, val))
-        new_rays = [vec for vec, _ in zero]
-        masks = {vec: zero_mask(vec) for vec in rays}
-        for pvec, pval in pos:
-            for nvec, nval in neg:
-                meet = masks[pvec] & masks[nvec]
-                adjacent = True
-                for other in rays:
-                    if other is pvec or other is nvec:
-                        continue
-                    if masks[other] & meet == meet:
-                        adjacent = False
-                        break
-                if not adjacent:
-                    continue
-                combo = tuple(
-                    pval * nx - nval * px for px, nx in zip(pvec, nvec)
-                )
-                norm = _normalize_ray(combo)
-                if norm is not None:
-                    new_rays.append(norm)
-        rays = sorted(set(new_rays))
-    return rays
+
+def weight_cone(track: TorusTrainTrack, *, masks: bool = False):
+    """Extreme rays of ``{w >= 0 : switch conditions}``.
+
+    Each switch condition is flow conservation at a vertex of the switch
+    graph, so the cone is a circulation cone and its extreme rays are the
+    0/1 vectors of the simple directed cycles (Penner–Harer, *Combinatorics
+    of Train Tracks*, 1992).  Rays come in lexicographic order; an empty
+    list means the track carries nothing.  With ``masks=True`` each ray is
+    an int whose bit ``n - 1 - b`` is its weight on branch ``b``, in the
+    same order.
+    """
+    rays = _cycle_masks(track)
+    if masks:
+        return rays
+    n = len(track.branches)
+    return [tuple((m >> (n - 1 - b)) & 1 for b in range(n)) for m in rays]
 
 
 def _cross(u, v):
@@ -231,27 +272,43 @@ class CarriedSlopes:
 
 def carried_slopes(track: TorusTrainTrack) -> CarriedSlopes:
     """The arc of slopes realizable by curves carried with positive weights."""
-    rays = weight_cone(track)
+    rays = weight_cone(track, masks=True)
     if not rays:
         return CarriedSlopes(kind="empty")
-    classes = []
-    for ray in rays:
-        a = sum(w * br.a for w, br in zip(ray, track.branches))
-        b = sum(w * br.b for w, br in zip(ray, track.branches))
-        classes.append((a, b))
+    # A ray's class is each branch class times the number of its branches in
+    # the cycle, so branches are grouped by class into one bitmask each.
+    n = len(track.branches)
+    groups = {}
+    for b, br in enumerate(track.branches):
+        if br.a or br.b:
+            groups[br.a, br.b] = groups.get((br.a, br.b), 0) | 1 << (n - 1 - b)
+    groups = list(groups.items())
+    # Each class once, in the order of its first ray: the checks below use
+    # only the set of classes and which one comes first, and the rays can be
+    # far more numerous than their classes.
+    classes = {}
+    for m in rays:
+        a = b = 0
+        for (ga, gb), g in groups:
+            k = (m & g).bit_count()
+            a += ga * k
+            b += gb * k
+        classes[a, b] = None
     nonzero = [c for c in classes if c != (0, 0)]
     if not nonzero:
-        return CarriedSlopes(kind="empty", extreme_classes=tuple(classes))
+        # carried_slopes_v1 lists the zero class once per ray here.
+        return CarriedSlopes(kind="empty", extreme_classes=((0, 0),) * len(rays))
+    extreme = tuple(sorted(nonzero))
     if all(_cross(u, v) == 0 for u in nonzero for v in nonzero):
         return CarriedSlopes(
             kind="single",
             slope=ProjectiveSlope.of(*nonzero[0]),
-            extreme_classes=tuple(sorted(set(nonzero))),
+            extreme_classes=extreme,
         )
     rights = [u for u in nonzero if all(_cross(u, v) >= 0 for v in nonzero)]
     lefts = [v for v in nonzero if all(_cross(u, v) >= 0 for u in nonzero)]
     if not rights or not lefts:
-        return CarriedSlopes(kind="all", extreme_classes=tuple(sorted(set(nonzero))))
+        return CarriedSlopes(kind="all", extreme_classes=extreme)
     e_r = rights[0]
     e_l = lefts[0]
     end_a = ProjectiveSlope.of(*e_r)
@@ -259,7 +316,7 @@ def carried_slopes(track: TorusTrainTrack) -> CarriedSlopes:
     if end_a == end_b:
         # Antipodal extreme classes: the cone is a half-plane, which already
         # projects onto every slope.
-        return CarriedSlopes(kind="all", extreme_classes=tuple(sorted(set(nonzero))))
+        return CarriedSlopes(kind="all", extreme_classes=extreme)
     # The complement of the projectivized cone is the open cone between e_r
     # and -e_l, so their difference is a witness strictly outside the arc.
     witness = ProjectiveSlope.of(e_r[0] - e_l[0], e_r[1] - e_l[1])
@@ -269,7 +326,7 @@ def carried_slopes(track: TorusTrainTrack) -> CarriedSlopes:
         arc=arc,
         end_a_attained=True,
         end_b_attained=True,
-        extreme_classes=tuple(sorted(set(nonzero))),
+        extreme_classes=extreme,
     )
 
 

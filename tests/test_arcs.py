@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -39,7 +40,7 @@ def test_refined_matching_one_circle_p2():
 
 def test_refined_matching_p4_two_matchings():
     coords = BoundaryCoordinates.build({"A": 4})
-    matchings = enumerate_matchings(coords, default_polarity(coords))
+    matchings = list(enumerate_matchings(coords, default_polarity(coords)))
     assert len(matchings) == 2
     for matching in matchings:
         system = refined_matching(coords, rotation(["A"], 1), matching=matching)
@@ -76,6 +77,9 @@ def test_polarity_errors():
     unbalanced = {("A", 0): "beta", ("A", 1): "beta", ("A", 2): "beta", ("A", 3): "gamma"}
     with pytest.raises(ValueError, match="unbalanced"):
         refined_matching(coords, rotation(["A"], 1), polarity=unbalanced)
+    # The matchings are generated lazily, but the polarity is checked at once.
+    with pytest.raises(ValueError, match="unbalanced"):
+        enumerate_matchings(coords, unbalanced)
     non_alternating = {
         ("A", 0): "beta",
         ("A", 1): "beta",
@@ -138,8 +142,7 @@ def test_refined_systems_pass_validation_randomized():
         ):
             continue
         polarity = default_polarity(coords, phase=rng.choice([0, 1]))
-        matchings = enumerate_matchings(coords, polarity)
-        for matching in matchings[:8]:
+        for matching in islice(enumerate_matchings(coords, polarity), 8):
             system = refined_matching(
                 coords, monodromy, polarity=polarity, matching=matching
             )

@@ -217,6 +217,13 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cases", ["-1", "-100"])
+def test_negative_ladder_cases_exit_two(capsys, cases):
+    code, out, err = run(capsys, "ladder", "verify", "--cases", cases)
+    assert code == 2 and out == ""
+    assert "--cases" in err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["interval"])

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -174,3 +175,6 @@ def test_euler_poincare_residual():
     # Genus two knot-manifold with locus (4;*) needs interior index -1.
     assert euler_poincare_residual(2, [4], interior_prongs=[4]) == 0
     assert euler_poincare_residual(1, [4]) != 0
+    # Odd prong counts give half-integers, exactly.
+    residual = euler_poincare_residual(1, [2], interior_prongs=[3])
+    assert type(residual) is Fraction and residual == Fraction(1, 2)
