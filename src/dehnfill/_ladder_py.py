@@ -17,36 +17,40 @@ end.  The reverse of a maximal path is again one, so each undirected path is
 emitted once, from its lexicographically smaller direction.
 """
 
+from bisect import bisect_right
+
 BACKEND = "python"
+
+
+def state_decoder(offsets):
+    """The decoder of the states of a track with these ``offsets``: it maps a
+    state to ``("line", level, segment, dir)`` or ``("rung", index, dir)``."""
+    # First segment index of each level; strictly increasing.
+    starts = [offset + level for level, offset in enumerate(offsets[:-1])]
+    n_line_states = 2 * (offsets[-1] + len(starts))
+
+    def decode(state):
+        if state < n_line_states:
+            idx, fwd = divmod(state, 2)
+            level = bisect_right(starts, idx) - 1
+            return ("line", level, idx - starts[level], 1 if fwd else -1)
+        idx, up = divmod(state - n_line_states, 2)
+        return ("rung", idx, 1 if up else -1)
+
+    return decode
 
 
 def _build_tables(offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx):
     n_levels = len(offsets) - 1
     n_sw = offsets[-1]
     n_line_states = 2 * (n_sw + n_levels)
+    decode = state_decoder(offsets)
 
     def line_state(level, seg, forward):
         return 2 * (offsets[level] + level + seg) + (1 if forward else 0)
 
     def rung_state(r, up):
         return n_line_states + 2 * r + (1 if up else 0)
-
-    def decode(state):
-        if state < n_line_states:
-            idx, fwd = divmod(state, 2)
-            # locate level by offsets
-            lo, hi = 0, n_levels - 1
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if offsets[mid] + mid <= idx:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            level = lo
-            seg = idx - offsets[level] - level
-            return ("line", level, seg, 1 if fwd else -1)
-        idx, up = divmod(state - n_line_states, 2)
-        return ("rung", idx, 1 if up else -1)
 
     def switch_cusp(level, k):
         r = sw_rung[offsets[level] + k]

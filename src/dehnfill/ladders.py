@@ -14,9 +14,10 @@ each such path separates the levels far below from the levels far above.
 
 import random as _random
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 
 from . import _ladder
+from ._ladder_py import state_decoder
 
 __all__ = [
     "Rung",
@@ -39,9 +40,15 @@ def kernel_backend() -> str:
 
 @dataclass(frozen=True)
 class Rung:
+    """A rung from ``lower_level`` to the level above.
+
+    Positions along the two lines are exact rationals of any type (``int``,
+    ``Fraction``); only their order along each line matters.
+    """
+
     lower_level: int
-    low_pos: Fraction
-    high_pos: Fraction
+    low_pos: Rational
+    high_pos: Rational
     cusp_low: int  # geometric sign along the lower line
     cusp_high: int
 
@@ -61,23 +68,23 @@ class LadderTrack:
             raise ValueError("need one orientation sign per level")
         if any(o not in (-1, 1) for o in self.orientations):
             raise ValueError("orientations must be +1 or -1")
+        feet = set()
         for r in self.rungs:
             if not 0 <= r.lower_level < self.n_levels - 1:
                 raise ValueError("rung joins missing levels")
-        for level in range(self.n_levels):
-            feet = self._feet(level)
-            if len({pos for pos, _, _ in feet}) != len(feet):
-                raise ValueError("rung feet on level %d collide" % level)
+            for foot in ((r.lower_level, r.low_pos), (r.lower_level + 1, r.high_pos)):
+                if foot in feet:
+                    raise ValueError("rung feet on level %d collide" % foot[0])
+                feet.add(foot)
 
-    def _feet(self, level):
-        """Sorted (position, rung_index, end) triples on one level."""
-        feet = []
+    def _feet_by_level(self):
+        """Per level, the sorted (position, rung_index, end) triples."""
+        feet = [[] for _ in range(self.n_levels)]
         for i, r in enumerate(self.rungs):
-            if r.lower_level == level:
-                feet.append((r.low_pos, i, 0))
-            if r.lower_level + 1 == level:
-                feet.append((r.high_pos, i, 1))
-        feet.sort()
+            feet[r.lower_level].append((r.low_pos, i, 0))
+            feet[r.lower_level + 1].append((r.high_pos, i, 1))
+        for level_feet in feet:
+            level_feet.sort()
         return feet
 
     def is_leaf_trace_type(self) -> bool:
@@ -96,6 +103,20 @@ def standard_orientations(n_levels):
     return tuple(1 if k % 2 == 0 else -1 for k in range(n_levels))
 
 
+def _check_sizes(max_levels, max_rungs_per_gap):
+    if max_levels < 2:
+        raise ValueError(
+            "max_levels must be >= 2 (a ladder has two lines or more), not %d" % max_levels
+        )
+    if max_rungs_per_gap < 0:
+        raise ValueError("max_rungs_per_gap must be >= 0, not %d" % max_rungs_per_gap)
+
+
+def _check_step_bound(step_bound):
+    if not 1 <= step_bound <= 10**4:
+        raise ValueError("step_bound must lie in 1..10**4, not %d" % step_bound)
+
+
 def random_ladder(
     seed: int,
     max_levels: int = 8,
@@ -111,15 +132,17 @@ def random_ladder(
     lower ends, opposing at upper ends); carried paths there may cascade
     through many lines.
     """
+    _check_sizes(max_levels, max_rungs_per_gap)
     rng = _random.Random(seed)
     n_levels = rng.randint(2, max_levels)
     orientations = (
         standard_orientations(n_levels) if alternating else tuple([1] * n_levels)
     )
     counts = [rng.randint(0, max_rungs_per_gap) for _ in range(n_levels - 1)]
-    # Distinct base slots globally, so feet on a shared line never collide;
-    # the +-1/16 nudges are too small to reorder slots 1/4 apart.
-    slots = [Fraction(k, 4) for k in range(1, 4 * (sum(counts) + 2))]
+    # Positions are ints in units of 1/16.  Distinct base slots 1/4 apart
+    # globally, so feet on a shared line never collide; the +-1/16 nudges are
+    # too small to reorder them.
+    slots = range(4, 16 * (sum(counts) + 2), 4)
     chosen = rng.sample(slots, sum(counts))
     rng.shuffle(chosen)
     chosen = iter(chosen)
@@ -127,7 +150,7 @@ def random_ladder(
     for gap, count in enumerate(counts):
         for _ in range(count):
             x = next(chosen)
-            nudge = Fraction(rng.randint(-1, 1), 16)
+            nudge = rng.randint(-1, 1)
             if alternating:
                 c_lo = orientations[gap]
                 c_hi = orientations[gap + 1]
@@ -166,13 +189,13 @@ def orient_ladder(track: LadderTrack) -> OrientedLadder:
 
 
 def _encode(track: LadderTrack):
+    """The kernel's plain-int encoding of a ladder (see ``_ladder_py``)."""
     offsets = [0]
     sw_rung = []
     sw_end = []
     lo_idx = [0] * len(track.rungs)
     hi_idx = [0] * len(track.rungs)
-    for level in range(track.n_levels):
-        feet = track._feet(level)
+    for feet in track._feet_by_level():
         for local, (_, r, end) in enumerate(feet):
             sw_rung.append(r)
             sw_end.append(end)
@@ -209,26 +232,11 @@ class CarriedPath:
         )
 
 
-def _decode_paths(track, raw_paths):
-    enc = _encode(track)
-    offsets = enc[0]
-    n_levels = track.n_levels
-    n_line_states = 2 * (offsets[-1] + n_levels)
-
-    def decode(state):
-        if state < n_line_states:
-            idx, fwd = divmod(state, 2)
-            level = 0
-            for k in range(n_levels):
-                if offsets[k] + k <= idx:
-                    level = k
-            seg = idx - offsets[level] - level
-            return ("line", level, seg, 1 if fwd else -1)
-        idx, up = divmod(state - n_line_states, 2)
-        return ("rung", idx, 1 if up else -1)
-
+def _carried_paths(enc, raw_paths):
+    """Kernel paths, given as states of the encoding ``enc``, as CarriedPaths."""
+    decode = state_decoder(enc[0])
     return [
-        CarriedPath(steps=tuple(decode(s) for s in states), truncated=truncated)
+        CarriedPath(steps=tuple(map(decode, states)), truncated=truncated)
         for states, truncated in raw_paths
     ]
 
@@ -236,11 +244,10 @@ def _decode_paths(track, raw_paths):
 def enumerate_carried_paths(track: LadderTrack, step_bound: int = 10**4):
     """All maximal carried paths, one per undirected trace, in a
     deterministic order; truncation at the step bound is flagged."""
-    if step_bound > 10**4:
-        raise ValueError("step bound above desk scale")
+    _check_step_bound(step_bound)
     enc = _encode(track)
-    raw, *_ = _ladder.scan_ladder(*enc[:9], step_bound, True)
-    return _decode_paths(track, raw)
+    raw, *_ = _ladder.scan_ladder(*enc, step_bound, True)
+    return _carried_paths(enc, raw)
 
 
 def check_two_line_property(track: LadderTrack, step_bound: int = 10**4):
@@ -249,12 +256,12 @@ def check_two_line_property(track: LadderTrack, step_bound: int = 10**4):
 
     Returns ``(ok, witnesses)`` with the offending paths, if any.
     """
+    _check_step_bound(step_bound)
     enc = _encode(track)
-    _, n_paths, n_viol, _, _, witness = _ladder.scan_ladder(*enc[:9], step_bound, False)
+    _, n_paths, n_viol, _, _, witness = _ladder.scan_ladder(*enc, step_bound, False)
     if n_viol == 0:
         return True, []
-    witnesses = _decode_paths(track, [(witness, False)])
-    return False, witnesses
+    return False, _carried_paths(enc, [(witness, False)])
 
 
 def separation_check(track: LadderTrack, path: CarriedPath) -> bool:
@@ -272,11 +279,12 @@ def separation_check(track: LadderTrack, path: CarriedPath) -> bool:
             segments_on.setdefault(step[1], set()).add(step[2])
     rungs_on = set(path.rungs_used)
 
-    # Geometry: cells of the strip between level g and g+1, split by rungs.
-    width = max(
-        [r.low_pos for r in track.rungs] + [r.high_pos for r in track.rungs],
-        default=Fraction(0),
-    ) + 1
+    # Geometry: cells of the strip between level g and g+1, split by rungs,
+    # between sentinels left and right of every foot.
+    positions = [r.low_pos for r in track.rungs] + [r.high_pos for r in track.rungs]
+    left_end = min(positions, default=0) - 1
+    right_end = max(positions, default=0) + 1
+    feet_by_level = track._feet_by_level()
     gap_rungs = {
         g: sorted(
             (i for i, r in enumerate(track.rungs) if r.lower_level == g),
@@ -288,18 +296,18 @@ def separation_check(track: LadderTrack, path: CarriedPath) -> bool:
     def cell_span(g, c):
         """Horizontal extent of cell c in gap g (open interval)."""
         rs = gap_rungs[g]
-        left = Fraction(-1) if c == 0 else max(
+        left = left_end if c == 0 else max(
             track.rungs[rs[c - 1]].low_pos, track.rungs[rs[c - 1]].high_pos
         )
-        right = width if c == len(rs) else min(
+        right = right_end if c == len(rs) else min(
             track.rungs[rs[c]].low_pos, track.rungs[rs[c]].high_pos
         )
         return left, right
 
     def free_intervals(level):
         """Sub-intervals of the level line not covered by the path."""
-        feet = [pos for pos, _, _ in track._feet(level)]
-        cuts = [Fraction(-1)] + feet + [width]
+        feet = [pos for pos, _, _ in feet_by_level[level]]
+        cuts = [left_end] + feet + [right_end]
         covered = segments_on.get(level, set())
         return [
             (cuts[i], cuts[i + 1])
@@ -372,6 +380,8 @@ def verify_ladders(
 
     Returns a summary dict (JSON-friendly); deterministic for fixed inputs.
     """
+    _check_sizes(max_levels, max_rungs_per_gap)
+    _check_step_bound(step_bound)
     total_paths = 0
     violations = 0
     max_paths = 0
@@ -385,9 +395,8 @@ def verify_ladders(
             max_rungs_per_gap=max_rungs_per_gap,
             alternating=alternating,
         )
-        enc = _encode(track)
         _, n_paths, n_viol, n_trunc, longest, _ = _ladder.scan_ladder(
-            *enc[:9], step_bound, False
+            *_encode(track), step_bound, False
         )
         total_paths += n_paths
         violations += n_viol

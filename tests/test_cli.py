@@ -224,6 +224,22 @@ def test_negative_ladder_cases_exit_two(capsys, cases):
     assert "--cases" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--levels", "1"), "max_levels must be >= 2"),
+        (("--levels", "0"), "max_levels must be >= 2"),
+        (("--levels", "1", "--cases", "0"), "max_levels must be >= 2"),
+        (("--rungs", "-1"), "max_rungs_per_gap must be >= 0"),
+        (("--rungs", "-1", "--cases", "0"), "max_rungs_per_gap must be >= 0"),
+    ],
+)
+def test_out_of_domain_ladder_sizes_exit_two(capsys, flags, message):
+    code, out, err = run(capsys, "ladder", "verify", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message)
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["interval"])

@@ -95,6 +95,78 @@ def test_step_bound_guard():
         enumerate_carried_paths(leaf_trace_ladder(2, []), step_bound=10**5)
 
 
+@pytest.mark.parametrize("step_bound", [0, -3, 10**4 + 1])
+def test_step_bound_range_everywhere(step_bound):
+    ladder = leaf_trace_ladder(2, [])
+    for check in (enumerate_carried_paths, check_two_line_property):
+        with pytest.raises(ValueError, match="step_bound must lie in 1..10"):
+            check(ladder, step_bound=step_bound)
+    with pytest.raises(ValueError, match="step_bound must lie in 1..10"):
+        verify_ladders(0, step_bound=step_bound)
+
+
+def test_step_bound_range_ends_are_allowed():
+    ladder = random_ladder(17)
+    assert all(p.truncated for p in enumerate_carried_paths(ladder, step_bound=1))
+    assert check_two_line_property(ladder, step_bound=10**4) == (True, [])
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ({"max_levels": 1}, "max_levels must be >= 2"),
+        ({"max_levels": 0}, "max_levels must be >= 2"),
+        ({"max_rungs_per_gap": -1}, "max_rungs_per_gap must be >= 0"),
+    ],
+)
+def test_out_of_domain_sizes_rejected(sizes, message):
+    with pytest.raises(ValueError, match=message):
+        random_ladder(0, **sizes)
+    with pytest.raises(ValueError, match=message):
+        verify_ladders(0, **sizes)
+
+
+def test_smallest_sizes_allowed():
+    ladder = random_ladder(5, max_levels=2, max_rungs_per_gap=0)
+    assert ladder.n_levels == 2 and ladder.rungs == ()
+    assert verify_ladders(3, max_levels=2, max_rungs_per_gap=0)["total_paths"] == 6
+
+
+def test_random_positions_are_sixteenths_as_ints():
+    # Base slots are multiples of 4 (quarters), each end nudged by at most 1.
+    ladder = random_ladder(11)
+    assert ladder.rungs
+    for r in ladder.rungs:
+        assert type(r.low_pos) is int and type(r.high_pos) is int
+        assert r.low_pos % 4 == 0 and abs(r.high_pos - r.low_pos) <= 1
+
+
+@pytest.mark.parametrize("alternating", [True, False])
+def test_only_the_order_of_positions_matters(alternating):
+    # Scaling and shifting positions, even to negative Fractions, keeps every
+    # path, truncation flag and separation verdict.
+    for seed in range(20):
+        ladder = random_ladder(seed, max_levels=5, max_rungs_per_gap=3, alternating=alternating)
+        moved = LadderTrack(
+            ladder.n_levels,
+            ladder.orientations,
+            tuple(
+                Rung(
+                    r.lower_level,
+                    Fraction(r.low_pos, 48) - 100,
+                    Fraction(r.high_pos, 48) - 100,
+                    r.cusp_low,
+                    r.cusp_high,
+                )
+                for r in ladder.rungs
+            ),
+        )
+        paths = enumerate_carried_paths(ladder, step_bound=50)
+        assert enumerate_carried_paths(moved, step_bound=50) == paths
+        verdicts = [separation_check(ladder, p) for p in paths]
+        assert [separation_check(moved, p) for p in paths] == verdicts, seed
+
+
 def test_two_line_trivial_cases():
     ok, witnesses = check_two_line_property(leaf_trace_ladder(4, []))
     assert ok and witnesses == []
