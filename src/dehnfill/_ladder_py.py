@@ -10,34 +10,14 @@ Track encoding (all plain ints):
   cusp_lo/hi -- geometric cusp signs (+1/-1 along the lines) at each end
   lo_idx/hi_idx -- per-level switch index of each rung end
 
-States: for level k with S_k switches there are S_k + 1 line segments; a line
-state is ``2*(offsets[k] + k + seg) + (dir > 0)`` and a rung state is
-``line_state_count + 2*r + (dir > 0)`` where ``dir = +1`` heads to the upper
-end.  The reverse of a maximal path is again one, so each undirected path is
-emitted once, from its lexicographically smaller direction.
+States are numbered as ``dehnfill._ladder_states`` describes.  The reverse of
+a maximal path is again one, so each undirected path is emitted once, from its
+lexicographically smaller direction.
 """
 
-from bisect import bisect_right
+from ._ladder_states import state_decoder
 
 BACKEND = "python"
-
-
-def state_decoder(offsets):
-    """The decoder of the states of a track with these ``offsets``: it maps a
-    state to ``("line", level, segment, dir)`` or ``("rung", index, dir)``."""
-    # First segment index of each level; strictly increasing.
-    starts = [offset + level for level, offset in enumerate(offsets[:-1])]
-    n_line_states = 2 * (offsets[-1] + len(starts))
-
-    def decode(state):
-        if state < n_line_states:
-            idx, fwd = divmod(state, 2)
-            level = bisect_right(starts, idx) - 1
-            return ("line", level, idx - starts[level], 1 if fwd else -1)
-        idx, up = divmod(state - n_line_states, 2)
-        return ("rung", idx, 1 if up else -1)
-
-    return decode
 
 
 def _build_tables(offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from numbers import Rational
 
 from . import _ladder
-from ._ladder_py import state_decoder
+from ._ladder_states import state_decoder
 
 __all__ = [
     "Rung",
@@ -55,6 +55,11 @@ class Rung:
     def __post_init__(self):
         if self.cusp_low not in (-1, 1) or self.cusp_high not in (-1, 1):
             raise ValueError("cusp signs must be +1 or -1")
+        for pos in (self.low_pos, self.high_pos):
+            if not isinstance(pos, Rational):
+                raise ValueError(
+                    "rung positions must be exact rationals (int or Fraction), not %r" % (pos,)
+                )
 
 
 @dataclass(frozen=True)
@@ -77,26 +82,43 @@ class LadderTrack:
                     raise ValueError("rung feet on level %d collide" % foot[0])
                 feet.add(foot)
 
-    def _feet_by_level(self):
-        """Per level, the sorted (position, rung_index, end) triples."""
-        feet = [[] for _ in range(self.n_levels)]
-        for i, r in enumerate(self.rungs):
-            feet[r.lower_level].append((r.low_pos, i, 0))
-            feet[r.lower_level + 1].append((r.high_pos, i, 1))
-        for level_feet in feet:
-            level_feet.sort()
-        return feet
-
     def is_leaf_trace_type(self) -> bool:
         """Alternating chosen orientations with cusp agreement at both ends."""
-        uniform = {self.orientations[k] * (1 if k % 2 == 0 else -1) for k in range(self.n_levels)}
-        if len(uniform) != 1:
-            return False
-        return all(
-            r.cusp_low == self.orientations[r.lower_level]
-            and r.cusp_high == self.orientations[r.lower_level + 1]
-            for r in self.rungs
-        )
+        level, _, _, cusp_low, cusp_high = _rung_lists(self.rungs)
+        return _leaf_trace_type(self.orientations, level, cusp_low, cusp_high)
+
+
+def _rung_lists(rungs):
+    """The rungs as parallel lists: level, low, high, cusp_low, cusp_high."""
+    return (
+        [r.lower_level for r in rungs],
+        [r.low_pos for r in rungs],
+        [r.high_pos for r in rungs],
+        [r.cusp_low for r in rungs],
+        [r.cusp_high for r in rungs],
+    )
+
+
+def _sorted_feet(n_levels, level, low, high):
+    """Per level, the sorted (position, rung_index, end) triples."""
+    feet = [[] for _ in range(n_levels)]
+    for r, g in enumerate(level):
+        feet[g].append((low[r], r, 0))
+        feet[g + 1].append((high[r], r, 1))
+    for level_feet in feet:
+        level_feet.sort()
+    return feet
+
+
+def _leaf_trace_type(orientations, level, cusp_low, cusp_high):
+    """The leaf-trace predicate on per-rung lists: orientations alternate, and
+    every rung's cusps agree with the orientations of its two lines."""
+    first = orientations[0]
+    if any(o != (first if k % 2 == 0 else -first) for k, o in enumerate(orientations)):
+        return False
+    return cusp_low == [orientations[g] for g in level] and cusp_high == [
+        orientations[g + 1] for g in level
+    ]
 
 
 def standard_orientations(n_levels):
@@ -117,6 +139,35 @@ def _check_step_bound(step_bound):
         raise ValueError("step_bound must lie in 1..10**4, not %d" % step_bound)
 
 
+def _draw(rng, max_levels, max_rungs_per_gap, alternating):
+    """The random ladder that ``rng`` gives, as plain ints and lists.
+
+    Returns ``(n_levels, orientations, level, low, high, cusp_low,
+    cusp_high)``, the last five parallel, one entry per rung, rungs in gap
+    order.  Every seeded ladder is fixed by these rng calls and their order.
+    """
+    randint = rng.randint
+    n_levels = randint(2, max_levels)
+    orientations = standard_orientations(n_levels) if alternating else (1,) * n_levels
+    level = []
+    for gap in range(n_levels - 1):
+        level += [gap] * randint(0, max_rungs_per_gap)
+    n_rungs = len(level)
+    # Positions are ints in units of 1/16.  Distinct base slots 1/4 apart
+    # globally, so feet on a shared line never collide; the +-1/16 nudges are
+    # too small to reorder them.
+    low = rng.sample(range(4, 16 * (n_rungs + 2), 4), n_rungs)
+    rng.shuffle(low)
+    high = [x + randint(-1, 1) for x in low]
+    if alternating:
+        cusp_low = [orientations[g] for g in level]
+        cusp_high = [orientations[g + 1] for g in level]
+    else:
+        cusp_low = [1] * n_rungs
+        cusp_high = [-1] * n_rungs
+    return n_levels, orientations, level, low, high, cusp_low, cusp_high
+
+
 def random_ladder(
     seed: int,
     max_levels: int = 8,
@@ -133,39 +184,10 @@ def random_ladder(
     through many lines.
     """
     _check_sizes(max_levels, max_rungs_per_gap)
-    rng = _random.Random(seed)
-    n_levels = rng.randint(2, max_levels)
-    orientations = (
-        standard_orientations(n_levels) if alternating else tuple([1] * n_levels)
+    n_levels, orientations, *rung_lists = _draw(
+        _random.Random(seed), max_levels, max_rungs_per_gap, alternating
     )
-    counts = [rng.randint(0, max_rungs_per_gap) for _ in range(n_levels - 1)]
-    # Positions are ints in units of 1/16.  Distinct base slots 1/4 apart
-    # globally, so feet on a shared line never collide; the +-1/16 nudges are
-    # too small to reorder them.
-    slots = range(4, 16 * (sum(counts) + 2), 4)
-    chosen = rng.sample(slots, sum(counts))
-    rng.shuffle(chosen)
-    chosen = iter(chosen)
-    rungs = []
-    for gap, count in enumerate(counts):
-        for _ in range(count):
-            x = next(chosen)
-            nudge = rng.randint(-1, 1)
-            if alternating:
-                c_lo = orientations[gap]
-                c_hi = orientations[gap + 1]
-            else:
-                c_lo, c_hi = 1, -1
-            rungs.append(
-                Rung(
-                    lower_level=gap,
-                    low_pos=x,
-                    high_pos=x + nudge,
-                    cusp_low=c_lo,
-                    cusp_high=c_hi,
-                )
-            )
-    return LadderTrack(n_levels, orientations, tuple(rungs))
+    return LadderTrack(n_levels, orientations, tuple(map(Rung, *rung_lists)))
 
 
 @dataclass(frozen=True)
@@ -190,13 +212,23 @@ def orient_ladder(track: LadderTrack) -> OrientedLadder:
 
 def _encode(track: LadderTrack):
     """The kernel's plain-int encoding of a ladder (see ``_ladder_py``)."""
+    return _encode_lists(track.n_levels, track.orientations, *_rung_lists(track.rungs))
+
+
+def _encode_lists(n_levels, orientations, level, low, high, cusp_low, cusp_high):
+    """The kernel's encoding of a ladder given as ``_draw`` returns it.
+
+    Raises ``ValueError`` when two feet on one level share a position.
+    """
     offsets = [0]
     sw_rung = []
     sw_end = []
-    lo_idx = [0] * len(track.rungs)
-    hi_idx = [0] * len(track.rungs)
-    for feet in track._feet_by_level():
-        for local, (_, r, end) in enumerate(feet):
+    lo_idx = [0] * len(level)
+    hi_idx = [0] * len(level)
+    for k, level_feet in enumerate(_sorted_feet(n_levels, level, low, high)):
+        for local, (pos, r, end) in enumerate(level_feet):
+            if local and pos == level_feet[local - 1][0]:
+                raise ValueError("rung feet on level %d collide" % k)
             sw_rung.append(r)
             sw_end.append(end)
             if end == 0:
@@ -204,11 +236,8 @@ def _encode(track: LadderTrack):
             else:
                 hi_idx[r] = local
         offsets.append(len(sw_rung))
-    rung_level = [r.lower_level for r in track.rungs]
-    cusp_lo = [r.cusp_low for r in track.rungs]
-    cusp_hi = [r.cusp_high for r in track.rungs]
-    forward = track.orientations[0] if track.is_leaf_trace_type() else 1
-    return offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx, forward
+    forward = orientations[0] if _leaf_trace_type(orientations, level, cusp_low, cusp_high) else 1
+    return offsets, sw_rung, sw_end, level, cusp_low, cusp_high, lo_idx, hi_idx, forward
 
 
 @dataclass(frozen=True)
@@ -284,7 +313,7 @@ def separation_check(track: LadderTrack, path: CarriedPath) -> bool:
     positions = [r.low_pos for r in track.rungs] + [r.high_pos for r in track.rungs]
     left_end = min(positions, default=0) - 1
     right_end = max(positions, default=0) + 1
-    feet_by_level = track._feet_by_level()
+    feet_by_level = _sorted_feet(track.n_levels, *_rung_lists(track.rungs)[:3])
     gap_rungs = {
         g: sorted(
             (i for i, r in enumerate(track.rungs) if r.lower_level == g),
@@ -388,16 +417,12 @@ def verify_ladders(
     max_len = 0
     truncated = 0
     first_violation_seed = None
+    # Seeding one generator per case gives the stream of Random(seed + i).
+    rng = _random.Random()
     for i in range(cases):
-        track = random_ladder(
-            seed + i,
-            max_levels=max_levels,
-            max_rungs_per_gap=max_rungs_per_gap,
-            alternating=alternating,
-        )
-        _, n_paths, n_viol, n_trunc, longest, _ = _ladder.scan_ladder(
-            *_encode(track), step_bound, False
-        )
+        rng.seed(seed + i)
+        enc = _encode_lists(*_draw(rng, max_levels, max_rungs_per_gap, alternating))
+        _, n_paths, n_viol, n_trunc, longest, _ = _ladder.scan_ladder(*enc, step_bound, False)
         total_paths += n_paths
         violations += n_viol
         truncated += n_trunc

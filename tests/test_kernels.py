@@ -107,3 +107,26 @@ def test_missing_extension_falls_back_to_python():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0 and proc.stdout == "python\n", proc.stderr
+
+
+def test_compiled_backend_leaves_python_kernel_unloaded(compiled_kernel):
+    # Paths are decoded by dehnfill._ladder_states, so a library running on
+    # the compiled kernel never imports the pure-Python one.
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('dehnfill._ladder_cy', sys.argv[1])\n"
+        "kernel = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(kernel)\n"
+        "sys.modules['dehnfill._ladder_cy'] = kernel\n"
+        "import dehnfill.ladders\n"
+        "print(dehnfill.ladders.kernel_backend(), 'dehnfill._ladder_py' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, compiled_kernel.__file__],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "cython False\n", proc.stdout + proc.stderr

@@ -1,13 +1,18 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from dehnfill import _ladder_py
 from dehnfill.ladders import (
     CarriedPath,
     LadderTrack,
     Rung,
+    _encode,
+    _encode_lists,
     check_two_line_property,
     enumerate_carried_paths,
+    kernel_backend,
     orient_ladder,
     random_ladder,
     separation_check,
@@ -132,6 +137,21 @@ def test_smallest_sizes_allowed():
     assert verify_ladders(3, max_levels=2, max_rungs_per_gap=0)["total_paths"] == 6
 
 
+# repr of random_ladder(seed, *sizes, alternating) for seeds 0..299, pinned
+# before the draw moved to plain lists.  Nudges never reorder feet, so the
+# path digests of test_ladder_golden.py cannot see them; this digest can.
+RANDOM_LADDERS_DIGEST = "334dfdb8a4f8708f44f15528d14d8069b7917b75d4a1a170dac63fa99fe00f3c"
+
+
+def test_random_ladders_match_golden():
+    digest = hashlib.sha256()
+    for alternating in (True, False):
+        for sizes in ((8, 6), (5, 3), (2, 0)):
+            for seed in range(300):
+                digest.update(repr(random_ladder(seed, *sizes, alternating)).encode() + b"\n")
+    assert digest.hexdigest() == RANDOM_LADDERS_DIGEST
+
+
 def test_random_positions_are_sixteenths_as_ints():
     # Base slots are multiples of 4 (quarters), each end nudged by at most 1.
     ladder = random_ladder(11)
@@ -238,3 +258,64 @@ def test_ladder_validation():
         )
     with pytest.raises(ValueError, match="missing levels"):
         LadderTrack(2, standard_orientations(2), (Rung(1, Fraction(1), Fraction(1), 1, 1),))
+
+
+def test_rung_rejects_float_positions():
+    with pytest.raises(ValueError, match="exact rationals"):
+        Rung(0, 0.5, 0.5, 1, -1)
+    with pytest.raises(ValueError, match="exact rationals"):
+        Rung(0, Fraction(5, 4), 1.5, 1, -1)
+
+
+def rebuilt_summary(cases, seed, max_levels, max_rungs_per_gap, step_bound, alternating):
+    """``verify_ladders`` rebuilt the old way: a ``Rung``/``LadderTrack`` per
+    case, its ``_encode``, and the pure-Python kernel."""
+    scans = [
+        _ladder_py.scan_ladder(
+            *_encode(random_ladder(seed + i, max_levels, max_rungs_per_gap, alternating)),
+            step_bound,
+            False,
+        )
+        for i in range(cases)
+    ]
+    return {
+        "cases": cases,
+        "seed": seed,
+        "max_levels": max_levels,
+        "max_rungs_per_gap": max_rungs_per_gap,
+        "alternating": alternating,
+        "backend": kernel_backend(),
+        "total_paths": sum(scan[1] for scan in scans),
+        "max_paths_per_ladder": max((scan[1] for scan in scans), default=0),
+        "max_path_length": max((scan[4] for scan in scans), default=0),
+        "truncated_paths": sum(scan[3] for scan in scans),
+        "violations": sum(scan[2] for scan in scans),
+        "first_violation_seed": next(
+            (seed + i for i, scan in enumerate(scans) if scan[2]), None
+        ),
+    }
+
+
+@pytest.mark.parametrize("alternating", [True, False])
+@pytest.mark.parametrize("sizes", [(8, 6), (2, 6), (8, 0), (2, 0), (5, 3)])
+@pytest.mark.parametrize("seed, step_bound", [(1234, 10**4), (-40, 3)])
+def test_verify_matches_per_rung_ladders(alternating, sizes, seed, step_bound):
+    args = (25, seed, *sizes, step_bound, alternating)
+    assert verify_ladders(*args) == rebuilt_summary(*args)
+
+
+@pytest.mark.parametrize(
+    "level, low, high, colliding_level",
+    [
+        ([0, 1], [4, 8], [8, 12], 1),  # an upper and a lower end on level 1
+        ([0, 0], [4, 4], [8, 12], 0),  # two lower ends
+        ([1, 1], [4, 8], [12, 12], 2),  # two upper ends
+    ],
+)
+def test_encoder_rejects_colliding_feet(level, low, high, colliding_level):
+    n_levels = 3
+    orientations = standard_orientations(n_levels)
+    cusp_low = [orientations[g] for g in level]
+    cusp_high = [orientations[g + 1] for g in level]
+    with pytest.raises(ValueError, match="rung feet on level %d collide" % colliding_level):
+        _encode_lists(n_levels, orientations, level, low, high, cusp_low, cusp_high)
