@@ -7,6 +7,7 @@ byte-identical bytes.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .arcs import (
     validate_system,
 )
 from .census import SYMBOLIC_FAMILIES, census_entries, census_entry, census_to_json, census_verify
+from .filling import _interval_json, _locus_json
 from .filling import analyze_multislope, guaranteed_interval, report_to_json
 from .ladders import kernel_backend, verify_ladders
 from .monodromy import BoundaryOrbit, DegeneracyLocus
@@ -93,15 +95,7 @@ def _single_orbit(locus, c):
 
 def _cmd_interval(args):
     interval = guaranteed_interval(_parse_locus(args.locus), args.orbit_length)
-    _emit(
-        {
-            "schema": "interval_v1",
-            "end_a": format_slope(interval.end_a),
-            "end_b": format_slope(interval.end_b),
-            "excluded": format_slope(interval.excluded),
-        },
-        args,
-    )
+    _emit({"schema": "interval_v1", **_interval_json(interval)}, args)
     return 0
 
 
@@ -134,17 +128,8 @@ def _cmd_analyze(args):
                 {
                     "circles": list(orbit.circles),
                     "orbit_length": orbit.c,
-                    "locus": {
-                        "p": locus.p,
-                        "q": locus.q,
-                        "multiplicity": locus.multiplicity,
-                        "degeneracy_slope": format_slope(locus.delta),
-                    },
-                    "interval": {
-                        "end_a": format_slope(interval.end_a),
-                        "end_b": format_slope(interval.end_b),
-                        "excluded": format_slope(interval.excluded),
-                    },
+                    "locus": _locus_json(locus),
+                    "interval": _interval_json(interval),
                     "slope": None,
                     "guarantees": [],
                 }
@@ -172,11 +157,7 @@ def _cmd_census(args):
     rows = [
         {
             "name": r.name,
-            "computed": {
-                "end_a": format_slope(r.computed.end_a),
-                "end_b": format_slope(r.computed.end_b),
-                "excluded": format_slope(r.computed.excluded),
-            },
+            "computed": _interval_json(r.computed),
             "status": r.status,
             "detail": r.detail,
         }
@@ -189,7 +170,10 @@ def _cmd_census(args):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("%s: the top level must be a JSON object" % path)
+    return doc
 
 
 def _cmd_arcs(args):
@@ -235,20 +219,19 @@ def _load_config(text):
 
 
 def _carried_doc(track):
-    cs = carried_slopes(track)
+    rays = weight_cone(track, masks=True)
+    cs = carried_slopes(track, rays=rays)
     doc = {
         "schema": "carried_slopes_v1",
         "kind": cs.kind,
-        "extreme_rays": len(weight_cone(track, masks=True)),
+        "extreme_rays": len(rays),
         "extreme_classes": [list(c) for c in cs.extreme_classes],
     }
     if cs.kind == "single":
         doc["slope"] = format_slope(cs.slope)
     if cs.kind == "arc":
         doc["arc"] = {
-            "end_a": format_slope(cs.arc.end_a),
-            "end_b": format_slope(cs.arc.end_b),
-            "excluded": format_slope(cs.arc.excluded),
+            **_interval_json(cs.arc),
             "end_a_attained": cs.end_a_attained,
             "end_b_attained": cs.end_b_attained,
         }
@@ -300,7 +283,10 @@ def _cmd_coords(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built on the first call and reused by every later
+    ``main()`` in the process: parsing leaves no state behind in it."""
     parser = argparse.ArgumentParser(
         prog="dehnfill",
         description="Slope calculus, guaranteed filling intervals and "

@@ -247,6 +247,15 @@ def _interval_json(interval: SlopeInterval):
     }
 
 
+def _locus_json(locus: DegeneracyLocus):
+    return {
+        "p": locus.p,
+        "q": locus.q,
+        "multiplicity": locus.multiplicity,
+        "degeneracy_slope": format_slope(locus.delta),
+    }
+
+
 def report_to_json(report: MultislopeReport):
     """Serialize to the ``filling_report_v1`` schema with stable field order."""
     orbits = []
@@ -256,12 +265,7 @@ def report_to_json(report: MultislopeReport):
             {
                 "circles": list(r.orbit.circles),
                 "orbit_length": r.orbit.c,
-                "locus": {
-                    "p": locus.p,
-                    "q": locus.q,
-                    "multiplicity": locus.multiplicity,
-                    "degeneracy_slope": format_slope(locus.delta),
-                },
+                "locus": _locus_json(locus),
                 "coorientation": classify_coorientation(locus),
                 "interval": _interval_json(r.interval),
                 "slope": None if r.slope is None else format_slope(r.slope),

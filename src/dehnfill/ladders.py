@@ -14,7 +14,7 @@ each such path separates the levels far below from the levels far above.
 
 import random as _random
 from dataclasses import dataclass
-from numbers import Rational
+from numbers import Integral, Rational
 
 from . import _ladder
 from ._ladder_states import state_decoder
@@ -134,6 +134,12 @@ def _check_sizes(max_levels, max_rungs_per_gap):
         raise ValueError("max_rungs_per_gap must be >= 0, not %d" % max_rungs_per_gap)
 
 
+def _check_seed(seed):
+    # Random would accept a float or a str and seed from its hash.
+    if not isinstance(seed, Integral):
+        raise TypeError("seed must be an integer, not %r" % (seed,))
+
+
 def _check_step_bound(step_bound):
     if not 1 <= step_bound <= 10**4:
         raise ValueError("step_bound must lie in 1..10**4, not %d" % step_bound)
@@ -183,6 +189,7 @@ def random_ladder(
     lower ends, opposing at upper ends); carried paths there may cascade
     through many lines.
     """
+    _check_seed(seed)
     _check_sizes(max_levels, max_rungs_per_gap)
     n_levels, orientations, *rung_lists = _draw(
         _random.Random(seed), max_levels, max_rungs_per_gap, alternating
@@ -409,6 +416,9 @@ def verify_ladders(
 
     Returns a summary dict (JSON-friendly); deterministic for fixed inputs.
     """
+    if cases < 0:
+        raise ValueError("cases must be a count >= 0, not %r" % (cases,))
+    _check_seed(seed)
     _check_sizes(max_levels, max_rungs_per_gap)
     _check_step_bound(step_bound)
     total_paths = 0

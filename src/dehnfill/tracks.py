@@ -270,9 +270,14 @@ class CarriedSlopes:
         return self.arc.contains(s)
 
 
-def carried_slopes(track: TorusTrainTrack) -> CarriedSlopes:
-    """The arc of slopes realizable by curves carried with positive weights."""
-    rays = weight_cone(track, masks=True)
+def carried_slopes(track: TorusTrainTrack, *, rays=None) -> CarriedSlopes:
+    """The arc of slopes realizable by curves carried with positive weights.
+
+    ``rays`` is ``weight_cone(track, masks=True)`` when the caller already
+    holds it, so the cycles are not enumerated a second time.
+    """
+    if rays is None:
+        rays = weight_cone(track, masks=True)
     if not rays:
         return CarriedSlopes(kind="empty")
     # A ray's class is each branch class times the number of its branches in

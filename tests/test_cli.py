@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from dehnfill import cli, tracks
 from dehnfill.cli import main
 
 
@@ -296,3 +302,101 @@ def test_output_flag_after_subcommand(capsys):
         capsys, "--output", "text", "census", "verify"
     )
     assert code == 0 and "status: ExactMatch" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("arcs", "refine", "--input"),
+        ("arcs", "validate", "--input"),
+        ("track", "slopes", "--input"),
+        ("track", "build", "--locus", "4,1", "--orbit-length", "1", "--config"),
+    ],
+)
+@pytest.mark.parametrize("doc", [[{"schema": "arc_system_v1"}], "text", 3, None])
+def test_json_top_level_not_object_exits_two(capsys, tmp_path, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == "error: %s: the top level must be a JSON object\n" % path
+
+
+def capture(argv):
+    """Exit code, stdout and stderr of one request, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Requests whose parse could leak into the next one through a reused parser:
+# an ``append`` list, ``--output`` on either level then neither, and an
+# argparse error followed by a valid request.
+INTERLEAVED = [
+    ("analyze", "--locus", "4,1", "--orbit-length", "1", "--slope", "0", "--slope", "3")
+    + ("--slope", "1/2"),
+    ("analyze", "--locus", "4,1", "--orbit-length", "1", "--slope", "3"),
+    ("analyze", "--locus", "4,1", "--orbit-length", "1"),
+    ("--output", "text", "interval", "--locus", "4,1", "--orbit-length", "1"),
+    ("interval", "--locus", "4,1", "--orbit-length", "1", "--output", "text"),
+    ("interval", "--locus", "4,1", "--orbit-length", "1"),
+    ("interval", "--locus", "6,1", "--orbit-length", "x"),
+    ("coords", "canonical", "--delta", "6/7"),
+    ("ladder", "verify", "--cases", "3", "--control"),
+    ("ladder", "verify", "--cases", "3"),
+    ("census", "show", "no-such-manifold"),
+    ("census", "show", "m003"),
+]
+
+
+def test_reused_parser_matches_fresh_parser():
+    fresh = []
+    for argv in INTERLEAVED:
+        cli._build_parser.cache_clear()
+        fresh.append(capture(argv))
+    cli._build_parser.cache_clear()
+    reused = [capture(argv) for argv in INTERLEAVED]
+    assert [code for code, _, _ in fresh] == [0] * 6 + [2, 0, 0, 0, 2, 0]
+    assert len(json.loads(fresh[1][1])["orbits"]) == 1
+    assert reused == fresh
+
+
+def test_parser_built_once_per_process():
+    cli._build_parser.cache_clear()
+    for _ in range(5):
+        capture(("coords", "canonical", "--delta", "6/7"))
+        capture(("interval", "--locus", "6,1", "--orbit-length", "x"))
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 9)
+
+
+def test_parser_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import dehnfill.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+
+
+def test_track_slopes_enumerates_cycles_once(capsys, tmp_path, monkeypatch):
+    code, out, _ = run(capsys, "track", "build", "--locus", "6,1", "--orbit-length", "3")
+    assert code == 0
+    path = tmp_path / "track.json"
+    path.write_text(out)
+    calls = []
+    enumerate_cycles = tracks._cycle_masks
+    monkeypatch.setattr(
+        tracks, "_cycle_masks", lambda track: calls.append(track) or enumerate_cycles(track)
+    )
+    code, out, _ = run(capsys, "track", "slopes", "--input", str(path))
+    assert code == 0 and json.loads(out)["extreme_rays"] > 0
+    assert len(calls) == 1

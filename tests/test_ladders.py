@@ -319,3 +319,18 @@ def test_encoder_rejects_colliding_feet(level, low, high, colliding_level):
     cusp_high = [orientations[g + 1] for g in level]
     with pytest.raises(ValueError, match="rung feet on level %d collide" % colliding_level):
         _encode_lists(n_levels, orientations, level, low, high, cusp_low, cusp_high)
+
+
+def test_verify_ladders_rejects_negative_cases():
+    with pytest.raises(ValueError, match="cases must be a count >= 0, not -3"):
+        verify_ladders(-3)
+
+
+@pytest.mark.parametrize("seed", [0.5, 1.0, "3", None])
+def test_non_integer_seed_rejected(seed):
+    # Random would seed from the hash of a float or str, and from the clock
+    # for None.
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        verify_ladders(2, seed=seed)
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        random_ladder(seed)

@@ -281,3 +281,10 @@ def test_weight_cone_rays_are_feasible_and_extreme():
                 if x == 0:
                     active.append([1 if j == i else 0 for j in range(n)])
             assert rank(active, n) == n - 1
+
+
+def test_carried_slopes_reuses_given_rays():
+    for seed in range(40):
+        track = random_track(seed)
+        rays = weight_cone(track, masks=True)
+        assert carried_slopes(track, rays=rays) == carried_slopes(track)
