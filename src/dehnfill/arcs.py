@@ -17,6 +17,8 @@ from fractions import Fraction
 from itertools import permutations
 from math import floor
 
+from .monodromy import _circle_entries
+
 __all__ = [
     "BoundaryCoordinates",
     "RigidBoundaryMap",
@@ -405,9 +407,7 @@ def system_to_json(sys: AdmissibleArcSystem):
 def system_from_json(doc) -> AdmissibleArcSystem:
     if doc.get("schema") != "arc_system_v1":
         raise ValueError("expected schema arc_system_v1")
-    coords = BoundaryCoordinates.build(
-        {entry["id"]: entry["stable_sings"] for entry in doc["circles"]}
-    )
+    coords = BoundaryCoordinates.build(dict(_circle_entries(doc)))
     monodromy = RigidBoundaryMap.build(
         dict(doc["monodromy"]["permutation"]),
         dict(doc["monodromy"]["shifts"]),

@@ -145,26 +145,86 @@ def _check_step_bound(step_bound):
         raise ValueError("step_bound must lie in 1..10**4, not %d" % step_bound)
 
 
+def _sample_set_size(k):
+    """The size below which ``Random.sample`` picks ``k`` items from a pool
+    list rather than by rejection against a set of picked indices."""
+    size = 21
+    if k > 5:
+        # 4 ** ceil(log4(3k)), the table size of a set of k entries.
+        table = 1
+        while table < 3 * k:
+            table *= 4
+        size += table
+    return size
+
+
 def _draw(rng, max_levels, max_rungs_per_gap, alternating):
     """The random ladder that ``rng`` gives, as plain ints and lists.
 
     Returns ``(n_levels, orientations, level, low, high, cusp_low,
     cusp_high)``, the last five parallel, one entry per rung, rungs in gap
-    order.  Every seeded ladder is fixed by these rng calls and their order.
+    order.  Every seeded ladder is fixed by the words drawn here.
+
+    Only ``rng.getrandbits`` is called.  A draw below ``n`` takes
+    ``n.bit_length()`` bits and rejects values ``>= n``, and the draws come
+    in the order of ``randint(2, max_levels)``, ``randint(0,
+    max_rungs_per_gap)`` per gap, ``sample(range(4, 16 * (n_rungs + 2), 4),
+    n_rungs)``, ``shuffle`` and ``randint(-1, 1)`` per rung, as CPython's
+    ``random`` (3.11 to 3.13) makes them.  So the ladders are the ones those
+    methods give, without depending on how they are written.
     """
-    randint = rng.randint
-    n_levels = randint(2, max_levels)
+    bits = rng.getrandbits
+    n = max_levels - 1
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    n_levels = r + 2
     orientations = standard_orientations(n_levels) if alternating else (1,) * n_levels
+    n = max_rungs_per_gap + 1
+    k = n.bit_length()
     level = []
     for gap in range(n_levels - 1):
-        level += [gap] * randint(0, max_rungs_per_gap)
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        level += [gap] * r
     n_rungs = len(level)
     # Positions are ints in units of 1/16.  Distinct base slots 1/4 apart
     # globally, so feet on a shared line never collide; the +-1/16 nudges are
-    # too small to reorder them.
-    low = rng.sample(range(4, 16 * (n_rungs + 2), 4), n_rungs)
-    rng.shuffle(low)
-    high = [x + randint(-1, 1) for x in low]
+    # too small to reorder them.  Slot j sits at 4 + 4j, j < n.
+    n = 4 * n_rungs + 7
+    low = []
+    if n <= _sample_set_size(n_rungs):
+        pool = list(range(4, 4 * n + 4, 4))
+        for m in range(n, n - n_rungs, -1):
+            k = m.bit_length()
+            j = bits(k)
+            while j >= m:
+                j = bits(k)
+            low.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        k = n.bit_length()
+        picked = set()
+        for _ in range(n_rungs):
+            j = bits(k)
+            while j >= n or j in picked:
+                j = bits(k)
+            picked.add(j)
+            low.append(4 + 4 * j)
+    for m in range(n_rungs, 1, -1):
+        k = m.bit_length()
+        j = bits(k)
+        while j >= m:
+            j = bits(k)
+        low[m - 1], low[j] = low[j], low[m - 1]
+    high = []
+    for x in low:
+        r = bits(2)
+        while r == 3:
+            r = bits(2)
+        high.append(x + r - 1)
     if alternating:
         cusp_low = [orientations[g] for g in level]
         cusp_high = [orientations[g + 1] for g in level]

@@ -234,13 +234,30 @@ def euler_poincare_residual(genus, boundary_sing_counts, interior_prongs=()):
     return chi - index
 
 
+def _circle_entries(doc):
+    """The ``(id, stable_sings)`` pairs of the ``circles`` list of a boundary
+    document, naming the entry and the field that is missing or not an int."""
+    circles = doc.get("circles")
+    if not isinstance(circles, list):
+        raise ValueError('"circles": expected a list')
+    pairs = []
+    for k, entry in enumerate(circles):
+        if not isinstance(entry, dict):
+            raise ValueError("circles[%d]: expected an object" % k)
+        for field in ("id", "stable_sings"):
+            if field not in entry:
+                raise ValueError('circles[%d]: missing "%s"' % (k, field))
+        if type(entry["stable_sings"]) is not int:
+            raise ValueError('circles[%d]: "stable_sings" must be an integer' % k)
+        pairs.append((entry["id"], entry["stable_sings"]))
+    return pairs
+
+
 def action_from_json(doc) -> MonodromyBoundaryAction:
     """Load the ``monodromy_boundary_v1`` JSON schema."""
     if doc.get("schema") != "monodromy_boundary_v1":
         raise ValueError("expected schema monodromy_boundary_v1")
-    circles = [
-        BoundaryCircle(entry["id"], entry["stable_sings"]) for entry in doc["circles"]
-    ]
+    circles = [BoundaryCircle(cid, count) for cid, count in _circle_entries(doc)]
     return MonodromyBoundaryAction.build(
         circles,
         dict(doc["permutation"]),

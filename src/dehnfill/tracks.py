@@ -591,12 +591,38 @@ def track_to_json(track: TorusTrainTrack):
     }
 
 
+def _int_pair(value):
+    return isinstance(value, list) and len(value) == 2 and all(type(x) is int for x in value)
+
+
+def _is_switch(entry):
+    double = entry.get("double")
+    return (
+        _int_pair(entry.get("single"))
+        and isinstance(double, list)
+        and len(double) == 2
+        and all(map(_int_pair, double))
+    )
+
+
+def _entries(doc, key, is_valid, shape):
+    """The list ``doc[key]``, after checking that each entry is an object
+    that passes ``is_valid``; ``shape`` describes a valid entry."""
+    entries = doc.get(key)
+    if not isinstance(entries, list):
+        raise ValueError('"%s": expected a list' % key)
+    for k, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and is_valid(entry)):
+            raise ValueError("%s[%d]: expected an object with %s" % (key, k, shape))
+    return entries
+
+
 def track_from_json(doc) -> TorusTrainTrack:
     if doc.get("schema") != "torus_track_v1":
         raise ValueError("expected schema torus_track_v1")
     branches = tuple(
-        Branch(int(e["class"][0]), int(e["class"][1]), label=e.get("label", ""))
-        for e in doc["branches"]
+        Branch(*e["class"], label=e.get("label", ""))
+        for e in _entries(doc, "branches", lambda e: _int_pair(e.get("class")), '"class": [a, b]')
     )
     switches = tuple(
         Switch(
@@ -604,6 +630,11 @@ def track_from_json(doc) -> TorusTrainTrack:
             double=(tuple(e["double"][0]), tuple(e["double"][1])),
             label=e.get("label", ""),
         )
-        for e in doc["switches"]
+        for e in _entries(
+            doc,
+            "switches",
+            _is_switch,
+            '"single": [branch, end] and "double": [[branch, end], [branch, end]]',
+        )
     )
     return TorusTrainTrack(branches, switches)

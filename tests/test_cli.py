@@ -400,3 +400,62 @@ def test_track_slopes_enumerates_cycles_once(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "track", "slopes", "--input", str(path))
     assert code == 0 and json.loads(out)["extreme_rays"] > 0
     assert len(calls) == 1
+
+
+BAD_BRANCH = 'expected an object with "class": [a, b]'
+BAD_SWITCH = (
+    'expected an object with "single": [branch, end] and "double": [[branch, end], [branch, end]]'
+)
+
+
+@pytest.mark.parametrize(
+    "branches, switches, message",
+    [
+        ([[1]], [], "branches[0]: " + BAD_BRANCH),
+        ([{"class": [1, 0]}, {"class": [1]}], [], "branches[1]: " + BAD_BRANCH),
+        ([{"class": ["1", 0]}], [], "branches[0]: " + BAD_BRANCH),
+        ([{"label": "x"}], [], "branches[0]: " + BAD_BRANCH),
+        (None, [], '"branches": expected a list'),
+        ([], [[0, 1]], "switches[0]: " + BAD_SWITCH),
+        ([], [{"single": [0, 1], "double": [[1, 0]]}], "switches[0]: " + BAD_SWITCH),
+        ([], [{"single": [0, 1], "double": [[1, 0], [2, None]]}], "switches[0]: " + BAD_SWITCH),
+        ([], {}, '"switches": expected a list'),
+    ],
+)
+def test_track_slopes_malformed_entry_exits_two(capsys, tmp_path, branches, switches, message):
+    doc = {"schema": "torus_track_v1", "switches": switches}
+    if branches is not None:
+        doc["branches"] = branches
+    path = tmp_path / "track.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "track", "slopes", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("command", ["refine", "validate"])
+@pytest.mark.parametrize(
+    "circles, message",
+    [
+        ([{"stable_sings": 4}], 'circles[0]: missing "id"'),
+        ([{"id": "A", "stable_sings": 4}, {"id": "B"}], 'circles[1]: missing "stable_sings"'),
+        ([{"id": "A", "stable_sings": "4"}], 'circles[0]: "stable_sings" must be an integer'),
+        (["A"], "circles[0]: expected an object"),
+        ({"A": 4}, '"circles": expected a list'),
+    ],
+)
+def test_arcs_malformed_circle_exits_two(capsys, tmp_path, command, circles, message):
+    if command == "refine":
+        doc = {"schema": "monodromy_boundary_v1", "permutation": {"A": "A"}, "shifts": {"A": 3}}
+    else:
+        doc = {
+            "schema": "arc_system_v1",
+            "monodromy": {"permutation": {"A": "A"}, "shifts": {"A": 0}},
+            "arcs": [],
+        }
+    doc["circles"] = circles
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "arcs", command, "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message

@@ -143,13 +143,17 @@ def test_smallest_sizes_allowed():
 RANDOM_LADDERS_DIGEST = "334dfdb8a4f8708f44f15528d14d8069b7917b75d4a1a170dac63fa99fe00f3c"
 
 
-def test_random_ladders_match_golden():
+def random_ladders_digest():
     digest = hashlib.sha256()
     for alternating in (True, False):
         for sizes in ((8, 6), (5, 3), (2, 0)):
             for seed in range(300):
                 digest.update(repr(random_ladder(seed, *sizes, alternating)).encode() + b"\n")
-    assert digest.hexdigest() == RANDOM_LADDERS_DIGEST
+    return digest.hexdigest()
+
+
+def test_random_ladders_match_golden():
+    assert random_ladders_digest() == RANDOM_LADDERS_DIGEST
 
 
 def test_random_positions_are_sixteenths_as_ints():
