@@ -1,6 +1,8 @@
 """Pure-Python ladder kernel: maximal carried-path enumeration and the
 two-line check.  dehnfill._ladder selects this module when the compiled
-extension is unavailable; both expose the same ``scan_ladder``.
+extension is unavailable; both expose the same ``scan_track`` and
+``scan_ladder``, and this module is the oracle the compiled one is tested
+against.
 
 Track encoding (all plain ints):
   offsets    -- per-level CSR offsets into the switch arrays, length n+1
@@ -105,7 +107,7 @@ def _path_violates(path, decode, forward_dir):
     return pattern not in ([], [0], [1], [1, 0])
 
 
-def scan_ladder(
+def scan_track(
     offsets,
     sw_rung,
     sw_end,
@@ -173,3 +175,12 @@ def scan_ladder(
             if collect:
                 paths.append((fwd, truncated))
     return paths, n_paths, n_violations, n_truncated, max_len, witness
+
+
+def scan_ladder(rng, max_levels, max_rungs_per_gap, alternating, step_bound):
+    """``scan_track`` of the ladder that ``rng`` draws, without its paths:
+    ``dehnfill.ladders._draw``, then ``_encode_lists``, then the scan."""
+    from .ladders import _draw, _encode_lists  # ladders imports this module
+
+    enc = _encode_lists(*_draw(rng, max_levels, max_rungs_per_gap, alternating))
+    return scan_track(*enc, step_bound, False)

@@ -24,7 +24,7 @@ from .census import SYMBOLIC_FAMILIES, census_entries, census_entry, census_to_j
 from .filling import _interval_json, _locus_json
 from .filling import analyze_multislope, guaranteed_interval, report_to_json
 from .ladders import kernel_backend, verify_ladders
-from .monodromy import BoundaryOrbit, DegeneracyLocus, _circle_entries
+from .monodromy import BoundaryOrbit, DegeneracyLocus, _action_entries
 from .slopes import SlopeParseError, canonical_meridian, format_slope, parse_slope
 from .tracks import (
     CONFIG_PRESETS,
@@ -181,11 +181,12 @@ def _cmd_arcs(args):
         doc = _load_json(args.input)
         if doc.get("schema") != "monodromy_boundary_v1":
             raise ValueError("arcs refine expects a monodromy_boundary_v1 file")
-        coords = BoundaryCoordinates.build(dict(_circle_entries(doc)))
+        circles, permutation, orbit_shifts = _action_entries(doc)
+        coords = BoundaryCoordinates.build(dict(circles))
         # Orbit shifts live on the base circle; the other circles carry 0.
         shifts = {cid: 0 for cid in coords.ids}
-        shifts.update({k: int(v) for k, v in doc["shifts"].items()})
-        monodromy = RigidBoundaryMap.build(dict(doc["permutation"]), shifts)
+        shifts.update(orbit_shifts)
+        monodromy = RigidBoundaryMap.build(permutation, shifts)
         system = refined_matching(coords, monodromy)
         _emit(system_to_json(system), args)
         return 0

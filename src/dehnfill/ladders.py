@@ -125,6 +125,12 @@ def standard_orientations(n_levels):
     return tuple(1 if k % 2 == 0 else -1 for k in range(n_levels))
 
 
+# The largest max_levels and max_rungs_per_gap of a seeded ladder.  Up to it a
+# ladder has fewer than 2**20 rungs and 2**23 path states, so the compiled
+# kernel holds every count in a C int and every draw in one 32-bit word.
+SIZE_CAP = 1000
+
+
 def _check_sizes(max_levels, max_rungs_per_gap):
     if max_levels < 2:
         raise ValueError(
@@ -132,6 +138,11 @@ def _check_sizes(max_levels, max_rungs_per_gap):
         )
     if max_rungs_per_gap < 0:
         raise ValueError("max_rungs_per_gap must be >= 0, not %d" % max_rungs_per_gap)
+    if max(max_levels, max_rungs_per_gap) > SIZE_CAP:
+        raise ValueError(
+            "max_levels and max_rungs_per_gap must be <= %d, not %d and %d"
+            % (SIZE_CAP, max_levels, max_rungs_per_gap)
+        )
 
 
 def _check_seed(seed):
@@ -342,7 +353,7 @@ def enumerate_carried_paths(track: LadderTrack, step_bound: int = 10**4):
     deterministic order; truncation at the step bound is flagged."""
     _check_step_bound(step_bound)
     enc = _encode(track)
-    raw, *_ = _ladder.scan_ladder(*enc, step_bound, True)
+    raw, *_ = _ladder.scan_track(*enc, step_bound, True)
     return _carried_paths(enc, raw)
 
 
@@ -354,7 +365,7 @@ def check_two_line_property(track: LadderTrack, step_bound: int = 10**4):
     """
     _check_step_bound(step_bound)
     enc = _encode(track)
-    _, n_paths, n_viol, _, _, witness = _ladder.scan_ladder(*enc, step_bound, False)
+    _, n_paths, n_viol, _, _, witness = _ladder.scan_track(*enc, step_bound, False)
     if n_viol == 0:
         return True, []
     return False, _carried_paths(enc, [(witness, False)])
@@ -487,12 +498,15 @@ def verify_ladders(
     max_len = 0
     truncated = 0
     first_violation_seed = None
-    # Seeding one generator per case gives the stream of Random(seed + i).
+    # Seeding one generator per case gives the stream of Random(seed + i);
+    # the scan draws the ladder from it.
     rng = _random.Random()
+    scan = _ladder.scan_ladder
     for i in range(cases):
         rng.seed(seed + i)
-        enc = _encode_lists(*_draw(rng, max_levels, max_rungs_per_gap, alternating))
-        _, n_paths, n_viol, n_trunc, longest, _ = _ladder.scan_ladder(*enc, step_bound, False)
+        _, n_paths, n_viol, n_trunc, longest, _ = scan(
+            rng, max_levels, max_rungs_per_gap, alternating, step_bound
+        )
         total_paths += n_paths
         violations += n_viol
         truncated += n_trunc

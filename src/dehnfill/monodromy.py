@@ -9,6 +9,7 @@ circle).  That is exactly the data determining the locus ``(p; q)`` and the
 orbit length ``c``.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -253,15 +254,38 @@ def _circle_entries(doc):
     return pairs
 
 
+def _object_entries(doc, field, kind, expected):
+    """The object ``doc[field]``, each of whose values must be a ``kind``."""
+    obj = doc.get(field)
+    if not isinstance(obj, dict):
+        raise ValueError('"%s": expected an object' % field)
+    for key, value in obj.items():
+        if type(value) is not kind:
+            raise ValueError("%s[%s]: expected %s" % (field, json.dumps(key), expected))
+    return obj
+
+
+def _action_entries(doc):
+    """The circles, permutation and shifts of a ``monodromy_boundary_v1``
+    document: ``(id, stable_sings)`` pairs, an object of circle id to circle
+    id and an object of circle id to integer shift.  Circle ids are strings,
+    as the keys of those objects are; a malformed entry is named."""
+    circles = _circle_entries(doc)
+    for k, (cid, _) in enumerate(circles):
+        if not isinstance(cid, str):
+            raise ValueError('circles[%d]: "id" must be a string' % k)
+    permutation = _object_entries(doc, "permutation", str, "a circle id (a string)")
+    shifts = _object_entries(doc, "shifts", int, "an integer")
+    return circles, permutation, shifts
+
+
 def action_from_json(doc) -> MonodromyBoundaryAction:
     """Load the ``monodromy_boundary_v1`` JSON schema."""
     if doc.get("schema") != "monodromy_boundary_v1":
         raise ValueError("expected schema monodromy_boundary_v1")
-    circles = [BoundaryCircle(cid, count) for cid, count in _circle_entries(doc)]
+    circles, permutation, shifts = _action_entries(doc)
     return MonodromyBoundaryAction.build(
-        circles,
-        dict(doc["permutation"]),
-        {k: int(v) for k, v in doc["shifts"].items()},
+        [BoundaryCircle(cid, count) for cid, count in circles], permutation, shifts
     )
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from dehnfill import cli, tracks
 from dehnfill.cli import main
+from dehnfill.monodromy import action_from_json
 
 
 def run(capsys, *argv):
@@ -459,3 +461,39 @@ def test_arcs_malformed_circle_exits_two(capsys, tmp_path, command, circles, mes
     code, out, err = run(capsys, "arcs", command, "--input", str(path))
     assert code == 2 and out == ""
     assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"shifts": [3]}, '"shifts": expected an object'),
+        ({"shifts": {"A": "3"}}, 'shifts["A"]: expected an integer'),
+        ({"shifts": {"A": 1.5}}, 'shifts["A"]: expected an integer'),
+        ({"permutation": ["A"]}, '"permutation": expected an object'),
+        ({"permutation": {"A": 1}}, 'permutation["A"]: expected a circle id (a string)'),
+        ({"circles": [{"id": 1, "stable_sings": 4}]}, 'circles[0]: "id" must be a string'),
+    ],
+)
+def test_arcs_refine_malformed_action_exits_two(capsys, tmp_path, changes, message):
+    doc = {
+        "schema": "monodromy_boundary_v1",
+        "circles": [{"id": "A", "stable_sings": 4}],
+        "permutation": {"A": "A"},
+        "shifts": {"A": 3},
+    }
+    doc.update(changes)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "arcs", "refine", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+    # The library loader reads the document the same way.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        action_from_json(doc)
+
+
+@pytest.mark.parametrize("levels, rungs", [("1001", "6"), ("8", "1001")])
+def test_ladder_sizes_above_the_cap_exit_two(capsys, levels, rungs):
+    code, out, err = run(capsys, "ladder", "verify", "--levels", levels, "--rungs", rungs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: max_levels and max_rungs_per_gap must be <= 1000")

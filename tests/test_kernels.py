@@ -1,30 +1,32 @@
-"""The compiled ladder kernel and the pure-Python fallback must agree
-step-for-step: same paths, same counts, same witnesses.
+"""The compiled ladder kernel and the pure-Python one must agree
+step-for-step: same paths, same counts, same witnesses, and for a seeded
+ladder the same draw.
 
 The compiled kernel is the one built from the committed C by the
 ``compiled_kernel`` fixture; the tests skip only when no C compiler is found.
 """
 
-import hashlib
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
 
 import pytest
-from kernel_build import built_kernels, run_setup_without_cython
+from kernel_build import built_kernels, run_setup
+from test_ladder_draw import SEEDS, SIZES
 
 from dehnfill import _ladder_py
-from dehnfill.ladders import _encode, kernel_backend, random_ladder
+from dehnfill.ladders import SIZE_CAP, _draw, _encode, _encode_lists, kernel_backend, random_ladder
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dehnfill"
 
 
 def test_backend_reports(compiled_kernel):
     assert _ladder_py.BACKEND == "python"
-    assert compiled_kernel.BACKEND == "cython"
-    assert kernel_backend() in ("cython", "python")
+    assert compiled_kernel.BACKEND == "c"
+    assert kernel_backend() in ("c", "python")
 
 
 @pytest.mark.parametrize("alternating", [True, False])
@@ -32,7 +34,7 @@ def test_backends_agree_exactly(compiled_kernel, alternating):
     for seed in range(200):
         track = random_ladder(seed, alternating=alternating)
         enc = _encode(track)
-        assert _ladder_py.scan_ladder(*enc, 10**4, True) == compiled_kernel.scan_ladder(
+        assert _ladder_py.scan_track(*enc, 10**4, True) == compiled_kernel.scan_track(
             *enc, 10**4, True
         ), seed
 
@@ -41,65 +43,102 @@ def test_backends_agree_on_summaries(compiled_kernel):
     for seed in range(200, 300):
         track = random_ladder(seed, max_levels=6, max_rungs_per_gap=5)
         enc = _encode(track)
-        py = _ladder_py.scan_ladder(*enc, 10**4, False)
-        cy = compiled_kernel.scan_ladder(*enc, 10**4, False)
-        assert py[1:] == cy[1:]
+        py = _ladder_py.scan_track(*enc, 10**4, False)
+        c = compiled_kernel.scan_track(*enc, 10**4, False)
+        assert py[1:] == c[1:]
 
 
 def test_step_bound_truncation_agrees(compiled_kernel):
     # A tiny bound forces truncation in both kernels identically.
     track = random_ladder(17, max_levels=8, max_rungs_per_gap=6)
     enc = _encode(track)
-    py = _ladder_py.scan_ladder(*enc, 4, True)
-    cy = compiled_kernel.scan_ladder(*enc, 4, True)
-    assert py == cy
+    py = _ladder_py.scan_track(*enc, 4, True)
+    c = compiled_kernel.scan_track(*enc, 4, True)
+    assert py == c
     assert py[3] > 0  # some truncated paths exist at bound 4
 
 
-# The committed C is a build input.  After any change to the .pyx, regenerate
-# it (``cython -3 src/dehnfill/_ladder_cy.pyx``) and record the new hash:
-# ``cd src/dehnfill && sha256sum _ladder_cy.pyx > _ladder_cy.pyx.sha256``.
-STALE = "_ladder_cy.pyx changed without _ladder_cy.c and _ladder_cy.pyx.sha256"
+def test_scan_track_rejects_inconsistent_encodings(compiled_kernel):
+    enc = list(_encode(random_ladder(3)))
+    for index, value in [(0, [1] + enc[0][1:]), (1, [10**6] * len(enc[1])), (3, [-1] * len(enc[3]))]:
+        bad = enc[:index] + [value] + enc[index + 1 :]
+        with pytest.raises(ValueError):
+            compiled_kernel.scan_track(*bad, 10**4, False)
+    with pytest.raises(ValueError, match="inconsistent lengths"):
+        compiled_kernel.scan_track(*enc[:3], enc[3][:-1], *enc[4:], 10**4, False)
 
 
-def test_pyx_hash_is_recorded():
-    pyx = (SRC / "_ladder_cy.pyx").read_bytes()
-    recorded = (SRC / "_ladder_cy.pyx.sha256").read_text(encoding="utf-8").split()[0]
-    assert hashlib.sha256(pyx).hexdigest() == recorded, STALE
+class WordCounter(random.Random):
+    """A generator that records the size of each ``getrandbits`` request."""
+
+    def seed(self, *args, **kwargs):
+        super().seed(*args, **kwargs)
+        self.requests = []
+
+    def getrandbits(self, k):
+        self.requests.append(k)
+        return super().getrandbits(k)
 
 
-def test_committed_c_quotes_the_pyx():
-    # Cython quotes the source line behind each block of C, marked with
-    # "# <<<<<<<<<<<<<<" under a '"dehnfill/_ladder_cy.pyx":N' header.
-    pyx = (SRC / "_ladder_cy.pyx").read_text(encoding="utf-8").splitlines()
-    c_lines = (SRC / "_ladder_cy.c").read_text(encoding="utf-8").splitlines()
-    header = re.compile(r'^\s*/\* "dehnfill/_ladder_cy\.pyx":(\d+)$')
-    marker = "# <<<<<<<<<<<<<<"
-    quoted = 0
-    line_no = None
-    for line in c_lines:
-        match = header.match(line)
-        if match:
-            line_no = int(match.group(1))
-        elif line_no is not None and line.endswith(marker):
-            text = line.split(" * ", 1)[-1][: -len(marker)].rstrip()
-            assert text == pyx[line_no - 1].rstrip(), (STALE, line_no)
-            quoted += 1
-            line_no = None
-    assert quoted > 200
+@pytest.mark.parametrize("alternating", [True, False])
+@pytest.mark.parametrize("sizes", SIZES)
+def test_seeded_scans_agree(compiled_kernel, sizes, alternating):
+    """Every seed of the draw tests, both step bounds.  The compiled
+    ``scan_ladder`` must give the compiled scan of the Python draw and
+    encoding, and the pure-Python ``scan_ladder`` (draw, encode, scan)
+    wherever that is cheap: at step bound 3, and on the (8, 6) ladders of
+    criterion 6 at 10**4.  The tests above hold the two scans to each other
+    on full paths."""
+    refills = 0
+    for seed in SEEDS:
+        ours = WordCounter(seed)
+        enc = _encode_lists(*_draw(ours, *sizes, alternating))
+        python_words = len(ours.requests)
+        for step_bound in (3, 10**4):
+            rng = WordCounter(seed)
+            got = compiled_kernel.scan_ladder(rng, *sizes, alternating, step_bound)
+            assert got == compiled_kernel.scan_track(*enc, step_bound, False), seed
+            if step_bound == 3 or sizes == (8, 6):
+                assert got == _ladder_py.scan_track(*enc, step_bound, False), seed
+            # One request per block of words, a second one only when the
+            # first block falls short of the words the draw takes.
+            blocks = [k // 32 for k in rng.requests]
+            assert all(k % 32 == 0 for k in rng.requests) and blocks[0] > 0
+            assert len(blocks) == 1 + (python_words > blocks[0]), seed
+            refills += len(blocks) > 1
+    if sizes in ((8, 6), (12, 9)):
+        assert refills > 0  # the refill path ran
+
+
+def test_seeded_scan_at_the_size_cap(compiled_kernel):
+    for sizes in [(SIZE_CAP, 0), (2, SIZE_CAP), (SIZE_CAP, SIZE_CAP)]:
+        for alternating in (True, False):
+            args = (*sizes, alternating, 3)
+            assert compiled_kernel.scan_ladder(random.Random(5), *args) == _ladder_py.scan_ladder(
+                random.Random(5), *args
+            )
+    for sizes in [(SIZE_CAP + 1, 0), (2, SIZE_CAP + 1), (1, 0), (2, -1)]:
+        with pytest.raises(ValueError, match="max_levels must lie in 2..1000"):
+            compiled_kernel.scan_ladder(random.Random(5), *sizes, True, 3)
+
+
+def test_c_kernel_has_no_floating_point():
+    text = (SRC / "_ladder_c.c").read_text(encoding="utf-8")
+    code = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
+    assert not re.search(r"\b(float|double)\b", code)
 
 
 def test_build_without_compiler_still_succeeds(tmp_path):
     env = dict(os.environ, CC=str(tmp_path / "no-such-cc"))
-    proc = run_setup_without_cython(str(tmp_path), env=env)
+    proc = run_setup(str(tmp_path), env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert 'building extension "dehnfill._ladder_cy" failed' in proc.stderr
+    assert 'building extension "dehnfill._ladder_c" failed' in proc.stderr
     assert built_kernels(str(tmp_path)) == []
 
 
 def test_missing_extension_falls_back_to_python():
     code = (
-        "import sys; sys.modules['dehnfill._ladder_cy'] = None; "
+        "import sys; sys.modules['dehnfill._ladder_c'] = None; "
         "from dehnfill import kernel_backend; print(kernel_backend())"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -114,11 +153,13 @@ def test_compiled_backend_leaves_python_kernel_unloaded(compiled_kernel):
     # the compiled kernel never imports the pure-Python one.
     code = (
         "import importlib.util, sys\n"
-        "spec = importlib.util.spec_from_file_location('dehnfill._ladder_cy', sys.argv[1])\n"
+        "spec = importlib.util.spec_from_file_location('dehnfill._ladder_c', sys.argv[1])\n"
         "kernel = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(kernel)\n"
-        "sys.modules['dehnfill._ladder_cy'] = kernel\n"
+        "sys.modules['dehnfill._ladder_c'] = kernel\n"
         "import dehnfill.ladders\n"
+        "dehnfill.ladders.verify_ladders(5)\n"
+        "dehnfill.ladders.check_two_line_property(dehnfill.ladders.random_ladder(1))\n"
         "print(dehnfill.ladders.kernel_backend(), 'dehnfill._ladder_py' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
@@ -129,4 +170,4 @@ def test_compiled_backend_leaves_python_kernel_unloaded(compiled_kernel):
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 0 and proc.stdout == "cython False\n", proc.stdout + proc.stderr
+    assert proc.returncode == 0 and proc.stdout == "c False\n", proc.stdout + proc.stderr

@@ -14,16 +14,14 @@ from dehnfill import ladders
 from dehnfill.ladders import _draw
 
 SEEDS = list(range(-50, 3000)) + [2**64 + 7, -(10**30) - 3]
+# (2, 5) and (2, 21) put 4, 5, 20 and 21 rungs in the one gap: the sizes at
+# which sample() picks against a set instead of from a pool list.  (12, 9)
+# reaches 68..85 rungs, the next such window.
+SIZES = [(8, 6), (2, 0), (2, 6), (8, 0), (5, 3), (12, 9), (2, 5), (2, 21)]
 
 
 @pytest.mark.parametrize("alternating", [True, False])
-@pytest.mark.parametrize(
-    "sizes",
-    # (2, 5) and (2, 21) put 4, 5, 20 and 21 rungs in the one gap: the sizes
-    # at which sample() picks against a set instead of from a pool list.
-    # (12, 9) reaches 68..85 rungs, the next such window.
-    [(8, 6), (2, 0), (2, 6), (8, 0), (5, 3), (12, 9), (2, 5), (2, 21)],
-)
+@pytest.mark.parametrize("sizes", SIZES)
 def test_draw_matches_random_methods(sizes, alternating):
     rung_counts = set()
     for seed in SEEDS:

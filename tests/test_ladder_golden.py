@@ -38,12 +38,13 @@ SMALL_LADDERS = [
 
 @pytest.fixture(params=["python", "compiled"])
 def kernel(request, monkeypatch):
-    """Route every ladder scan through one backend for the test."""
+    """Route every ladder scan, seeded or not, through one backend."""
     if request.param == "python":
         module = _ladder_py
     else:
         module = request.getfixturevalue("compiled_kernel")
     monkeypatch.setattr(_ladder, "scan_ladder", module.scan_ladder)
+    monkeypatch.setattr(_ladder, "scan_track", module.scan_track)
 
 
 def summaries_digest():

@@ -5,6 +5,7 @@ import pytest
 
 from dehnfill import _ladder_py
 from dehnfill.ladders import (
+    SIZE_CAP,
     CarriedPath,
     LadderTrack,
     Rung,
@@ -122,6 +123,8 @@ def test_step_bound_range_ends_are_allowed():
         ({"max_levels": 1}, "max_levels must be >= 2"),
         ({"max_levels": 0}, "max_levels must be >= 2"),
         ({"max_rungs_per_gap": -1}, "max_rungs_per_gap must be >= 0"),
+        ({"max_levels": SIZE_CAP + 1}, "must be <= 1000, not 1001 and 6"),
+        ({"max_rungs_per_gap": SIZE_CAP + 1}, "must be <= 1000, not 8 and 1001"),
     ],
 )
 def test_out_of_domain_sizes_rejected(sizes, message):
@@ -129,6 +132,12 @@ def test_out_of_domain_sizes_rejected(sizes, message):
         random_ladder(0, **sizes)
     with pytest.raises(ValueError, match=message):
         verify_ladders(0, **sizes)
+
+
+@pytest.mark.parametrize("sizes", [(SIZE_CAP, 0), (2, SIZE_CAP), (SIZE_CAP, SIZE_CAP)])
+def test_sizes_at_the_cap_allowed(sizes):
+    # A step bound of 3 keeps the scan small; the draw is full size.
+    assert verify_ladders(1, 1, *sizes, step_bound=3)["total_paths"] > 0
 
 
 def test_smallest_sizes_allowed():
@@ -219,7 +228,7 @@ def test_verify_summary_shape():
     assert summary["cases"] == 50
     assert summary["violations"] == 0
     assert summary["first_violation_seed"] is None
-    assert summary["backend"] in ("cython", "python")
+    assert summary["backend"] in ("c", "python")
 
 
 def test_separation_full_line():
@@ -275,7 +284,7 @@ def rebuilt_summary(cases, seed, max_levels, max_rungs_per_gap, step_bound, alte
     """``verify_ladders`` rebuilt the old way: a ``Rung``/``LadderTrack`` per
     case, its ``_encode``, and the pure-Python kernel."""
     scans = [
-        _ladder_py.scan_ladder(
+        _ladder_py.scan_track(
             *_encode(random_ladder(seed + i, max_levels, max_rungs_per_gap, alternating)),
             step_bound,
             False,
