@@ -6,11 +6,11 @@
  *              lo_idx, hi_idx, forward_dir, step_bound, collect)
  *       scans a track given in the plain-int encoding of dehnfill._ladder_py;
  *
- *   scan_ladder(rng, max_levels, max_rungs_per_gap, alternating, step_bound)
- *       draws the ladder that rng gives, word for word as
+ *   scan_ladder(seed, max_levels, max_rungs_per_gap, alternating, step_bound)
+ *       draws the ladder that random.Random(seed) gives, word for word as
  *       dehnfill.ladders._draw does, encodes it as _encode_lists does and
- *       scans it.  It reads the words in blocks from rng.getrandbits, so it
- *       leaves rng past the words it fetched.
+ *       scans it.  Its own MT19937, seeded from the int as CPython seeds
+ *       one, hands out the words, so it calls no random.Random.
  *
  * Arguments are positional.  Only the public CPython API is used, and there
  * is no floating point.
@@ -416,67 +416,155 @@ done:
 }
 
 /* ------------------------------------------------------------------------
- * scan_ladder: the seeded ladder that rng draws
+ * scan_ladder: the ladder that random.Random(seed) draws
  * ------------------------------------------------------------------------ */
 
-/* Words of rng's stream, in the order getrandbits hands them out. */
-typedef struct {
-    uint32_t *w;
-    Py_ssize_t len, pos;
-} Words;
+/* MT19937 (Matsumoto and Nishimura, ACM TOMACS 8, 1998), seeded as
+ * random.Random(int) seeds it in CPython 3.11 to 3.13: init_by_array on the
+ * 32-bit little-endian words of abs(seed), [0] for 0.  Word i of the stream
+ * is the one that the i-th getrandbits(k <= 32) call shifts right by 32 - k. */
+#define MT_N 624
+#define MT_M 397
 
-/* Append the next `count` words.  getrandbits(32 * count) puts the i-th word
- * it takes from the generator in bits 32*i .. 32*i + 31 of its result. */
-static int
-fetch(PyObject *rng, Words *ws, Py_ssize_t count)
+typedef struct {
+    uint32_t mt[MT_N];
+    int pos; /* the next word to twist and hand out */
+} MT;
+
+/* init_genrand(19650218), the start of every init_by_array; set at module
+ * init. */
+static uint32_t mt_base[MT_N];
+
+static void
+mt_init_base(void)
 {
-    PyObject *value = PyObject_CallMethod(rng, "getrandbits", "n", 32 * count);
-    if (value == NULL) {
+    mt_base[0] = 19650218U;
+    for (uint32_t i = 1; i < MT_N; i++) {
+        mt_base[i] = 1812433253U * (mt_base[i - 1] ^ (mt_base[i - 1] >> 30)) + i;
+    }
+}
+
+/* init_by_array on the key words.  `prev` is mt[i - 1], held in a register:
+ * each step waits on the one before, so the seeding costs the latency of
+ * that chain, about 1,250 steps. */
+static void
+mt_seed(MT *g, const uint32_t *key, size_t key_len)
+{
+    uint32_t *mt = g->mt, prev = mt_base[0];
+    size_t i = 1, j = 0;
+    memcpy(mt, mt_base, sizeof(mt_base));
+    for (size_t k = MT_N > key_len ? MT_N : key_len; k; k--) {
+        prev = mt[i] = (mt[i] ^ ((prev ^ (prev >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = prev;
+            i = 1;
+        }
+        if (j >= key_len) {
+            j = 0;
+        }
+    }
+    for (size_t k = MT_N - 1; k; k--) {
+        prev = mt[i] = (mt[i] ^ ((prev ^ (prev >> 30)) * 1566083941U)) - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = prev;
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    g->pos = 0;
+}
+
+/* The next word.  The generator twists all 624 words before the first one it
+ * hands out after a seeding or a wrap; twisting one word at a time, in order,
+ * just before it is handed out reads the same old and new words. */
+static inline uint32_t
+mt_next(MT *g)
+{
+    uint32_t *mt = g->mt;
+    int k = g->pos, k1 = k + 1 == MT_N ? 0 : k + 1, km = k + MT_M < MT_N ? k + MT_M : k + MT_M - MT_N;
+    uint32_t y = (mt[k] & 0x80000000U) | (mt[k1] & 0x7fffffffU);
+    y = mt[k] = mt[km] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
+    g->pos = k1;
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+/* Seed `g` from the int `seed`; -1 with TypeError when it is not an int. */
+static int
+mt_seed_int(MT *g, PyObject *seed)
+{
+    if (!PyLong_Check(seed)) {
+        PyErr_Format(PyExc_TypeError, "seed must be an int, not %.100s", Py_TYPE(seed)->tp_name);
         return -1;
     }
-    PyObject *bytes = PyObject_CallMethod(value, "to_bytes", "ns", 4 * count, "little");
-    Py_DECREF(value);
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(seed, &overflow);
+    if (v == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    if (!overflow) {
+        unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+        uint32_t key[2] = {(uint32_t)u, (uint32_t)(u >> 32)};
+        mt_seed(g, key, key[1] ? 2 : 1);
+        return 0;
+    }
+    /* abs(seed).to_bytes(4 * words, "little"), on a plain int. */
+    PyObject *index = PyNumber_Index(seed), *n = NULL, *bits = NULL, *bytes = NULL;
+    int status = -1;
+    if (index == NULL || (n = PyNumber_Absolute(index)) == NULL
+        || (bits = PyObject_CallMethod(n, "bit_length", NULL)) == NULL) {
+        goto done;
+    }
+    Py_ssize_t n_bits = PyLong_AsSsize_t(bits);
+    if (n_bits == -1 && PyErr_Occurred()) {
+        goto done;
+    }
+    Py_ssize_t n_words = (n_bits + 31) / 32;
+    bytes = PyObject_CallMethod(n, "to_bytes", "ns", 4 * n_words, "little");
     if (bytes == NULL) {
-        return -1;
+        goto done;
     }
-    if (!PyBytes_Check(bytes) || PyBytes_GET_SIZE(bytes) != 4 * count) {
-        Py_DECREF(bytes);
-        PyErr_SetString(PyExc_TypeError, "rng.getrandbits must return an int");
-        return -1;
-    }
-    uint32_t *w = PyMem_Realloc(ws->w, (size_t)(ws->len + count) * sizeof(uint32_t));
-    if (w == NULL) {
-        Py_DECREF(bytes);
+    uint32_t *key = PyMem_Malloc((size_t)n_words * sizeof(uint32_t));
+    if (key == NULL) {
         PyErr_NoMemory();
-        return -1;
+        goto done;
     }
     const unsigned char *b = (const unsigned char *)PyBytes_AS_STRING(bytes);
-    for (Py_ssize_t i = 0; i < count; i++, b += 4) {
-        w[ws->len + i] = (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+    for (Py_ssize_t i = 0; i < n_words; i++, b += 4) {
+        key[i] = (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
     }
-    Py_DECREF(bytes);
-    ws->w = w;
-    ws->len += count;
-    return 0;
+    mt_seed(g, key, (size_t)n_words);
+    PyMem_Free(key);
+    status = 0;
+done:
+    Py_XDECREF(index);
+    Py_XDECREF(n);
+    Py_XDECREF(bits);
+    Py_XDECREF(bytes);
+    return status;
 }
 
 /* A draw below n as Random._randbelow makes it: the top n.bit_length() bits
- * of one word after another, until one is below n.  -1 when the words run
- * out. */
-static inline long
-below(Words *ws, uint32_t n)
+ * of one word after another, until one is below n. */
+static inline int
+below(MT *g, uint32_t n)
 {
     int shift = 32;
     for (uint32_t m = n; m; m >>= 1) {
         shift--;
     }
-    while (ws->pos < ws->len) {
-        uint32_t r = ws->w[ws->pos++] >> shift;
+    for (;;) {
+        uint32_t r = mt_next(g) >> shift;
         if (r < n) {
-            return (long)r;
+            return (int)r;
         }
     }
-    return -1;
 }
 
 /* The size below which Random.sample picks k items from a pool list rather
@@ -495,45 +583,31 @@ sample_set_size(long long k)
     return size;
 }
 
-#define DRAWN 0
-#define FAILED (-1)
-#define RAN_OUT 1
-#define TAKE(var, n)                     \
-    if (((var) = below(ws, (n))) < 0) { \
-        return RAN_OUT;                  \
-    }
-
-/* Draw the ladder from the words in `ws`, from the first, and encode it in
- * `t`; `*mem` is set to the block to free.  Returns DRAWN, RAN_OUT, or
- * FAILED with MemoryError set.  The draws are those of
+/* Draw the ladder from `g` and encode it in `t`.  Returns the block to free,
+ * or NULL with MemoryError set.  The draws are those of
  * dehnfill.ladders._draw, in its order. */
-static int
-draw_track(Words *ws, int max_levels, int max_rungs, int alternating, Track *t, int **mem)
+static int *
+draw_track(MT *g, int max_levels, int max_rungs, int alternating, Track *t)
 {
     int gap_rungs[SIZE_CAP], cursor[SIZE_CAP];
-    long r, j;
-    ws->pos = 0;
-    *mem = NULL;
-    TAKE(r, (uint32_t)max_levels - 1);
-    int n_levels = (int)r + 2, n_rungs = 0;
-    for (int g = 0; g < n_levels - 1; g++) {
-        TAKE(r, (uint32_t)max_rungs + 1);
-        gap_rungs[g] = (int)r;
-        n_rungs += (int)r;
+    int n_levels = below(g, (uint32_t)max_levels - 1) + 2, n_rungs = 0;
+    for (int k = 0; k < n_levels - 1; k++) {
+        gap_rungs[k] = below(g, (uint32_t)max_rungs + 1);
+        n_rungs += gap_rungs[k];
     }
     /* Positions are ints in units of 1/16: each rung has its own slot
      * j < n_slots, its low foot at 4 + 4j and its high foot 1/16 left, level
      * or right of that (see _draw). */
     int n_slots = 4 * n_rungs + 7;
-    *mem = track_alloc(t, n_levels, 2 * n_rungs, n_rungs, (Py_ssize_t)n_rungs + n_slots);
-    if (*mem == NULL) {
-        return FAILED;
+    int *mem = track_alloc(t, n_levels, 2 * n_rungs, n_rungs, (Py_ssize_t)n_rungs + n_slots);
+    if (mem == NULL) {
+        return NULL;
     }
     int *low = t->seg_level + 2 * n_rungs + n_levels, *slot = low + n_rungs;
     int *level = t->rung_level;
-    for (int g = 0, i = 0; g < n_levels - 1; g++) {
-        for (int c = 0; c < gap_rungs[g]; c++) {
-            level[i++] = g;
+    for (int k = 0, i = 0; k < n_levels - 1; k++) {
+        for (int c = 0; c < gap_rungs[k]; c++) {
+            level[i++] = k;
         }
     }
     /* sample(range(4, 16 * (n_rungs + 2), 4), n_rungs): pool or set branch. */
@@ -542,8 +616,7 @@ draw_track(Words *ws, int max_levels, int max_rungs, int alternating, Track *t, 
             slot[i] = 4 + 4 * i;
         }
         for (int i = 0; i < n_rungs; i++) {
-            int size = n_slots - i;
-            TAKE(j, (uint32_t)size);
+            int size = n_slots - i, j = below(g, (uint32_t)size);
             low[i] = slot[j];
             slot[j] = slot[size - 1];
         }
@@ -551,23 +624,23 @@ draw_track(Words *ws, int max_levels, int max_rungs, int alternating, Track *t, 
     else {
         memset(slot, 0, (size_t)n_slots * sizeof(int));
         for (int i = 0; i < n_rungs; i++) {
+            int j;
             do {
-                TAKE(j, (uint32_t)n_slots);
+                j = below(g, (uint32_t)n_slots);
             } while (slot[j]);
             slot[j] = 1;
-            low[i] = 4 + 4 * (int)j;
+            low[i] = 4 + 4 * j;
         }
     }
     for (int size = n_rungs; size > 1; size--) { /* shuffle */
-        TAKE(j, (uint32_t)size);
-        int x = low[size - 1];
+        int j = below(g, (uint32_t)size), x = low[size - 1];
         low[size - 1] = low[j];
         low[j] = x;
     }
     /* The nudges of the high feet: they keep each foot inside its slot's
      * window 4 + 4j - 1 .. 4 + 4j + 1, so only their words count. */
     for (int i = 0; i < n_rungs; i++) {
-        TAKE(r, 3);
+        below(g, 3);
     }
     /* Cusps: alternating ladders agree with the standard orientations,
      * +1 on even levels; the control has +1 below and -1 above. */
@@ -608,7 +681,7 @@ draw_track(Words *ws, int max_levels, int max_rungs, int alternating, Track *t, 
         }
     }
     track_index_segments(t);
-    return DRAWN;
+    return mem;
 }
 
 static PyObject *
@@ -618,10 +691,10 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_Format(PyExc_TypeError, "scan_ladder takes 5 positional arguments (%zd given)", nargs);
         return NULL;
     }
-    PyObject *rng = args[0];
+    MT g;
     long max_levels, max_rungs, step_bound;
     int alternating;
-    if (as_long(args[1], &max_levels) < 0 || as_long(args[2], &max_rungs) < 0
+    if (mt_seed_int(&g, args[0]) < 0 || as_long(args[1], &max_levels) < 0 || as_long(args[2], &max_rungs) < 0
         || (alternating = PyObject_IsTrue(args[3])) < 0 || as_long(args[4], &step_bound) < 0) {
         return NULL;
     }
@@ -630,31 +703,15 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                      SIZE_CAP, SIZE_CAP);
         return NULL;
     }
-    /* The first block holds about twice the words that a ladder of these
-     * sizes draws on average: under two for the level count, under two per
-     * gap and about four per rung.  A draw that runs out fetches as many
-     * again and starts over on the longer stream. */
-    Py_ssize_t block = 2 * (2 + max_levels + max_levels * max_rungs);
-    Words ws = {NULL, 0, 0};
     Track t;
-    int *mem = NULL, status = RAN_OUT;
-    PyObject *result = NULL;
-    while (status == RAN_OUT) {
-        PyMem_Free(mem);
-        mem = NULL;
-        if (fetch(rng, &ws, ws.len == 0 ? block : ws.len) < 0) {
-            goto done;
-        }
-        status = draw_track(&ws, (int)max_levels, (int)max_rungs, alternating != 0, &t, &mem);
+    int *mem = draw_track(&g, (int)max_levels, (int)max_rungs, alternating, &t);
+    if (mem == NULL) {
+        return NULL;
     }
     /* Orientation +1 on level 0 in both kinds of seeded ladder, so the
      * forward direction is +1 whether or not it is of leaf-trace type. */
-    if (status == DRAWN) {
-        result = scan(&t, 1, step_bound, NULL);
-    }
-done:
+    PyObject *result = scan(&t, 1, step_bound, NULL);
     PyMem_Free(mem);
-    PyMem_Free(ws.w);
     return result;
 }
 
@@ -664,9 +721,8 @@ static PyMethodDef methods[] = {
      "           forward_dir, step_bound, collect)\n\n"
      "Same contract as dehnfill._ladder_py.scan_track."},
     {"scan_ladder", (PyCFunction)(void (*)(void))scan_ladder, METH_FASTCALL,
-     "scan_ladder(rng, max_levels, max_rungs_per_gap, alternating, step_bound)\n\n"
-     "Same contract as dehnfill._ladder_py.scan_ladder; leaves rng past the\n"
-     "words it fetched."},
+     "scan_ladder(seed, max_levels, max_rungs_per_gap, alternating, step_bound)\n\n"
+     "Same contract as dehnfill._ladder_py.scan_ladder."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -677,6 +733,7 @@ static struct PyModuleDef module_def = {
 PyMODINIT_FUNC
 PyInit__ladder_c(void)
 {
+    mt_init_base();
     PyObject *module = PyModule_Create(&module_def);
     if (module != NULL && PyModule_AddStringConstant(module, "BACKEND", "c") < 0) {
         Py_DECREF(module);

@@ -2,7 +2,9 @@
 two-line check.  dehnfill._ladder selects this module when the compiled
 extension is unavailable; both expose the same ``scan_track`` and
 ``scan_ladder``, and this module is the oracle the compiled one is tested
-against.
+against.  Its ``scan_ladder`` draws from ``random.Random(seed)``, where the
+compiled kernel runs its own MT19937 seeded from the same int, so it is also
+the oracle for that seeding.
 
 Track encoding (all plain ints):
   offsets    -- per-level CSR offsets into the switch arrays, length n+1
@@ -16,6 +18,8 @@ States are numbered as ``dehnfill._ladder_states`` describes.  The reverse of
 a maximal path is again one, so each undirected path is emitted once, from its
 lexicographically smaller direction.
 """
+
+import random as _random
 
 from ._ladder_states import state_decoder
 
@@ -67,15 +71,13 @@ def _build_tables(offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx
         seg = k + 1 if cusp > 0 else k
         return (line_state(level, seg, cusp > 0),)
 
-    def flip(state):
-        return state ^ 1
-
     sources = []
     for level in range(n_levels):
         n_here = offsets[level + 1] - offsets[level]
         sources.append(line_state(level, 0, True))
         sources.append(line_state(level, n_here, False))
-    return decode, successors, flip, sources
+    n_states = n_line_states + 2 * len(rung_level)
+    return decode, successors, sources, n_states
 
 
 def _path_violates(path, decode, forward_dir):
@@ -127,7 +129,7 @@ def scan_track(
     violating path, if any.  Deterministic: sources in level order, the
     straight-through continuation explored before the rung exit.
     """
-    decode, successors, flip, sources = _build_tables(
+    decode, successors, sources, n_states = _build_tables(
         offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx
     )
     paths = [] if collect else None
@@ -137,32 +139,35 @@ def scan_track(
     max_len = 0
     witness = None
 
-    # Iterative DFS over the choice tree from each source.
+    # Iterative DFS over the choice tree from each source.  on_path counts
+    # the occurrences of each state on the current path.
+    on_path = bytearray(n_states)
     for src in sources:
         stack = [(src, False)]
         path = []
         while stack:
             state, visited = stack.pop()
             if visited:
-                path.pop()
+                on_path[path.pop()] -= 1
                 continue
             stack.append((state, True))
             path.append(state)
-            truncated = False
-            if len(path) >= step_bound or state in path[:-1]:
-                nxt = ()
-                truncated = True
-            else:
-                nxt = successors(state)
+            truncated = len(path) >= step_bound or on_path[state] > 0
+            on_path[state] += 1
+            nxt = () if truncated else successors(state)
             if nxt:
                 for s in reversed(nxt):
                     stack.append((s, False))
                 continue
-            # Maximal (or truncated) path; emit once per undirected path.
-            rev = tuple(flip(s) for s in reversed(path))
-            fwd = tuple(path)
-            if fwd > rev:
+            # Maximal (or truncated) path; emit once per undirected path,
+            # from the smaller of it and its reverse path[::-1] ^ 1.
+            last = len(path) - 1
+            j = 0
+            while j <= last and path[j] == path[last - j] ^ 1:
+                j += 1
+            if j <= last and path[j] > path[last - j] ^ 1:
                 continue
+            fwd = tuple(path)
             n_paths += 1
             if truncated:
                 n_truncated += 1
@@ -177,10 +182,15 @@ def scan_track(
     return paths, n_paths, n_violations, n_truncated, max_len, witness
 
 
-def scan_ladder(rng, max_levels, max_rungs_per_gap, alternating, step_bound):
-    """``scan_track`` of the ladder that ``rng`` draws, without its paths:
-    ``dehnfill.ladders._draw``, then ``_encode_lists``, then the scan."""
+def scan_ladder(seed, max_levels, max_rungs_per_gap, alternating, step_bound):
+    """``scan_track`` of the ladder that ``random.Random(seed)`` draws,
+    without its paths: ``dehnfill.ladders._draw``, then ``_encode_lists``,
+    then the scan.  ``seed`` must be an int; Random would seed a float or a
+    str from its hash."""
     from .ladders import _draw, _encode_lists  # ladders imports this module
 
+    if not isinstance(seed, int):
+        raise TypeError("seed must be an int, not %s" % type(seed).__name__)
+    rng = _random.Random(seed)
     enc = _encode_lists(*_draw(rng, max_levels, max_rungs_per_gap, alternating))
     return scan_track(*enc, step_bound, False)

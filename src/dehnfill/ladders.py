@@ -498,14 +498,11 @@ def verify_ladders(
     max_len = 0
     truncated = 0
     first_violation_seed = None
-    # Seeding one generator per case gives the stream of Random(seed + i);
-    # the scan draws the ladder from it.
-    rng = _random.Random()
+    # Case i is the ladder that Random(seed + i) draws.
     scan = _ladder.scan_ladder
     for i in range(cases):
-        rng.seed(seed + i)
         _, n_paths, n_viol, n_trunc, longest, _ = scan(
-            rng, max_levels, max_rungs_per_gap, alternating, step_bound
+            seed + i, max_levels, max_rungs_per_gap, alternating, step_bound
         )
         total_paths += n_paths
         violations += n_viol

@@ -1,6 +1,8 @@
 """The compiled ladder kernel and the pure-Python one must agree
 step-for-step: same paths, same counts, same witnesses, and for a seeded
-ladder the same draw.
+ladder the same draw.  The compiled kernel seeds its own MT19937 from the int
+seed, the pure-Python one seeds ``random.Random``, so the seeded tests also
+hold the C seeding to CPython's.
 
 The compiled kernel is the one built from the committed C by the
 ``compiled_kernel`` fixture; the tests skip only when no C compiler is found.
@@ -12,6 +14,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from kernel_build import built_kernels, run_setup
@@ -69,14 +72,12 @@ def test_scan_track_rejects_inconsistent_encodings(compiled_kernel):
 
 
 class WordCounter(random.Random):
-    """A generator that records the size of each ``getrandbits`` request."""
+    """A generator that counts the words it hands out."""
 
-    def seed(self, *args, **kwargs):
-        super().seed(*args, **kwargs)
-        self.requests = []
+    words = 0
 
     def getrandbits(self, k):
-        self.requests.append(k)
+        self.words += 1
         return super().getrandbits(k)
 
 
@@ -84,42 +85,84 @@ class WordCounter(random.Random):
 @pytest.mark.parametrize("sizes", SIZES)
 def test_seeded_scans_agree(compiled_kernel, sizes, alternating):
     """Every seed of the draw tests, both step bounds.  The compiled
-    ``scan_ladder`` must give the compiled scan of the Python draw and
-    encoding, and the pure-Python ``scan_ladder`` (draw, encode, scan)
-    wherever that is cheap: at step bound 3, and on the (8, 6) ladders of
-    criterion 6 at 10**4.  The tests above hold the two scans to each other
-    on full paths."""
-    refills = 0
+    ``scan_ladder`` must give the compiled scan of the Python draw from
+    ``Random(seed)`` and its encoding, and the pure-Python ``scan_ladder``
+    (draw, encode, scan) wherever that is cheap: at step bound 3, and on the
+    (8, 6) ladders of criterion 6 at 10**4.  The tests above hold the two
+    scans to each other on full paths."""
     for seed in SEEDS:
-        ours = WordCounter(seed)
-        enc = _encode_lists(*_draw(ours, *sizes, alternating))
-        python_words = len(ours.requests)
+        enc = _encode_lists(*_draw(random.Random(seed), *sizes, alternating))
         for step_bound in (3, 10**4):
-            rng = WordCounter(seed)
-            got = compiled_kernel.scan_ladder(rng, *sizes, alternating, step_bound)
+            got = compiled_kernel.scan_ladder(seed, *sizes, alternating, step_bound)
             assert got == compiled_kernel.scan_track(*enc, step_bound, False), seed
             if step_bound == 3 or sizes == (8, 6):
                 assert got == _ladder_py.scan_track(*enc, step_bound, False), seed
-            # One request per block of words, a second one only when the
-            # first block falls short of the words the draw takes.
-            blocks = [k // 32 for k in rng.requests]
-            assert all(k % 32 == 0 for k in rng.requests) and blocks[0] > 0
-            assert len(blocks) == 1 + (python_words > blocks[0]), seed
-            refills += len(blocks) > 1
-    if sizes in ((8, 6), (12, 9)):
-        assert refills > 0  # the refill path ran
+
+
+# The edges of the compiled kernel's int conversion: one and two key words,
+# the long long range and past it.
+EDGE_SEEDS = [0, 1, -1, 2**32 - 1, -(2**32 - 1), 2**32, -(2**32), 2**63 - 1, -(2**63 - 1)]
+EDGE_SEEDS += [-(2**63), 2**63, 2**64 - 1, -(2**64 - 1), 2**64 + 7, -(10**30) - 3]
+
+
+@pytest.mark.parametrize("alternating", [True, False])
+def test_seeding_agrees_at_the_edges(compiled_kernel, alternating):
+    for seed in EDGE_SEEDS:
+        for sizes, step_bound in [((8, 6), 10**4), ((12, 9), 3), ((2, 21), 3)]:
+            args = (*sizes, alternating, step_bound)
+            assert compiled_kernel.scan_ladder(seed, *args) == _ladder_py.scan_ladder(
+                seed, *args
+            ), (seed, sizes)
+    # bool is an int, and Random(True) is Random(1).
+    assert compiled_kernel.scan_ladder(True, 8, 6, alternating, 3) == _ladder_py.scan_ladder(
+        1, 8, 6, alternating, 3
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, sizes, words", [(5, (30, 20), 869), (1, (3, 400), 1384), (77, (60, 40), 3932)]
+)
+def test_seeded_scans_agree_past_a_twist(compiled_kernel, seed, sizes, words):
+    # These draws run through the generator's 624-word state two, three and
+    # seven times.
+    counter = WordCounter(seed)
+    _draw(counter, *sizes, True)
+    assert counter.words == words
+    for alternating, step_bound in [(True, 10**4), (True, 3), (False, 3)]:
+        args = (*sizes, alternating, step_bound)
+        assert compiled_kernel.scan_ladder(seed, *args) == _ladder_py.scan_ladder(seed, *args)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, None, "1", b"1"])
+def test_seed_must_be_an_int(compiled_kernel, seed):
+    # Random would seed a float, str or bytes from its hash or its bytes.
+    for kernel in (compiled_kernel, _ladder_py):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            kernel.scan_ladder(seed, 8, 6, True, 3)
 
 
 def test_seeded_scan_at_the_size_cap(compiled_kernel):
     for sizes in [(SIZE_CAP, 0), (2, SIZE_CAP), (SIZE_CAP, SIZE_CAP)]:
         for alternating in (True, False):
-            args = (*sizes, alternating, 3)
-            assert compiled_kernel.scan_ladder(random.Random(5), *args) == _ladder_py.scan_ladder(
-                random.Random(5), *args
-            )
+            args = (5, *sizes, alternating, 3)
+            assert compiled_kernel.scan_ladder(*args) == _ladder_py.scan_ladder(*args)
     for sizes in [(SIZE_CAP + 1, 0), (2, SIZE_CAP + 1), (1, 0), (2, -1)]:
         with pytest.raises(ValueError, match="max_levels must lie in 2..1000"):
-            compiled_kernel.scan_ladder(random.Random(5), *sizes, True, 3)
+            compiled_kernel.scan_ladder(5, *sizes, True, 3)
+
+
+def test_python_scan_is_linear_in_path_length(compiled_kernel):
+    # 584 maximal paths of up to 584 states, 342,802 search nodes.  When the
+    # scan searched the whole path for each new state, this took 2.7-3.8 s on
+    # a 2-vCPU Xeon VM with CPython 3.11; with an on-path mark per state it
+    # takes about 1 s there.
+    args = (1, 2, 1000, True, 10**4)
+    start = time.perf_counter()
+    got = _ladder_py.scan_ladder(*args)
+    elapsed = time.perf_counter() - start
+    assert got == compiled_kernel.scan_ladder(*args)
+    assert got[1] == got[4] == 584
+    assert elapsed < 2.5, elapsed
 
 
 def test_c_kernel_has_no_floating_point():

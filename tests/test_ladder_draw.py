@@ -10,7 +10,7 @@ from ladder_oracle import draw
 from test_ladder_golden import SUMMARIES_DIGEST, summaries_digest
 from test_ladders import RANDOM_LADDERS_DIGEST, random_ladders_digest
 
-from dehnfill import ladders
+from dehnfill import _ladder, _ladder_py, ladders
 from dehnfill.ladders import _draw
 
 SEEDS = list(range(-50, 3000)) + [2**64 + 7, -(10**30) - 3]
@@ -62,7 +62,12 @@ class GetrandbitsOnly(random.Random):
 
 @pytest.fixture
 def getrandbits_only(monkeypatch):
-    monkeypatch.setattr(ladders, "_random", types.SimpleNamespace(Random=GetrandbitsOnly))
+    """``random_ladder`` and the pure-Python kernel, which ``verify_ladders``
+    is routed through, draw from ``GetrandbitsOnly``."""
+    namespace = types.SimpleNamespace(Random=GetrandbitsOnly)
+    monkeypatch.setattr(ladders, "_random", namespace)
+    monkeypatch.setattr(_ladder_py, "_random", namespace)
+    monkeypatch.setattr(_ladder, "scan_ladder", _ladder_py.scan_ladder)
     monkeypatch.setattr(GetrandbitsOnly, "words", 0)
 
 
@@ -75,5 +80,7 @@ def test_forbidden_methods_raise():
 
 def test_ladders_need_only_seed_and_getrandbits(getrandbits_only):
     assert random_ladders_digest() == RANDOM_LADDERS_DIGEST
+    words = GetrandbitsOnly.words
+    assert words > 0
     assert summaries_digest() == SUMMARIES_DIGEST
-    assert GetrandbitsOnly.words > 0
+    assert GetrandbitsOnly.words > words  # the kernel drew from it as well
