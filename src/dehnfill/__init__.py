@@ -3,8 +3,6 @@ train-track verification for boundary tori of fibered 3-manifolds."""
 
 from .arcs import (
     AdmissibleArcSystem,
-    BoundaryCoordinates,
-    RigidBoundaryMap,
     push_off,
     refined_matching,
     validate_system,
@@ -36,7 +34,6 @@ from .tracks import (
     weight_cone,
 )
 from .monodromy import (
-    BoundaryCircle,
     BoundaryOrbit,
     DegeneracyLocus,
     MonodromyBoundaryAction,

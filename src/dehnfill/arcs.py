@@ -6,7 +6,8 @@ Boundary coordinates put the stable singularities of a circle with ``p`` of
 them at the integers of ``R/pZ`` and the unstable ones at the half-integers.
 An admissible system drops one oriented arc endpoint into each open segment
 between consecutive stable singularities, with the whole endpoint set disjoint
-from its image under the monodromy (modeled as a rigid rotation per circle).
+from its image under the monodromy's rigid boundary map
+(``monodromy.MonodromyBoundaryAction``).
 The refined construction starts every arc at a slot of outgoing polarity and
 ends it at one of incoming polarity, which makes both transversality flags
 hold by construction.
@@ -17,11 +18,10 @@ from fractions import Fraction
 from itertools import permutations
 from math import floor
 
-from .monodromy import _circle_entries
+from .monodromy import MonodromyBoundaryAction, _action_entries
+from .slopes import _exact
 
 __all__ = [
-    "BoundaryCoordinates",
-    "RigidBoundaryMap",
     "ArcEndpoint",
     "CombinatorialArc",
     "AdmissibleArcSystem",
@@ -40,72 +40,6 @@ GAMMA = "gamma"
 
 
 @dataclass(frozen=True)
-class BoundaryCoordinates:
-    """Circle ids mapped to their stable singularity counts."""
-
-    circles: tuple  # of (circle_id, p) pairs, sorted by id
-
-    @staticmethod
-    def build(counts: dict):
-        for cid, p in counts.items():
-            if p < 2 or p % 2 != 0:
-                raise ValueError("circle %s needs an even count >= 2, got %d" % (cid, p))
-        return BoundaryCoordinates(tuple(sorted(counts.items())))
-
-    def p(self, circle_id) -> int:
-        for cid, p in self.circles:
-            if cid == circle_id:
-                return p
-        raise KeyError(circle_id)
-
-    @property
-    def ids(self):
-        return tuple(cid for cid, _ in self.circles)
-
-    @property
-    def total_sings(self) -> int:
-        return sum(p for _, p in self.circles)
-
-
-@dataclass(frozen=True)
-class RigidBoundaryMap:
-    """Rigid-rotation model of the monodromy on the boundary circles:
-    circle ``j -> sigma(j)``, position ``x -> x + shift_j`` (integer slots)."""
-
-    permutation: tuple  # of (circle_id, image_id)
-    shifts: tuple  # of (circle_id, int)
-
-    @staticmethod
-    def build(permutation: dict, shifts: dict):
-        ids = set(permutation)
-        if set(permutation.values()) != ids:
-            raise ValueError("permutation is not a bijection")
-        if set(shifts) != ids:
-            raise ValueError("need one integer shift per circle")
-        return RigidBoundaryMap(
-            tuple(sorted(permutation.items())),
-            tuple(sorted((k, int(v)) for k, v in shifts.items())),
-        )
-
-    def image(self, circle_id):
-        for cid, img in self.permutation:
-            if cid == circle_id:
-                return img
-        raise KeyError(circle_id)
-
-    def shift(self, circle_id) -> int:
-        for cid, s in self.shifts:
-            if cid == circle_id:
-                return s
-        raise KeyError(circle_id)
-
-    def apply(self, endpoint, coords):
-        img = self.image(endpoint.circle_id)
-        pos = (endpoint.position + self.shift(endpoint.circle_id)) % coords.p(img)
-        return ArcEndpoint(img, pos)
-
-
-@dataclass(frozen=True)
 class ArcEndpoint:
     circle_id: str
     position: Fraction
@@ -119,9 +53,6 @@ class ArcEndpoint:
 
     def on_stable_singularity(self) -> bool:
         return self.position.denominator == 1
-
-    def on_unstable_singularity(self) -> bool:
-        return (self.position - Fraction(1, 2)).denominator == 1
 
 
 @dataclass(frozen=True)
@@ -142,8 +73,7 @@ class CombinatorialArc:
 
 @dataclass(frozen=True)
 class AdmissibleArcSystem:
-    coords: BoundaryCoordinates
-    monodromy: RigidBoundaryMap
+    action: MonodromyBoundaryAction
     arcs: tuple
 
     @property
@@ -171,10 +101,10 @@ def validate_system(sys: AdmissibleArcSystem):
     slot-level consequences are machine-checked here.
     """
     violations = []
-    coords = sys.coords
+    counts = sys.action.counts
     endpoints = sys.endpoints
 
-    expected = coords.total_sings // 2
+    expected = sum(counts.values()) // 2
     if len(sys.arcs) != expected:
         violations.append(
             Violation(
@@ -186,12 +116,12 @@ def validate_system(sys: AdmissibleArcSystem):
 
     by_segment = {}
     for e in endpoints:
-        if e.circle_id not in coords.ids:
+        if e.circle_id not in counts:
             violations.append(
                 Violation("segment-multiplicity", "unknown circle %r" % e.circle_id)
             )
             continue
-        p = coords.p(e.circle_id)
+        p = counts[e.circle_id]
         if not 0 <= e.position < p:
             violations.append(
                 Violation(
@@ -210,7 +140,7 @@ def validate_system(sys: AdmissibleArcSystem):
             )
         by_segment.setdefault((e.circle_id, e.segment), []).append(e)
 
-    for cid, p in coords.circles:
+    for cid, p in counts.items():
         for m in range(p):
             found = by_segment.get((cid, m), [])
             if len(found) != 1:
@@ -222,11 +152,11 @@ def validate_system(sys: AdmissibleArcSystem):
                     )
                 )
 
-    image = set()
-    for e in endpoints:
-        if e.circle_id in coords.ids:
-            img = sys.monodromy.apply(e, coords)
-            image.add((img.circle_id, img.position))
+    image = {
+        sys.action.image(e.circle_id, e.position)
+        for e in endpoints
+        if e.circle_id in counts
+    }
     for e in endpoints:
         if (e.circle_id, e.position) in image:
             violations.append(
@@ -239,13 +169,13 @@ def validate_system(sys: AdmissibleArcSystem):
     return violations
 
 
-def _alternating_polarity(coords: BoundaryCoordinates, polarity: dict):
+def _alternating_polarity(action: MonodromyBoundaryAction, polarity: dict):
     """Check the beta/gamma balance and per-circle alternation."""
     betas = [slot for slot, kind in polarity.items() if kind == BETA]
     gammas = [slot for slot, kind in polarity.items() if kind == GAMMA]
     if len(betas) != len(gammas):
         raise ValueError("no refined system exists for this data: unbalanced polarity")
-    for cid, p in coords.circles:
+    for cid, p in action.counts.items():
         kinds = [polarity[(cid, m)] for m in range(p)]
         if any(kinds[m] == kinds[(m + 1) % p] for m in range(p)):
             raise ValueError(
@@ -254,27 +184,26 @@ def _alternating_polarity(coords: BoundaryCoordinates, polarity: dict):
     return sorted(betas), sorted(gammas)
 
 
-def default_polarity(coords: BoundaryCoordinates, phase: int = 0):
+def default_polarity(action: MonodromyBoundaryAction, phase: int = 0):
     """Alternating polarity with the even slots outgoing (phase 0)."""
     return {
         (cid, m): (BETA if (m + phase) % 2 == 0 else GAMMA)
-        for cid, p in coords.circles
+        for cid, p in action.counts.items()
         for m in range(p)
     }
 
 
-def enumerate_matchings(coords: BoundaryCoordinates, polarity: dict):
+def enumerate_matchings(action: MonodromyBoundaryAction, polarity: dict):
     """All bijections from beta slots to gamma slots, generated lazily.
 
     The polarity is checked at the call; the ``k!`` matchings are then made
     one at a time, so a caller can take the first few of a large set."""
-    betas, gammas = _alternating_polarity(coords, polarity)
+    betas, gammas = _alternating_polarity(action, polarity)
     return (tuple(zip(betas, perm)) for perm in permutations(gammas))
 
 
 def refined_matching(
-    coords: BoundaryCoordinates,
-    monodromy: RigidBoundaryMap,
+    action: MonodromyBoundaryAction,
     polarity: dict | None = None,
     matching=None,
 ) -> AdmissibleArcSystem:
@@ -286,16 +215,16 @@ def refined_matching(
     by distinct small amounts until the image condition holds.
     """
     if polarity is None:
-        polarity = default_polarity(coords)
-    betas, gammas = _alternating_polarity(coords, polarity)
+        polarity = default_polarity(action)
+    betas, gammas = _alternating_polarity(action, polarity)
     if matching is None:
         matching = tuple(zip(betas, gammas))
     matching = tuple(matching)
     if sorted(b for b, _ in matching) != betas or sorted(g for _, g in matching) != gammas:
         raise ValueError("matching must pair each beta slot with one gamma slot")
 
-    for cid in coords.ids:
-        if monodromy.image(cid) == cid and monodromy.shift(cid) % coords.p(cid) == 0:
+    for cid, p in action.counts.items():
+        if action.permutation[cid] == cid and action.shifts[cid] % p == 0:
             raise ValueError(
                 "no refined system exists for this data: circle %s is fixed "
                 "pointwise on singularities, so the endpoint set always meets "
@@ -318,9 +247,9 @@ def refined_matching(
                     pos_transverse_unstable=True,
                 )
             )
-        return AdmissibleArcSystem(coords, monodromy, tuple(arcs))
+        return AdmissibleArcSystem(action, tuple(arcs))
 
-    total = coords.total_sings
+    total = sum(action.counts.values())
     eps = Fraction(0)
     for _ in range(8):
         sys = build(eps)
@@ -344,7 +273,6 @@ def push_off(sys: AdmissibleArcSystem, epsilon) -> PushOffSystem:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    coords = sys.coords
     for e in sys.endpoints:
         if _crosses_singularity(e.position, epsilon):
             raise ValueError(
@@ -359,9 +287,9 @@ def push_off(sys: AdmissibleArcSystem, epsilon) -> PushOffSystem:
         conflict = None
         for e in sys.endpoints:
             moved = ArcEndpoint(e.circle_id, e.position + epsilon)
-            image = sys.monodromy.apply(moved, coords)
-            if (image.circle_id, image.position) in base_positions:
-                conflict = (e, image)
+            image = sys.action.image(moved.circle_id, moved.position)
+            if image in base_positions:
+                conflict = (e, ArcEndpoint(*image))
                 break
             offsets.append(moved)
         if conflict is None:
@@ -385,12 +313,13 @@ def system_to_json(sys: AdmissibleArcSystem):
             "position": "%d/%d" % (e.position.numerator, e.position.denominator),
         }
 
+    action = sys.action
     return {
         "schema": "arc_system_v1",
-        "circles": [{"id": cid, "stable_sings": p} for cid, p in sys.coords.circles],
+        "circles": [{"id": cid, "stable_sings": p} for cid, p in action.counts.items()],
         "monodromy": {
-            "permutation": dict(sys.monodromy.permutation),
-            "shifts": dict(sys.monodromy.shifts),
+            "permutation": dict(action.permutation),
+            "shifts": dict(action.shifts),
         },
         "arcs": [
             {
@@ -404,25 +333,35 @@ def system_to_json(sys: AdmissibleArcSystem):
     }
 
 
+def _endpoint_from_json(entry, where):
+    if not isinstance(entry, dict) or not isinstance(entry.get("circle"), str):
+        raise ValueError('%s: expected an object with a string "circle"' % where)
+    return ArcEndpoint(entry["circle"], _exact(entry.get("position"), where + ".position"))
+
+
+def _arc_from_json(entry, where):
+    if not isinstance(entry, dict):
+        raise ValueError("%s: expected an object" % where)
+    flags = ("pos_transverse_stable", "pos_transverse_unstable")
+    for flag in flags:
+        if type(entry.get(flag)) is not bool:
+            raise ValueError("%s.%s: expected true or false" % (where, flag))
+    start = _endpoint_from_json(entry.get("start"), where + ".start")
+    end = _endpoint_from_json(entry.get("end"), where + ".end")
+    try:
+        return CombinatorialArc(start, end, *(entry[flag] for flag in flags))
+    except ValueError as err:
+        raise ValueError("%s: %s" % (where, err)) from None
+
+
 def system_from_json(doc) -> AdmissibleArcSystem:
+    """Load the ``arc_system_v1`` JSON schema, naming a malformed entry."""
     if doc.get("schema") != "arc_system_v1":
         raise ValueError("expected schema arc_system_v1")
-    coords = BoundaryCoordinates.build(dict(_circle_entries(doc)))
-    monodromy = RigidBoundaryMap.build(
-        dict(doc["monodromy"]["permutation"]),
-        dict(doc["monodromy"]["shifts"]),
+    action = MonodromyBoundaryAction.build(*_action_entries(doc, "monodromy"))
+    arcs = doc.get("arcs")
+    if not isinstance(arcs, list):
+        raise ValueError('"arcs": expected a list')
+    return AdmissibleArcSystem(
+        action, tuple(_arc_from_json(a, "arcs[%d]" % k) for k, a in enumerate(arcs))
     )
-
-    def endpoint(obj):
-        return ArcEndpoint(obj["circle"], Fraction(obj["position"]))
-
-    arcs = tuple(
-        CombinatorialArc(
-            endpoint(a["start"]),
-            endpoint(a["end"]),
-            pos_transverse_stable=bool(a["pos_transverse_stable"]),
-            pos_transverse_unstable=bool(a["pos_transverse_unstable"]),
-        )
-        for a in doc["arcs"]
-    )
-    return AdmissibleArcSystem(coords, monodromy, arcs)

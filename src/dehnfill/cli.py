@@ -10,22 +10,14 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
-from .arcs import (
-    BoundaryCoordinates,
-    RigidBoundaryMap,
-    refined_matching,
-    system_from_json,
-    system_to_json,
-    validate_system,
-)
+from .arcs import refined_matching, system_from_json, system_to_json, validate_system
 from .census import SYMBOLIC_FAMILIES, census_entries, census_entry, census_to_json, census_verify
 from .filling import _interval_json, _locus_json
 from .filling import analyze_multislope, guaranteed_interval, report_to_json
 from .ladders import kernel_backend, verify_ladders
-from .monodromy import BoundaryOrbit, DegeneracyLocus, _action_entries
-from .slopes import SlopeParseError, canonical_meridian, format_slope, parse_slope
+from .monodromy import BoundaryOrbit, DegeneracyLocus, action_from_json
+from .slopes import SlopeParseError, _exact, canonical_meridian, format_slope, parse_slope
 from .tracks import (
     CONFIG_PRESETS,
     EndpointConfig,
@@ -178,16 +170,7 @@ def _load_json(path):
 
 def _cmd_arcs(args):
     if args.arcs_cmd == "refine":
-        doc = _load_json(args.input)
-        if doc.get("schema") != "monodromy_boundary_v1":
-            raise ValueError("arcs refine expects a monodromy_boundary_v1 file")
-        circles, permutation, orbit_shifts = _action_entries(doc)
-        coords = BoundaryCoordinates.build(dict(circles))
-        # Orbit shifts live on the base circle; the other circles carry 0.
-        shifts = {cid: 0 for cid in coords.ids}
-        shifts.update(orbit_shifts)
-        monodromy = RigidBoundaryMap.build(permutation, shifts)
-        system = refined_matching(coords, monodromy)
+        system = refined_matching(action_from_json(_load_json(args.input)))
         _emit(system_to_json(system), args)
         return 0
     # validate
@@ -208,12 +191,15 @@ def _load_config(text):
     if text in CONFIG_PRESETS:
         return CONFIG_PRESETS[text]
     doc = _load_json(text)
+    phase = doc.get("phase", 0)
+    if type(phase) is not int:
+        raise ValueError('"phase": expected an integer')
     return EndpointConfig(
         name=doc.get("name", "custom"),
-        phase=int(doc.get("phase", 0)),
-        lower_out=Fraction(doc.get("lower_out", "1/4")),
-        lower_in=Fraction(doc.get("lower_in", "3/4")),
-        upper_nudge=Fraction(doc.get("upper_nudge", "1/8")),
+        phase=phase,
+        lower_out=_exact(doc.get("lower_out", "1/4"), '"lower_out"'),
+        lower_in=_exact(doc.get("lower_in", "3/4"), '"lower_in"'),
+        upper_nudge=_exact(doc.get("upper_nudge", "1/8"), '"upper_nudge"'),
     )
 
 
@@ -231,8 +217,8 @@ def _carried_doc(track):
     if cs.kind == "arc":
         doc["arc"] = {
             **_interval_json(cs.arc),
-            "end_a_attained": cs.end_a_attained,
-            "end_b_attained": cs.end_b_attained,
+            "end_a_attained": cs.arc.closed_a,
+            "end_b_attained": cs.arc.closed_b,
         }
     return doc
 

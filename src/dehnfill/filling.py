@@ -18,10 +18,9 @@ from .monodromy import (
     classify_coorientation,
     locus_distance,
 )
-from .slopes import ProjectiveSlope, SlopeInterval, format_slope
+from .slopes import LONGITUDE, ProjectiveSlope, SlopeInterval, format_slope
 
 __all__ = [
-    "ClosedSlopeArc",
     "FillingReport",
     "MultislopeReport",
     "GUARANTEE_CITATIONS",
@@ -64,61 +63,33 @@ def guaranteed_interval(locus: DegeneracyLocus, c: int) -> SlopeInterval:
     )
 
 
-@dataclass(frozen=True)
-class ClosedSlopeArc:
-    """A closed arc of the projective line given by its endpoints and an
-    interior containment witness."""
-
-    end_a: ProjectiveSlope
-    end_b: ProjectiveSlope
-    witness: ProjectiveSlope
-
-    def __post_init__(self):
-        if self.end_a == self.end_b:
-            raise ValueError("arc endpoints must be distinct")
-        if self.witness in (self.end_a, self.end_b):
-            raise ValueError("witness must be interior")
-
-    def contains(self, s: ProjectiveSlope) -> bool:
-        if s == self.end_a or s == self.end_b:
-            return True
-
-        def side(t):
-            return (self.end_a.num * t.den - self.end_a.den * t.num) * (
-                self.end_b.num * t.den - self.end_b.den * t.num
-            )
-
-        return side(s) * side(self.witness) > 0
-
-    def __str__(self):
-        return "closed_arc(%s, %s; through %s)" % (self.end_a, self.end_b, self.witness)
-
-
-def excluded_window(locus: DegeneracyLocus) -> ClosedSlopeArc:
+def excluded_window(locus: DegeneracyLocus) -> SlopeInterval:
     """The closed arc of slopes within unit shift of the locus.
 
     It is the image of ``[q-1, q+1]`` under ``x -> p/x``, contains the
     degeneracy slope, and is disjoint from the guaranteed interval for every
-    orbit length.
+    orbit length.  The longitude, the image of ``x = inf``, lies outside it.
     """
     p, q = locus.p, locus.q
-    return ClosedSlopeArc(
+    return SlopeInterval(
         end_a=ProjectiveSlope.of(p, q - 1),
         end_b=ProjectiveSlope.of(p, q + 1),
-        witness=locus.delta,
+        excluded=LONGITUDE,
+        closed_a=True,
+        closed_b=True,
     )
 
 
 def check_fried(locus: DegeneracyLocus, s: ProjectiveSlope):
     """Filling admissibility data for one slope.
 
-    Returns ``(dist, fried_ok, prong_count, special_no_singular)``: the locus
-    distance, whether it allows the surgered flow (``dist >= 2``), the prong
-    count of the filled core orbit, and whether the filled orbit is
+    Returns ``(dist, fried_ok, special_no_singular)``: the locus distance,
+    which is also the prong count of the filled core orbit, whether it allows
+    the surgered flow (``dist >= 2``), and whether the filled orbit is
     non-singular (exactly the ``dist == 2`` case).
     """
     dist = locus_distance(locus, s)
-    return dist, dist >= 2, dist, dist == 2
+    return dist, dist >= 2, dist == 2
 
 
 @dataclass(frozen=True)
@@ -129,7 +100,6 @@ class FillingReport:
     in_interval: bool
     dist_to_locus: int
     fried_ok: bool
-    prong_count: int
     special_no_singular: bool
     guarantees: frozenset = frozenset()
 
@@ -177,7 +147,7 @@ def analyze_multislope(orbits, slopes) -> MultislopeReport:
     entries = []
     for orbit, s in zip(orbits, slopes):
         interval = guaranteed_interval(orbit.locus, orbit.c)
-        dist, fried_ok, prongs, special = check_fried(orbit.locus, s)
+        dist, fried_ok, special = check_fried(orbit.locus, s)
         entries.append(
             dict(
                 orbit=orbit,
@@ -186,7 +156,6 @@ def analyze_multislope(orbits, slopes) -> MultislopeReport:
                 in_interval=interval.contains(s),
                 dist=dist,
                 fried_ok=fried_ok,
-                prongs=prongs,
                 special=special,
             )
         )
@@ -230,7 +199,6 @@ def analyze_multislope(orbits, slopes) -> MultislopeReport:
             in_interval=e["in_interval"],
             dist_to_locus=e["dist"],
             fried_ok=e["fried_ok"],
-            prong_count=e["prongs"],
             special_no_singular=e["special"],
             guarantees=guarantees,
         )
@@ -272,7 +240,8 @@ def report_to_json(report: MultislopeReport):
                 "in_interval": r.in_interval,
                 "distance": r.dist_to_locus,
                 "fried_ok": r.fried_ok,
-                "prong_count": r.prong_count,
+                # The filled core orbit has one prong per unit of distance.
+                "prong_count": r.dist_to_locus,
                 "special_no_singular": r.special_no_singular,
                 "guarantees": [
                     {"label": g, "citation": GUARANTEE_CITATIONS[g]}

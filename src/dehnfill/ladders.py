@@ -333,11 +333,6 @@ class CarriedPath:
     def rungs_used(self):
         return tuple(s[1] for s in self.steps if s[0] == "rung")
 
-    def touches_boundary_level(self, track: LadderTrack) -> bool:
-        return bool(
-            {0, track.n_levels - 1} & set(self.levels_met)
-        )
-
 
 def _carried_paths(enc, raw_paths):
     """Kernel paths, given as states of the encoding ``enc``, as CarriedPaths."""

@@ -2,10 +2,11 @@ r"""
 Boundary invariants of a fibered monodromy: orbit lengths, degeneracy loci,
 multiplicities and co-orientation behavior.
 
-The monodromy's action on the boundary circles is modeled as a permutation of
-circles plus one integer shift per permutation orbit (how the first-return map
-rotates the cyclically ordered stable singularities of the orbit's base
-circle).  That is exactly the data determining the locus ``(p; q)`` and the
+The monodromy's action on the boundary circles is modeled as a rigid map:
+a permutation of the circles plus one integer shift per circle, by which it
+rotates the cyclically ordered stable singularities.  The first-return map
+of an orbit rotates the orbit's base circle by the sum of the shifts of its
+circles.  That is exactly the data determining the locus ``(p; q)`` and the
 orbit length ``c``.
 """
 
@@ -17,7 +18,6 @@ from math import gcd
 from .slopes import ProjectiveSlope
 
 __all__ = [
-    "BoundaryCircle",
     "MonodromyBoundaryAction",
     "DegeneracyLocus",
     "BoundaryOrbit",
@@ -34,66 +34,65 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BoundaryCircle:
-    """One boundary circle with its count of stable-foliation singularities."""
-
-    circle_id: str
-    stable_sing_count: int
-
-    def __post_init__(self):
-        if self.stable_sing_count < 2 or self.stable_sing_count % 2 != 0:
-            raise ValueError(
-                "co-orientable boundary data needs an even count >= 2 of "
-                "stable singularities, got %d" % self.stable_sing_count
-            )
-
-
-@dataclass(frozen=True)
 class MonodromyBoundaryAction:
-    """Permutation of boundary circles plus one shift per orbit.
+    """The monodromy on the boundary circles: circle ``j`` goes to
+    ``permutation[j]``, and slot position ``x`` on it to ``x + shifts[j]``.
 
-    ``shifts`` is keyed by the orbit's base circle (smallest ``circle_id``);
-    the value is the rotation, in singularity slots, of the first-return map
-    on that circle.
+    ``counts`` gives each circle's number of stable singularities.  All three
+    dicts are keyed by circle id, in sorted order.
     """
 
-    circles: tuple
+    counts: dict
     permutation: dict
     shifts: dict
 
     @staticmethod
     def build(circles, permutation, shifts):
-        circles = tuple(sorted(circles, key=lambda c: c.circle_id))
-        ids = [c.circle_id for c in circles]
+        """Check and store ``(id, count)`` pairs, a permutation of the ids and
+        one integer shift per circle."""
+        circles = sorted(circles)
+        ids = [cid for cid, _ in circles]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate circle ids")
+        for cid, count in circles:
+            if count < 2 or count % 2 != 0:
+                raise ValueError(
+                    "co-orientable boundary data needs an even count >= 2 of "
+                    "stable singularities, got %d on circle %s" % (count, cid)
+                )
         id_set = set(ids)
         if set(permutation) != id_set or set(permutation.values()) != id_set:
             raise ValueError("permutation is not a bijection on the circle ids")
-        action = MonodromyBoundaryAction(circles, dict(permutation), dict(shifts))
-        bases = {orbit[0] for orbit in action._orbit_cycles()}
-        if set(shifts) != bases:
-            raise ValueError(
-                "shifts must be keyed by orbit base ids %s" % sorted(bases)
-            )
+        if set(shifts) != id_set or any(type(s) is not int for s in shifts.values()):
+            raise ValueError("need one integer shift per circle")
+        action = MonodromyBoundaryAction(
+            dict(circles),
+            {cid: permutation[cid] for cid in ids},
+            {cid: shifts[cid] for cid in ids},
+        )
+        for cycle in action._orbit_cycles():
+            if len({action.counts[cid] for cid in cycle}) != 1:
+                raise ValueError(
+                    "circles %s in one orbit have differing singularity counts" % cycle
+                )
         return action
 
-    def circle(self, circle_id):
-        for c in self.circles:
-            if c.circle_id == circle_id:
-                return c
-        raise KeyError(circle_id)
+    def image(self, circle_id, position):
+        """The ``(circle id, position)`` that ``position`` on ``circle_id``
+        maps to, with the position reduced into ``[0, p)``."""
+        img = self.permutation[circle_id]
+        return img, (position + self.shifts[circle_id]) % self.counts[img]
 
     def _orbit_cycles(self):
         seen = set()
         cycles = []
-        for c in self.circles:  # sorted, so each orbit starts at its least id
-            if c.circle_id in seen:
+        for cid in self.counts:  # sorted, so each orbit starts at its least id
+            if cid in seen:
                 continue
-            cycle = [c.circle_id]
-            seen.add(c.circle_id)
-            nxt = self.permutation[c.circle_id]
-            while nxt != c.circle_id:
+            cycle = [cid]
+            seen.add(cid)
+            nxt = self.permutation[cid]
+            while nxt != cid:
                 cycle.append(nxt)
                 seen.add(nxt)
                 nxt = self.permutation[nxt]
@@ -165,24 +164,18 @@ def orbit_decomposition(action: MonodromyBoundaryAction):
     """Partition the circles into permutation orbits.
 
     Orbits are reported sorted by smallest circle id, carrying the orbit
-    length, the shared singularity count and the raw (uncanonicalized) shift.
+    length, the shared singularity count and the raw (uncanonicalized)
+    shift: the sum of the shifts of the orbit's circles.
     """
-    orbits = []
-    for cycle in action._orbit_cycles():
-        ps = {action.circle(cid).stable_sing_count for cid in cycle}
-        if len(ps) != 1:
-            raise ValueError(
-                "circles %s in one orbit have differing singularity counts" % cycle
-            )
-        orbits.append(
-            RawOrbit(
-                circles=tuple(cycle),
-                c=len(cycle),
-                p=ps.pop(),
-                shift=action.shifts[cycle[0]],
-            )
+    return [
+        RawOrbit(
+            circles=tuple(cycle),
+            c=len(cycle),
+            p=action.counts[cycle[0]],
+            shift=sum(action.shifts[cid] for cid in cycle),
         )
-    return orbits
+        for cycle in action._orbit_cycles()
+    ]
 
 
 def boundary_orbits(action: MonodromyBoundaryAction):
@@ -254,48 +247,65 @@ def _circle_entries(doc):
     return pairs
 
 
-def _object_entries(doc, field, kind, expected):
-    """The object ``doc[field]``, each of whose values must be a ``kind``."""
+def _object_entries(doc, field, kind, expected, prefix=""):
+    """The object ``doc[field]``, each of whose values must be a ``kind``;
+    ``prefix`` is the path of ``doc`` in messages."""
     obj = doc.get(field)
     if not isinstance(obj, dict):
-        raise ValueError('"%s": expected an object' % field)
+        raise ValueError('"%s%s": expected an object' % (prefix, field))
     for key, value in obj.items():
         if type(value) is not kind:
-            raise ValueError("%s[%s]: expected %s" % (field, json.dumps(key), expected))
+            raise ValueError(
+                "%s%s[%s]: expected %s" % (prefix, field, json.dumps(key), expected)
+            )
     return obj
 
 
-def _action_entries(doc):
-    """The circles, permutation and shifts of a ``monodromy_boundary_v1``
-    document: ``(id, stable_sings)`` pairs, an object of circle id to circle
-    id and an object of circle id to integer shift.  Circle ids are strings,
-    as the keys of those objects are; a malformed entry is named."""
+def _action_entries(doc, maps_field=None):
+    """The circles, permutation and shifts of a boundary document:
+    ``(id, stable_sings)`` pairs, an object of circle id to circle id and an
+    object of circle id to integer shift.  The two objects are read from
+    ``doc[maps_field]`` when it is given, else from ``doc``.  Circle ids are
+    strings, as the keys of those objects are; a malformed entry is named."""
     circles = _circle_entries(doc)
     for k, (cid, _) in enumerate(circles):
         if not isinstance(cid, str):
             raise ValueError('circles[%d]: "id" must be a string' % k)
-    permutation = _object_entries(doc, "permutation", str, "a circle id (a string)")
-    shifts = _object_entries(doc, "shifts", int, "an integer")
+    maps, prefix = doc, ""
+    if maps_field is not None:
+        maps, prefix = doc.get(maps_field), maps_field + "."
+        if not isinstance(maps, dict):
+            raise ValueError('"%s": expected an object' % maps_field)
+    permutation = _object_entries(
+        maps, "permutation", str, "a circle id (a string)", prefix
+    )
+    shifts = _object_entries(maps, "shifts", int, "an integer", prefix)
     return circles, permutation, shifts
 
 
 def action_from_json(doc) -> MonodromyBoundaryAction:
-    """Load the ``monodromy_boundary_v1`` JSON schema."""
+    """Load the ``monodromy_boundary_v1`` JSON schema.
+
+    The schema keeps one shift per orbit, on its base circle (least id);
+    the other circles of the orbit get shift 0."""
     if doc.get("schema") != "monodromy_boundary_v1":
         raise ValueError("expected schema monodromy_boundary_v1")
     circles, permutation, shifts = _action_entries(doc)
-    return MonodromyBoundaryAction.build(
-        [BoundaryCircle(cid, count) for cid, count in circles], permutation, shifts
+    action = MonodromyBoundaryAction.build(
+        circles, permutation, {cid: shifts.get(cid, 0) for cid, _ in circles}
     )
+    bases = [cycle[0] for cycle in action._orbit_cycles()]
+    if sorted(shifts) != bases:
+        raise ValueError("shifts must be keyed by orbit base ids %s" % bases)
+    return action
 
 
 def action_to_json(action: MonodromyBoundaryAction):
     return {
         "schema": "monodromy_boundary_v1",
         "circles": [
-            {"id": c.circle_id, "stable_sings": c.stable_sing_count}
-            for c in action.circles
+            {"id": cid, "stable_sings": count} for cid, count in action.counts.items()
         ],
-        "permutation": {k: action.permutation[k] for k in sorted(action.permutation)},
-        "shifts": {k: action.shifts[k] for k in sorted(action.shifts)},
+        "permutation": dict(action.permutation),
+        "shifts": {orbit.circles[0]: orbit.shift for orbit in orbit_decomposition(action)},
     }

@@ -8,6 +8,7 @@ nothing here ever touches floating point.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 __all__ = [
@@ -52,10 +53,6 @@ class ProjectiveSlope:
         if den < 0 or (den == 0 and num < 0):
             num, den = -num, -den
         return ProjectiveSlope(num, den)
-
-    @property
-    def is_infinity(self):
-        return self.den == 0
 
     def __str__(self):
         return format_slope(self)
@@ -136,12 +133,15 @@ def apply_basis_change(m: BasisChange, s: ProjectiveSlope) -> ProjectiveSlope:
 
 @dataclass(frozen=True)
 class SlopeInterval:
-    """The open arc of the projective line bounded by ``end_a`` and ``end_b``
-    that does not contain ``excluded``."""
+    """The arc of the projective line bounded by ``end_a`` and ``end_b`` that
+    does not contain ``excluded``.  An endpoint belongs to the arc when its
+    closure flag is set; both are open by default."""
 
     end_a: ProjectiveSlope
     end_b: ProjectiveSlope
     excluded: ProjectiveSlope
+    closed_a: bool = False
+    closed_b: bool = False
 
     def __post_init__(self):
         if self.end_a == self.end_b:
@@ -154,10 +154,16 @@ class SlopeInterval:
         # two complementary arcs carry opposite signs.
         return _det(self.end_a, s) * _det(self.end_b, s)
 
-    def contains(self, s: ProjectiveSlope) -> bool:
-        if s == self.end_a or s == self.end_b:
-            return False
+    def _interior(self, s: ProjectiveSlope) -> bool:
+        # The form vanishes at the endpoints, so they are never interior.
         return self._side(s) * self._side(self.excluded) < 0
+
+    def contains(self, s: ProjectiveSlope) -> bool:
+        if s == self.end_a:
+            return self.closed_a
+        if s == self.end_b:
+            return self.closed_b
+        return self._interior(s)
 
     def endpoints(self):
         return frozenset((self.end_a, self.end_b))
@@ -172,13 +178,13 @@ class SlopeInterval:
             ProjectiveSlope.of(a.num + b.num, a.den + b.den),
             ProjectiveSlope.of(a.num - b.num, a.den - b.den),
         ):
-            if self.contains(cand):
+            if self._interior(cand):
                 return cand
         # Mediants with an endpoint converge into the arc from that side.
         cur = self.excluded
         for _ in range(64):
             cur = ProjectiveSlope.of(a.num + cur.num, a.den + cur.den)
-            if self.contains(cur):
+            if self._interior(cur):
                 return cur
         raise RuntimeError("no interior witness found")  # pragma: no cover
 
@@ -256,6 +262,17 @@ def parse_slope(text: str):
         raise SlopeParseError(text, 0, "0/0 is not a slope")
     normalized = gcd(abs(num), abs(den)) != 1 or den < 0 or (den == 0 and num != 1)
     return ProjectiveSlope.of(num, den), normalized
+
+
+def _exact(value, where):
+    """A JSON int or ``"a/b"`` string as a ``Fraction``; ``where`` names the
+    field in the error."""
+    if type(value) is int or isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError('%s: expected an integer or an "a/b" string' % where)
 
 
 def format_slope(s: ProjectiveSlope) -> str:

@@ -242,14 +242,13 @@ class CarriedSlopes:
 
     ``kind`` is one of ``empty`` (nothing carried), ``single`` (one slope),
     ``arc`` (a salient cone of classes) or ``all`` (the image cone spans a
-    half-plane or more).  Arc endpoints attained by extreme rays are flagged.
+    half-plane or more).  The arc is closed: extreme rays attain both of its
+    endpoints.
     """
 
     kind: str
     slope: ProjectiveSlope | None = None
     arc: SlopeInterval | None = None
-    end_a_attained: bool = False
-    end_b_attained: bool = False
     extreme_classes: tuple = ()
 
     def contains_class(self, cls) -> bool:
@@ -263,10 +262,6 @@ class CarriedSlopes:
             return True
         if self.kind == "single":
             return s == self.slope
-        if s == self.arc.end_a:
-            return self.end_a_attained
-        if s == self.arc.end_b:
-            return self.end_b_attained
         return self.arc.contains(s)
 
 
@@ -325,14 +320,8 @@ def carried_slopes(track: TorusTrainTrack, *, rays=None) -> CarriedSlopes:
     # The complement of the projectivized cone is the open cone between e_r
     # and -e_l, so their difference is a witness strictly outside the arc.
     witness = ProjectiveSlope.of(e_r[0] - e_l[0], e_r[1] - e_l[1])
-    arc = SlopeInterval(end_a, end_b, excluded=witness)
-    return CarriedSlopes(
-        kind="arc",
-        arc=arc,
-        end_a_attained=True,
-        end_b_attained=True,
-        extreme_classes=extreme,
-    )
+    arc = SlopeInterval(end_a, end_b, excluded=witness, closed_a=True, closed_b=True)
+    return CarriedSlopes(kind="arc", arc=arc, extreme_classes=extreme)
 
 
 def integral_carried_classes(track: TorusTrainTrack, weight_bound: int):

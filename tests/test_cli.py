@@ -10,6 +10,7 @@ import pytest
 
 from dehnfill import cli, tracks
 from dehnfill.cli import main
+from dehnfill.arcs import system_from_json
 from dehnfill.monodromy import action_from_json
 
 
@@ -472,6 +473,22 @@ def test_arcs_malformed_circle_exits_two(capsys, tmp_path, command, circles, mes
         ({"permutation": ["A"]}, '"permutation": expected an object'),
         ({"permutation": {"A": 1}}, 'permutation["A"]: expected a circle id (a string)'),
         ({"circles": [{"id": 1, "stable_sings": 4}]}, 'circles[0]: "id" must be a string'),
+        (
+            {
+                "circles": [{"id": "A", "stable_sings": 4}, {"id": "B", "stable_sings": 4}],
+                "permutation": {"A": "B", "B": "A"},
+                "shifts": {"B": 1},
+            },
+            "shifts must be keyed by orbit base ids ['A']",
+        ),
+        (
+            {
+                "circles": [{"id": "A", "stable_sings": 2}, {"id": "B", "stable_sings": 4}],
+                "permutation": {"A": "B", "B": "A"},
+                "shifts": {"A": 1},
+            },
+            "circles ['A', 'B'] in one orbit have differing singularity counts",
+        ),
     ],
 )
 def test_arcs_refine_malformed_action_exits_two(capsys, tmp_path, changes, message):
@@ -490,6 +507,91 @@ def test_arcs_refine_malformed_action_exits_two(capsys, tmp_path, changes, messa
     # The library loader reads the document the same way.
     with pytest.raises(ValueError, match=re.escape(message)):
         action_from_json(doc)
+
+
+MISSING = object()
+
+
+def _arc(start="1/4", end="3/4", stable=True, unstable=True):
+    return {
+        "start": {"circle": "A", "position": start},
+        "end": {"circle": "A", "position": end},
+        "pos_transverse_stable": stable,
+        "pos_transverse_unstable": unstable,
+    }
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"monodromy": []}, '"monodromy": expected an object'),
+        ({"monodromy": MISSING}, '"monodromy": expected an object'),
+        (
+            {"monodromy": {"permutation": {"X": "X"}, "shifts": {"X": 1}}},
+            "permutation is not a bijection on the circle ids",
+        ),
+        (
+            {"monodromy": {"permutation": {"A": "A"}, "shifts": {"A": "1"}}},
+            'monodromy.shifts["A"]: expected an integer',
+        ),
+        ({"monodromy": {"shifts": {"A": 1}}}, '"monodromy.permutation": expected an object'),
+        (
+            {
+                "circles": [{"id": "A", "stable_sings": 2}, {"id": "B", "stable_sings": 4}],
+                "monodromy": {"permutation": {"A": "B", "B": "A"}, "shifts": {"A": 1, "B": 0}},
+            },
+            "circles ['A', 'B'] in one orbit have differing singularity counts",
+        ),
+        ({"arcs": MISSING}, '"arcs": expected a list'),
+        ({"arcs": [1]}, "arcs[0]: expected an object"),
+        ({"arcs": [_arc(start=None)]}, 'arcs[0].start.position: expected an integer or an "a/b" string'),
+        ({"arcs": [_arc(end="1/0")]}, 'arcs[0].end.position: expected an integer or an "a/b" string'),
+        ({"arcs": [_arc(end=0.75)]}, 'arcs[0].end.position: expected an integer or an "a/b" string'),
+        ({"arcs": [{**_arc(), "end": "A"}]}, 'arcs[0].end: expected an object with a string "circle"'),
+        ({"arcs": [_arc(stable=1)]}, "arcs[0].pos_transverse_stable: expected true or false"),
+        ({"arcs": [_arc(end="1/4")]}, "arcs[0]: arc endpoints must occupy distinct slots"),
+    ],
+)
+def test_arcs_validate_malformed_system_exits_two(capsys, tmp_path, changes, message):
+    doc = {
+        "schema": "arc_system_v1",
+        "circles": [{"id": "A", "stable_sings": 2}],
+        "monodromy": {"permutation": {"A": "A"}, "shifts": {"A": 1}},
+        "arcs": [_arc()],
+    }
+    for key, value in changes.items():
+        if value is MISSING:
+            del doc[key]
+        else:
+            doc[key] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "arcs", "validate", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        system_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"lower_out": 0.3}, '"lower_out": expected an integer or an "a/b" string'),
+        ({"lower_out": [1]}, '"lower_out": expected an integer or an "a/b" string'),
+        ({"lower_in": True}, '"lower_in": expected an integer or an "a/b" string'),
+        ({"upper_nudge": "1/0"}, '"upper_nudge": expected an integer or an "a/b" string'),
+        ({"upper_nudge": "x"}, '"upper_nudge": expected an integer or an "a/b" string'),
+        ({"phase": 1.7}, '"phase": expected an integer'),
+        ({"phase": "1"}, '"phase": expected an integer'),
+    ],
+)
+def test_track_build_config_takes_exact_values_only(capsys, tmp_path, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    argv = ["track", "build", "--locus", "4,1", "--orbit-length", "1", "--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("levels, rungs", [("1001", "6"), ("8", "1001")])

@@ -116,7 +116,7 @@ def test_design_target_sweep_within_budget():
             if (
                 cs.kind != "arc"
                 or cs.arc.endpoints() != want
-                or not (cs.end_a_attained and cs.end_b_attained)
+                or not (cs.arc.closed_a and cs.arc.closed_b)
                 or cs.contains_class((p, q))
             ):
                 failures.append((p, q, c, cs))

@@ -91,9 +91,9 @@ def test_excluded_window_examples():
 
 
 def test_check_fried_examples():
-    assert check_fried(DegeneracyLocus(4, 1), slope(0)) == (4, True, 4, False)
-    assert check_fried(DegeneracyLocus(2, 1), slope(0)) == (2, True, 2, True)
-    assert check_fried(DegeneracyLocus(4, 1), slope(3)) == (1, False, 1, False)
+    assert check_fried(DegeneracyLocus(4, 1), slope(0)) == (4, True, False)
+    assert check_fried(DegeneracyLocus(2, 1), slope(0)) == (2, True, True)
+    assert check_fried(DegeneracyLocus(4, 1), slope(3)) == (1, False, False)
 
 
 def test_analyze_multislope_guaranteed():

@@ -4,7 +4,6 @@ from math import gcd
 import pytest
 
 from dehnfill.monodromy import (
-    BoundaryCircle,
     Coorientation,
     DegeneracyLocus,
     MonodromyBoundaryAction,
@@ -21,8 +20,16 @@ from dehnfill.slopes import canonical_meridian, distance, slope
 
 
 def action(circle_sings, permutation, shifts):
-    circles = [BoundaryCircle(cid, p) for cid, p in circle_sings.items()]
-    return MonodromyBoundaryAction.build(circles, permutation, shifts)
+    """The action of a ``monodromy_boundary_v1`` document: one shift per
+    orbit, on its base circle."""
+    return action_from_json(
+        {
+            "schema": "monodromy_boundary_v1",
+            "circles": [{"id": cid, "stable_sings": p} for cid, p in circle_sings.items()],
+            "permutation": permutation,
+            "shifts": shifts,
+        }
+    )
 
 
 def test_orbit_decomposition_identity():
@@ -62,7 +69,37 @@ def test_action_validation():
         # Circles of one orbit must share the singularity count.
         boundary_orbits(action({"A": 2, "B": 4}, {"A": "B", "B": "A"}, {"A": 1}))
     with pytest.raises(ValueError):
-        BoundaryCircle("A", 3)
+        action({"A": 3}, {"A": "A"}, {"A": 0})
+
+
+def test_build_keeps_one_shift_per_circle():
+    a = MonodromyBoundaryAction.build(
+        [("B", 4), ("A", 4), ("C", 2)],
+        {"A": "B", "B": "A", "C": "C"},
+        {"A": 1, "B": 2, "C": 1},
+    )
+    assert list(a.counts) == ["A", "B", "C"]
+    # The first-return map on A rotates by the shifts of A and B together.
+    assert [o.shift for o in orbit_decomposition(a)] == [3, 1]
+    assert a.image("A", Fraction(1, 4)) == ("B", Fraction(5, 4))
+    assert a.image("B", Fraction(7, 2)) == ("A", Fraction(3, 2))
+    assert action_to_json(a)["shifts"] == {"A": 3, "C": 1}
+
+
+@pytest.mark.parametrize(
+    "circles, permutation, shifts, message",
+    [
+        ([("A", 2), ("A", 2)], {"A": "A"}, {"A": 1}, "duplicate circle ids"),
+        ([("A", 4), ("B", 0)], {"A": "A", "B": "B"}, {"A": 1, "B": 1}, "even count"),
+        ([("A", 2)], {"A": "B"}, {"A": 1}, "bijection"),
+        ([("A", 2), ("B", 2)], {"A": "B", "B": "A"}, {"A": 1}, "one integer shift"),
+        ([("A", 2)], {"A": "A"}, {"A": 1.0}, "one integer shift"),
+        ([("A", 2), ("B", 4)], {"A": "B", "B": "A"}, {"A": 1, "B": 0}, "differing"),
+    ],
+)
+def test_build_rejects(circles, permutation, shifts, message):
+    with pytest.raises(ValueError, match=message):
+        MonodromyBoundaryAction.build(circles, permutation, shifts)
 
 
 def test_canonical_locus_examples():

@@ -81,7 +81,7 @@ def test_carried_slopes_two_ray_arc():
     cs = carried_slopes(track)
     assert cs.kind == "arc"
     assert cs.arc.endpoints() == {INFINITY, slope(1, 2)}
-    assert cs.end_a_attained and cs.end_b_attained
+    assert cs.arc.closed_a and cs.arc.closed_b
     assert cs.contains_class((1, 1)) and cs.contains_class((2, 1))
     assert not cs.contains_class((0, 1)) and not cs.contains_class((-1, 1))
 
@@ -141,7 +141,7 @@ def test_build_design_targets():
         assert cs.kind == "arc"
         want = {ProjectiveSlope.of(p, q + c), ProjectiveSlope.of(p, q - c)}
         assert cs.arc.endpoints() == want, (p, q, c)
-        assert cs.end_a_attained and cs.end_b_attained
+        assert cs.arc.closed_a and cs.arc.closed_b
         # The degeneracy slope is never carried.
         assert not cs.contains_class((p, q))
 
