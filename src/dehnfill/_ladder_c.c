@@ -6,14 +6,20 @@
  *              lo_idx, hi_idx, forward_dir, step_bound, collect)
  *       scans a track given in the plain-int encoding of dehnfill._ladder_py;
  *
- *   scan_ladder(seed, max_levels, max_rungs_per_gap, alternating, step_bound)
- *       draws the ladder that random.Random(seed) gives, word for word as
- *       dehnfill.ladders._draw does, encodes it as _encode_lists does and
- *       scans it.  Its own MT19937, seeded from the int as CPython seeds
- *       one, hands out the words, so it calls no random.Random.
+ *   scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating,
+ *               step_bound)
+ *       draws the ladders that random.Random(seed), ..., Random(seed +
+ *       cases - 1) give, word for word as dehnfill.ladders._draw does,
+ *       encodes each as _encode_lists does, scans it, and sums the counts.
+ *       Its own MT19937s, seeded from the ints as CPython seeds one, hand out
+ *       the words, so it calls no random.Random.  The seedings run eight at
+ *       a time in lock-step: init_by_array is one long chain of dependent
+ *       steps, and eight independent chains keep the CPU busy.  The buffers
+ *       of the draw and the scan are allocated once per call.
  *
- * Arguments are positional.  Only the public CPython API is used, and there
- * is no floating point.
+ * Arguments are positional.  Both scans check for signals every 2**16 search
+ * steps, and scan_ladder between ladders, so Ctrl-C stops a long call.  Only
+ * the public CPython API is used, and there is no floating point.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -36,17 +42,18 @@ typedef struct {
     int *seg_level; /* n_sw + n_levels: the level of each line segment */
 } Track;
 
-/* One block of ints for every array of a track, with `extra` more ints after
- * them; sets the counts and the array pointers.  Returns the block. */
-static int *
-track_alloc(Track *t, int n_levels, int n_sw, int n_rungs, Py_ssize_t extra)
+/* The number of ints of a track's arrays. */
+static size_t
+track_size(int n_levels, int n_sw, int n_rungs)
 {
-    Py_ssize_t n = (n_levels + 1) + 3 * (Py_ssize_t)n_sw + 5 * (Py_ssize_t)n_rungs + n_levels;
-    int *mem = PyMem_Malloc((size_t)(n + extra) * sizeof(int));
-    if (mem == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
+    return (size_t)(n_levels + 1) + 3 * (size_t)n_sw + 5 * (size_t)n_rungs + (size_t)n_levels;
+}
+
+/* Set the counts of `t` and lay its arrays out in `mem`, which holds
+ * track_size() ints. */
+static void
+track_layout(Track *t, int *mem, int n_levels, int n_sw, int n_rungs)
+{
     t->n_levels = n_levels;
     t->n_sw = n_sw;
     t->n_rungs = n_rungs;
@@ -61,7 +68,6 @@ track_alloc(Track *t, int n_levels, int n_sw, int n_rungs, Py_ssize_t extra)
     t->lo_idx = t->cusp_hi + n_rungs;
     t->hi_idx = t->lo_idx + n_rungs;
     t->seg_level = t->hi_idx + n_rungs;
-    return mem;
 }
 
 /* Fill seg_level from the offsets. */
@@ -192,26 +198,74 @@ path_tuple(const Frame *path, int n)
     return out;
 }
 
-/* Enumerate every maximal carried path of `t` and check the two-line
- * property; returns the 6-tuple of dehnfill._ladder_py.scan_track.  `paths`
- * is a list to append (path, truncated) pairs to, or NULL. */
-static PyObject *
-scan(const Track *t, int forward_dir, long step_bound, PyObject *paths)
+/* Buffers that one call reuses for every track it scans, each grown when a
+ * track needs more. */
+typedef struct {
+    int *ints; /* the arrays of a drawn track */
+    size_t n_ints;
+    Frame *frames; /* the search stack */
+    size_t n_frames;
+    unsigned char *on_path; /* all zero between scans */
+    size_t n_marks;
+} Scratch;
+
+/* `buf` when it holds `need` items of `size` bytes, else a new zeroed block
+ * in its place, with the old one freed and `*cap` updated.  NULL with
+ * MemoryError set, and `buf` kept, when there is no memory. */
+static void *
+reserve(void *buf, size_t *cap, size_t need, size_t size)
 {
-    long long n_paths = 0, n_violations = 0, n_truncated = 0;
-    int max_len = 0;
-    PyObject *witness = NULL, *result = NULL;
+    if (need <= *cap) {
+        return buf;
+    }
+    void *grown = PyMem_RawCalloc(need, size);
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    PyMem_RawFree(buf);
+    *cap = need;
+    return grown;
+}
+
+static void
+scratch_free(Scratch *sc)
+{
+    PyMem_RawFree(sc->ints);
+    PyMem_RawFree(sc->frames);
+    PyMem_RawFree(sc->on_path);
+}
+
+/* The counts of one or more scans: summed, the longest path, and the first
+ * violating path as a tuple. */
+typedef struct {
+    long long paths, violations, truncated;
+    int max_len;
+    PyObject *witness;
+} Tally;
+
+/* Enumerate every maximal carried path of `t`, check the two-line property
+ * and add the counts to `tally`.  `paths` is a list to append (path,
+ * truncated) pairs to, or NULL.  Returns 0, or -1 with an exception set. */
+static int
+scan(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally, PyObject *paths)
+{
     /* A path stops at step_bound states, and at the first repeated state. */
     long depth_cap = step_bound < 1 ? 1 : step_bound;
     if (depth_cap > (long)t->n_states + 1) {
         depth_cap = t->n_states + 1;
     }
-    Frame *st = PyMem_Malloc((size_t)(depth_cap + 1) * sizeof(Frame));
-    unsigned char *on_path = PyMem_Calloc((size_t)t->n_states + 1, 1);
-    if (st == NULL || on_path == NULL) {
-        PyErr_NoMemory();
-        goto done;
+    Frame *st = reserve(sc->frames, &sc->n_frames, (size_t)depth_cap + 1, sizeof(Frame));
+    if (st == NULL) {
+        return -1;
     }
+    sc->frames = st;
+    unsigned char *on_path = reserve(sc->on_path, &sc->n_marks, (size_t)t->n_states + 1, 1);
+    if (on_path == NULL) {
+        return -1;
+    }
+    sc->on_path = on_path;
+    unsigned int steps = 0;
     /* Iterative DFS from each line end, in level order; the straight-through
      * continuation is explored before the rung exit. */
     for (int level = 0; level < t->n_levels; level++) {
@@ -221,6 +275,9 @@ scan(const Track *t, int forward_dir, long step_bound, PyObject *paths)
             st[0].state = side == 0 ? line_state(t, level, 0, 1) : line_state(t, level, n_here, 0);
             st[0].iter = -1;
             while (depth >= 0) {
+                if (++steps % 65536 == 0 && PyErr_CheckSignals() < 0) {
+                    return -1;
+                }
                 Frame *f = &st[depth];
                 if (f->iter == -1) {
                     f->iter = 0;
@@ -239,27 +296,28 @@ scan(const Track *t, int forward_dir, long step_bound, PyObject *paths)
                             }
                         }
                         if (emit) {
-                            n_paths++;
-                            n_truncated += f->truncated;
-                            if (depth + 1 > max_len) {
-                                max_len = depth + 1;
+                            tally->paths++;
+                            tally->truncated += f->truncated;
+                            if (depth + 1 > tally->max_len) {
+                                tally->max_len = depth + 1;
                             }
                             if (violates(t, st, depth + 1, forward_dir)) {
-                                n_violations++;
-                                if (witness == NULL && (witness = path_tuple(st, depth + 1)) == NULL) {
-                                    goto done;
+                                tally->violations++;
+                                if (tally->witness == NULL
+                                    && (tally->witness = path_tuple(st, depth + 1)) == NULL) {
+                                    return -1;
                                 }
                             }
                             if (paths != NULL) {
                                 PyObject *states = path_tuple(st, depth + 1);
                                 if (states == NULL) {
-                                    goto done;
+                                    return -1;
                                 }
                                 PyObject *pair = PyTuple_Pack(2, states, f->truncated ? Py_True : Py_False);
                                 Py_DECREF(states);
                                 if (pair == NULL || PyList_Append(paths, pair) < 0) {
                                     Py_XDECREF(pair);
-                                    goto done;
+                                    return -1;
                                 }
                                 Py_DECREF(pair);
                             }
@@ -280,13 +338,7 @@ scan(const Track *t, int forward_dir, long step_bound, PyObject *paths)
             }
         }
     }
-    result = Py_BuildValue("(OLLLiO)", paths != NULL ? paths : Py_None, n_paths, n_violations,
-                           n_truncated, max_len, witness != NULL ? witness : Py_None);
-done:
-    PyMem_Free(st);
-    PyMem_Free(on_path);
-    Py_XDECREF(witness);
-    return result;
+    return 0;
 }
 
 /* ------------------------------------------------------------------------
@@ -387,11 +439,14 @@ scan_track(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "track encoding empty or too large");
         return NULL;
     }
+    Scratch sc = {0};
+    Tally tally = {0};
     Track t;
-    int *mem = track_alloc(&t, (int)n_offsets - 1, (int)n_sw, (int)n_rungs, 0);
-    if (mem == NULL) {
+    if ((sc.ints = reserve(NULL, &sc.n_ints, track_size((int)n_offsets - 1, (int)n_sw, (int)n_rungs),
+                           sizeof(int))) == NULL) {
         return NULL;
     }
+    track_layout(&t, sc.ints, (int)n_offsets - 1, (int)n_sw, (int)n_rungs);
     int *dest[8] = {t.offsets, t.sw_rung, t.sw_end, t.rung_level, t.cusp_lo, t.cusp_hi, t.lo_idx, t.hi_idx};
     Py_ssize_t size[8] = {n_offsets, n_sw, n_sw, n_rungs, n_rungs, n_rungs, n_rungs, n_rungs};
     PyObject *paths = NULL, *result = NULL;
@@ -408,15 +463,19 @@ scan_track(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (collect && (paths = PyList_New(0)) == NULL) {
         goto done;
     }
-    result = scan(&t, forward_dir, step_bound, paths);
+    if (scan(&t, forward_dir, step_bound, &sc, &tally, paths) == 0) {
+        result = Py_BuildValue("(OLLLiO)", paths != NULL ? paths : Py_None, tally.paths, tally.violations,
+                               tally.truncated, tally.max_len, tally.witness != NULL ? tally.witness : Py_None);
+    }
 done:
     Py_XDECREF(paths);
-    PyMem_Free(mem);
+    Py_XDECREF(tally.witness);
+    scratch_free(&sc);
     return result;
 }
 
 /* ------------------------------------------------------------------------
- * scan_ladder: the ladder that random.Random(seed) draws
+ * scan_ladder: the ladders that random.Random(seed), Random(seed + 1), ... draw
  * ------------------------------------------------------------------------ */
 
 /* MT19937 (Matsumoto and Nishimura, ACM TOMACS 8, 1998), seeded as
@@ -444,21 +503,34 @@ mt_init_base(void)
     }
 }
 
-/* init_by_array on the key words.  `prev` is mt[i - 1], held in a register:
- * each step waits on the one before, so the seeding costs the latency of
- * that chain, about 1,250 steps. */
+/* The seeding of random.Random(int) runs eight at a time.  The count is
+ * fixed, so the compiler keeps the eight chains' last words in registers;
+ * unused lanes seed spare generators. */
+#define LANES 8
+
+/* init_by_array on the keys of LANES generators, each key_len words long,
+ * in lock-step.  Each step waits on the one before in its own chain, about
+ * 1,250 steps per seeding; the eight chains overlap. */
 static void
-mt_seed(MT *g, const uint32_t *key, size_t key_len)
+mt_seed_lanes(MT *const g[LANES], const uint32_t *const key[LANES], size_t key_len)
 {
-    uint32_t *mt = g->mt, prev = mt_base[0];
+    uint32_t prev[LANES];
+    for (int l = 0; l < LANES; l++) {
+        memcpy(g[l]->mt, mt_base, sizeof(mt_base));
+        prev[l] = mt_base[0];
+    }
     size_t i = 1, j = 0;
-    memcpy(mt, mt_base, sizeof(mt_base));
     for (size_t k = MT_N > key_len ? MT_N : key_len; k; k--) {
-        prev = mt[i] = (mt[i] ^ ((prev ^ (prev >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
+        for (int l = 0; l < LANES; l++) {
+            uint32_t p = prev[l];
+            prev[l] = g[l]->mt[i] = (g[l]->mt[i] ^ ((p ^ (p >> 30)) * 1664525U)) + key[l][j] + (uint32_t)j;
+        }
         i++;
         j++;
         if (i >= MT_N) {
-            mt[0] = prev;
+            for (int l = 0; l < LANES; l++) {
+                g[l]->mt[0] = prev[l];
+            }
             i = 1;
         }
         if (j >= key_len) {
@@ -466,15 +538,22 @@ mt_seed(MT *g, const uint32_t *key, size_t key_len)
         }
     }
     for (size_t k = MT_N - 1; k; k--) {
-        prev = mt[i] = (mt[i] ^ ((prev ^ (prev >> 30)) * 1566083941U)) - (uint32_t)i;
+        for (int l = 0; l < LANES; l++) {
+            uint32_t p = prev[l];
+            prev[l] = g[l]->mt[i] = (g[l]->mt[i] ^ ((p ^ (p >> 30)) * 1566083941U)) - (uint32_t)i;
+        }
         i++;
         if (i >= MT_N) {
-            mt[0] = prev;
+            for (int l = 0; l < LANES; l++) {
+                g[l]->mt[0] = prev[l];
+            }
             i = 1;
         }
     }
-    mt[0] = 0x80000000U;
-    g->pos = 0;
+    for (int l = 0; l < LANES; l++) {
+        g[l]->mt[0] = 0x80000000U;
+        g[l]->pos = 0;
+    }
 }
 
 /* The next word.  The generator twists all 624 words before the first one it
@@ -495,30 +574,29 @@ mt_next(MT *g)
     return y;
 }
 
-/* Seed `g` from the int `seed`; -1 with TypeError when it is not an int. */
-static int
-mt_seed_int(MT *g, PyObject *seed)
+/* The init_by_array key of the int `seed`: the 32-bit little-endian words
+ * of abs(seed), [0] for 0, and their count in `*len`.  A key of one or two
+ * words is written to `words`; a longer one goes to a new block in `*big`,
+ * which the caller frees.  Returns the key, or NULL with an exception set. */
+static const uint32_t *
+seed_key(PyObject *seed, uint32_t words[2], uint32_t **big, size_t *len)
 {
-    if (!PyLong_Check(seed)) {
-        PyErr_Format(PyExc_TypeError, "seed must be an int, not %.100s", Py_TYPE(seed)->tp_name);
-        return -1;
-    }
     int overflow;
     long long v = PyLong_AsLongLongAndOverflow(seed, &overflow);
     if (v == -1 && PyErr_Occurred()) {
-        return -1;
+        return NULL;
     }
     if (!overflow) {
         unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
-        uint32_t key[2] = {(uint32_t)u, (uint32_t)(u >> 32)};
-        mt_seed(g, key, key[1] ? 2 : 1);
-        return 0;
+        words[0] = (uint32_t)u;
+        words[1] = (uint32_t)(u >> 32);
+        *len = words[1] ? 2 : 1;
+        return words;
     }
-    /* abs(seed).to_bytes(4 * words, "little"), on a plain int. */
-    PyObject *index = PyNumber_Index(seed), *n = NULL, *bits = NULL, *bytes = NULL;
-    int status = -1;
-    if (index == NULL || (n = PyNumber_Absolute(index)) == NULL
-        || (bits = PyObject_CallMethod(n, "bit_length", NULL)) == NULL) {
+    /* abs(seed).to_bytes(4 * words, "little"). */
+    PyObject *n = PyNumber_Absolute(seed), *bits = NULL, *bytes = NULL;
+    const uint32_t *key = NULL;
+    if (n == NULL || (bits = PyObject_CallMethod(n, "bit_length", NULL)) == NULL) {
         goto done;
     }
     Py_ssize_t n_bits = PyLong_AsSsize_t(bits);
@@ -530,23 +608,71 @@ mt_seed_int(MT *g, PyObject *seed)
     if (bytes == NULL) {
         goto done;
     }
-    uint32_t *key = PyMem_Malloc((size_t)n_words * sizeof(uint32_t));
-    if (key == NULL) {
+    if ((*big = PyMem_RawMalloc((size_t)n_words * sizeof(uint32_t))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     const unsigned char *b = (const unsigned char *)PyBytes_AS_STRING(bytes);
     for (Py_ssize_t i = 0; i < n_words; i++, b += 4) {
-        key[i] = (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
+        (*big)[i] = (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
     }
-    mt_seed(g, key, (size_t)n_words);
-    PyMem_Free(key);
-    status = 0;
+    *len = (size_t)n_words;
+    key = *big;
 done:
-    Py_XDECREF(index);
     Py_XDECREF(n);
     Py_XDECREF(bits);
     Py_XDECREF(bytes);
+    return key;
+}
+
+/* Seed g[0..n-1] for the ints seed + base, ..., seed + base + n - 1, stored
+ * in seeds[] as new references.  Lanes whose keys have the same length are
+ * seeded together, with spare generators from `spare` in the other lanes.
+ * Returns 0, or -1 with an exception set. */
+static int
+seed_block(MT *g, MT *spare, PyObject *seed, Py_ssize_t base, int n, PyObject **seeds)
+{
+    uint32_t words[LANES][2], *big[LANES] = {NULL};
+    const uint32_t *key[LANES];
+    size_t len[LANES];
+    int status = -1;
+    for (int l = 0; l < n; l++) {
+        PyObject *offset = PyLong_FromSsize_t(base + l);
+        if (offset == NULL) {
+            goto done;
+        }
+        seeds[l] = PyNumber_Add(seed, offset);
+        Py_DECREF(offset);
+        if (seeds[l] == NULL || (key[l] = seed_key(seeds[l], words[l], &big[l], &len[l])) == NULL) {
+            goto done;
+        }
+    }
+    unsigned int seeded = 0; /* a bit per lane */
+    for (int l = 0; l < n; l++) {
+        if (seeded >> l & 1) {
+            continue;
+        }
+        MT *group[LANES];
+        const uint32_t *group_key[LANES];
+        int m = 0;
+        for (int o = l; o < n; o++) {
+            if (!(seeded >> o & 1) && len[o] == len[l]) {
+                group[m] = &g[o];
+                group_key[m++] = key[o];
+                seeded |= 1U << o;
+            }
+        }
+        for (; m < LANES; m++) {
+            group[m] = &spare[m];
+            group_key[m] = key[l];
+        }
+        mt_seed_lanes(group, group_key, len[l]);
+    }
+    status = 0;
+done:
+    for (int l = 0; l < n; l++) {
+        PyMem_RawFree(big[l]);
+    }
     return status;
 }
 
@@ -583,11 +709,11 @@ sample_set_size(long long k)
     return size;
 }
 
-/* Draw the ladder from `g` and encode it in `t`.  Returns the block to free,
- * or NULL with MemoryError set.  The draws are those of
+/* Draw the ladder from `g` and encode it in `t`, whose arrays lie in
+ * sc->ints.  Returns 0, or -1 with MemoryError set.  The draws are those of
  * dehnfill.ladders._draw, in its order. */
-static int *
-draw_track(MT *g, int max_levels, int max_rungs, int alternating, Track *t)
+static int
+draw_track(MT *g, int max_levels, int max_rungs, int alternating, Track *t, Scratch *sc)
 {
     int gap_rungs[SIZE_CAP], cursor[SIZE_CAP];
     int n_levels = below(g, (uint32_t)max_levels - 1) + 2, n_rungs = 0;
@@ -599,10 +725,13 @@ draw_track(MT *g, int max_levels, int max_rungs, int alternating, Track *t)
      * j < n_slots, its low foot at 4 + 4j and its high foot 1/16 left, level
      * or right of that (see _draw). */
     int n_slots = 4 * n_rungs + 7;
-    int *mem = track_alloc(t, n_levels, 2 * n_rungs, n_rungs, (Py_ssize_t)n_rungs + n_slots);
+    size_t n_track = track_size(n_levels, 2 * n_rungs, n_rungs);
+    int *mem = reserve(sc->ints, &sc->n_ints, n_track + (size_t)n_rungs + (size_t)n_slots, sizeof(int));
     if (mem == NULL) {
-        return NULL;
+        return -1;
     }
+    sc->ints = mem;
+    track_layout(t, mem, n_levels, 2 * n_rungs, n_rungs);
     int *low = t->seg_level + 2 * n_rungs + n_levels, *slot = low + n_rungs;
     int *level = t->rung_level;
     for (int k = 0, i = 0; k < n_levels - 1; k++) {
@@ -681,21 +810,30 @@ draw_track(MT *g, int max_levels, int max_rungs, int alternating, Track *t)
         }
     }
     track_index_segments(t);
-    return mem;
+    return 0;
 }
 
 static PyObject *
 scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError, "scan_ladder takes 5 positional arguments (%zd given)", nargs);
+    if (nargs != 6) {
+        PyErr_Format(PyExc_TypeError, "scan_ladder takes 6 positional arguments (%zd given)", nargs);
         return NULL;
     }
-    MT g;
+    PyObject *seed = args[0];
+    if (!PyLong_Check(seed)) {
+        PyErr_Format(PyExc_TypeError, "seed must be an int, not %.100s", Py_TYPE(seed)->tp_name);
+        return NULL;
+    }
+    Py_ssize_t cases = PyLong_AsSsize_t(args[1]);
     long max_levels, max_rungs, step_bound;
     int alternating;
-    if (mt_seed_int(&g, args[0]) < 0 || as_long(args[1], &max_levels) < 0 || as_long(args[2], &max_rungs) < 0
-        || (alternating = PyObject_IsTrue(args[3])) < 0 || as_long(args[4], &step_bound) < 0) {
+    if ((cases == -1 && PyErr_Occurred()) || as_long(args[2], &max_levels) < 0 || as_long(args[3], &max_rungs) < 0
+        || (alternating = PyObject_IsTrue(args[4])) < 0 || as_long(args[5], &step_bound) < 0) {
+        return NULL;
+    }
+    if (cases < 0) {
+        PyErr_Format(PyExc_ValueError, "cases must be a count >= 0, not %zd", cases);
         return NULL;
     }
     if (max_levels < 2 || max_levels > SIZE_CAP || max_rungs < 0 || max_rungs > SIZE_CAP) {
@@ -703,15 +841,62 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                      SIZE_CAP, SIZE_CAP);
         return NULL;
     }
-    Track t;
-    int *mem = draw_track(&g, (int)max_levels, (int)max_rungs, alternating, &t);
-    if (mem == NULL) {
+    /* The seeds are plain ints even when `seed` is a bool or an int
+     * subclass, as the ints of range(seed, ...) are. */
+    PyObject *start = PyNumber_Index(seed);
+    if (start == NULL) {
         return NULL;
     }
-    /* Orientation +1 on level 0 in both kinds of seeded ladder, so the
-     * forward direction is +1 whether or not it is of leaf-trace type. */
-    PyObject *result = scan(&t, 1, step_bound, NULL);
-    PyMem_Free(mem);
+    /* The generators of one block of lanes, then the spares. */
+    MT *g = PyMem_RawMalloc(2 * LANES * sizeof(MT));
+    if (g == NULL) {
+        Py_DECREF(start);
+        return PyErr_NoMemory();
+    }
+    Scratch sc = {0};
+    Tally tally = {0};
+    long long max_paths = 0;
+    PyObject *seeds[LANES] = {NULL}, *first_seed = NULL, *result = NULL;
+    for (Py_ssize_t base = 0; base < cases; base += LANES) {
+        int n = cases - base < LANES ? (int)(cases - base) : LANES;
+        if (seed_block(g, g + LANES, start, base, n, seeds) < 0) {
+            goto done;
+        }
+        for (int l = 0; l < n; l++) {
+            Track t;
+            long long paths = tally.paths, violations = tally.violations;
+            if (PyErr_CheckSignals() < 0 || draw_track(&g[l], (int)max_levels, (int)max_rungs, alternating, &t, &sc) < 0) {
+                goto done;
+            }
+            /* Orientation +1 on level 0 in both kinds of seeded ladder, so
+             * the forward direction is +1 whether or not it is of leaf-trace
+             * type. */
+            if (scan(&t, 1, step_bound, &sc, &tally, NULL) < 0) {
+                goto done;
+            }
+            if (tally.paths - paths > max_paths) {
+                max_paths = tally.paths - paths;
+            }
+            if (first_seed == NULL && tally.violations > violations) {
+                first_seed = Py_NewRef(seeds[l]);
+            }
+        }
+        for (int l = 0; l < n; l++) {
+            Py_CLEAR(seeds[l]);
+        }
+    }
+    result = Py_BuildValue("(OLLLiOLO)", Py_None, tally.paths, tally.violations, tally.truncated, tally.max_len,
+                           tally.witness != NULL ? tally.witness : Py_None, max_paths,
+                           first_seed != NULL ? first_seed : Py_None);
+done:
+    for (int l = 0; l < LANES; l++) {
+        Py_XDECREF(seeds[l]);
+    }
+    Py_XDECREF(first_seed);
+    Py_XDECREF(tally.witness);
+    scratch_free(&sc);
+    PyMem_RawFree(g);
+    Py_DECREF(start);
     return result;
 }
 
@@ -721,7 +906,7 @@ static PyMethodDef methods[] = {
      "           forward_dir, step_bound, collect)\n\n"
      "Same contract as dehnfill._ladder_py.scan_track."},
     {"scan_ladder", (PyCFunction)(void (*)(void))scan_ladder, METH_FASTCALL,
-     "scan_ladder(seed, max_levels, max_rungs_per_gap, alternating, step_bound)\n\n"
+     "scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bound)\n\n"
      "Same contract as dehnfill._ladder_py.scan_ladder."},
     {NULL, NULL, 0, NULL},
 };

@@ -2,9 +2,11 @@
 two-line check.  dehnfill._ladder selects this module when the compiled
 extension is unavailable; both expose the same ``scan_track`` and
 ``scan_ladder``, and this module is the oracle the compiled one is tested
-against.  Its ``scan_ladder`` draws from ``random.Random(seed)``, where the
-compiled kernel runs its own MT19937 seeded from the same int, so it is also
-the oracle for that seeding.
+against.  Its ``scan_ladder`` scans a run of consecutive seeds in one call,
+one ladder after another, each drawn from ``random.Random(seed + i)``; the
+compiled kernel runs its own MT19937s seeded from the same ints, eight
+seedings at a time, so this module is also the oracle for that seeding and
+for the sums over the run.
 
 Track encoding (all plain ints):
   offsets    -- per-level CSR offsets into the switch arrays, length n+1
@@ -182,15 +184,43 @@ def scan_track(
     return paths, n_paths, n_violations, n_truncated, max_len, witness
 
 
-def scan_ladder(seed, max_levels, max_rungs_per_gap, alternating, step_bound):
-    """``scan_track`` of the ladder that ``random.Random(seed)`` draws,
-    without its paths: ``dehnfill.ladders._draw``, then ``_encode_lists``,
-    then the scan.  ``seed`` must be an int; Random would seed a float or a
-    str from its hash."""
+def scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bound):
+    """``scan_track`` of each ladder that ``random.Random(seed)``, ...,
+    ``Random(seed + cases - 1)`` draw, without their paths:
+    ``dehnfill.ladders._draw``, then ``_encode_lists``, then the scan.
+
+    Returns ``(None, n_paths, n_violations, n_truncated, max_len, witness,
+    max_paths, first_violation_seed)``: the counts summed over the ladders,
+    the longest path, the first violating path of the first violating ladder,
+    the most paths of one ladder and that ladder's seed.  ``seed`` must be an
+    int; Random would seed a float or a str from its hash."""
     from .ladders import _draw, _encode_lists  # ladders imports this module
 
     if not isinstance(seed, int):
         raise TypeError("seed must be an int, not %s" % type(seed).__name__)
-    rng = _random.Random(seed)
-    enc = _encode_lists(*_draw(rng, max_levels, max_rungs_per_gap, alternating))
-    return scan_track(*enc, step_bound, False)
+    if cases < 0:
+        raise ValueError("cases must be a count >= 0, not %d" % cases)
+    n_paths = n_violations = n_truncated = max_len = max_paths = 0
+    witness = first_violation_seed = None
+    for case in range(seed, seed + cases):
+        enc = _encode_lists(
+            *_draw(_random.Random(case), max_levels, max_rungs_per_gap, alternating)
+        )
+        _, paths, violations, truncated, longest, first = scan_track(*enc, step_bound, False)
+        n_paths += paths
+        n_violations += violations
+        n_truncated += truncated
+        max_len = max(max_len, longest)
+        max_paths = max(max_paths, paths)
+        if violations and first_violation_seed is None:
+            witness, first_violation_seed = first, case
+    return (
+        None,
+        n_paths,
+        n_violations,
+        n_truncated,
+        max_len,
+        witness,
+        max_paths,
+        first_violation_seed,
+    )

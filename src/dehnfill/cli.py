@@ -225,10 +225,14 @@ def _carried_doc(track):
 
 def _cmd_track(args):
     if args.track_cmd == "build":
+        locus = _parse_locus(args.locus)
+        if args.orbit_length >= 2 and args.orbit_length % 2 == 0 and locus.q % 2:
+            raise ValueError(
+                "--orbit-length %d: on a locus with odd q the orbit length is odd; "
+                "an even one lies outside the paper's domain" % args.orbit_length
+            )
         config = _load_config(args.config) if args.config else None
-        track = build_boundary_track(
-            _parse_locus(args.locus), args.orbit_length, config
-        )
+        track = build_boundary_track(locus, args.orbit_length, config)
         _emit(track_to_json(track), args)
         return 0
     # slopes

@@ -487,25 +487,11 @@ def verify_ladders(
     _check_seed(seed)
     _check_sizes(max_levels, max_rungs_per_gap)
     _check_step_bound(step_bound)
-    total_paths = 0
-    violations = 0
-    max_paths = 0
-    max_len = 0
-    truncated = 0
-    first_violation_seed = None
-    # Case i is the ladder that Random(seed + i) draws.
-    scan = _ladder.scan_ladder
-    for i in range(cases):
-        _, n_paths, n_viol, n_trunc, longest, _ = scan(
-            seed + i, max_levels, max_rungs_per_gap, alternating, step_bound
-        )
-        total_paths += n_paths
-        violations += n_viol
-        truncated += n_trunc
-        max_paths = max(max_paths, n_paths)
-        max_len = max(max_len, longest)
-        if n_viol and first_violation_seed is None:
-            first_violation_seed = seed + i
+    # Case i is the ladder that Random(seed + i) draws; one kernel call scans
+    # them all.
+    _, total_paths, violations, truncated, max_len, _, max_paths, first_violation_seed = (
+        _ladder.scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bound)
+    )
     return {
         "cases": cases,
         "seed": seed,

@@ -228,9 +228,16 @@ def euler_poincare_residual(genus, boundary_sing_counts, interior_prongs=()):
     return chi - index
 
 
+# The most stable singularities a boundary document may put on one circle.
+# Refining and validating arc systems take work and memory, and write output,
+# linear in the count.
+STABLE_SINGS_CAP = 1000
+
+
 def _circle_entries(doc):
     """The ``(id, stable_sings)`` pairs of the ``circles`` list of a boundary
-    document, naming the entry and the field that is missing or not an int."""
+    document, naming the entry and the field that is missing, not an int or
+    above ``STABLE_SINGS_CAP``."""
     circles = doc.get("circles")
     if not isinstance(circles, list):
         raise ValueError('"circles": expected a list')
@@ -243,6 +250,11 @@ def _circle_entries(doc):
                 raise ValueError('circles[%d]: missing "%s"' % (k, field))
         if type(entry["stable_sings"]) is not int:
             raise ValueError('circles[%d]: "stable_sings" must be an integer' % k)
+        if entry["stable_sings"] > STABLE_SINGS_CAP:
+            raise ValueError(
+                'circles[%d]: "stable_sings" must be at most %d, not %d'
+                % (k, STABLE_SINGS_CAP, entry["stable_sings"])
+            )
         pairs.append((entry["id"], entry["stable_sings"]))
     return pairs
 

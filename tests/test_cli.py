@@ -445,6 +445,10 @@ def test_track_slopes_malformed_entry_exits_two(capsys, tmp_path, branches, swit
         ([{"id": "A", "stable_sings": "4"}], 'circles[0]: "stable_sings" must be an integer'),
         (["A"], "circles[0]: expected an object"),
         ({"A": 4}, '"circles": expected a list'),
+        (
+            [{"id": "A", "stable_sings": 1002}],
+            'circles[0]: "stable_sings" must be at most 1000, not 1002',
+        ),
     ],
 )
 def test_arcs_malformed_circle_exits_two(capsys, tmp_path, command, circles, message):
@@ -462,6 +466,34 @@ def test_arcs_malformed_circle_exits_two(capsys, tmp_path, command, circles, mes
     code, out, err = run(capsys, "arcs", command, "--input", str(path))
     assert code == 2 and out == ""
     assert err == "error: %s\n" % message
+
+
+def test_arcs_at_the_stable_sings_cap(capsys, tmp_path):
+    doc = {
+        "schema": "monodromy_boundary_v1",
+        "circles": [{"id": "A", "stable_sings": 1000}],
+        "permutation": {"A": "A"},
+        "shifts": {"A": 3},
+    }
+    mono = tmp_path / "mono.json"
+    mono.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "arcs", "refine", "--input", str(mono))
+    assert code == 0
+    arcs = tmp_path / "arcs.json"
+    arcs.write_text(out)
+    assert run(capsys, "arcs", "validate", "--input", str(arcs))[0] == 0
+
+
+@pytest.mark.parametrize("locus, c", [("6,1", 2), ("2,1", 2), ("8,-3", 4)])
+def test_track_build_even_orbit_length_on_odd_q_exits_two(capsys, locus, c):
+    # Odd q forces odd c; build_boundary_track itself still builds the even-c
+    # track (tests/test_tracks.py pins one).
+    code, out, err = run(capsys, "track", "build", "--locus", locus, "--orbit-length", str(c))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --orbit-length %d: on a locus with odd q the orbit length is odd; "
+        "an even one lies outside the paper's domain\n" % c
+    )
 
 
 @pytest.mark.parametrize(

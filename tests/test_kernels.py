@@ -12,6 +12,7 @@ import os
 import pathlib
 import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -93,7 +94,7 @@ def test_seeded_scans_agree(compiled_kernel, sizes, alternating):
     for seed in SEEDS:
         enc = _encode_lists(*_draw(random.Random(seed), *sizes, alternating))
         for step_bound in (3, 10**4):
-            got = compiled_kernel.scan_ladder(seed, *sizes, alternating, step_bound)
+            got = compiled_kernel.scan_ladder(seed, 1, *sizes, alternating, step_bound)[:6]
             assert got == compiled_kernel.scan_track(*enc, step_bound, False), seed
             if step_bound == 3 or sizes == (8, 6):
                 assert got == _ladder_py.scan_track(*enc, step_bound, False), seed
@@ -110,13 +111,98 @@ def test_seeding_agrees_at_the_edges(compiled_kernel, alternating):
     for seed in EDGE_SEEDS:
         for sizes, step_bound in [((8, 6), 10**4), ((12, 9), 3), ((2, 21), 3)]:
             args = (*sizes, alternating, step_bound)
-            assert compiled_kernel.scan_ladder(seed, *args) == _ladder_py.scan_ladder(
-                seed, *args
+            assert compiled_kernel.scan_ladder(seed, 1, *args) == _ladder_py.scan_ladder(
+                seed, 1, *args
             ), (seed, sizes)
     # bool is an int, and Random(True) is Random(1).
-    assert compiled_kernel.scan_ladder(True, 8, 6, alternating, 3) == _ladder_py.scan_ladder(
-        1, 8, 6, alternating, 3
+    assert compiled_kernel.scan_ladder(True, 1, 8, 6, alternating, 3) == _ladder_py.scan_ladder(
+        1, 1, 8, 6, alternating, 3
     )
+
+
+# Runs of seeds that cross, inside one block of eight lanes, 0 or a change of
+# key length (one word below 2**32, two below 2**64) or of the C int
+# conversion (2**63).
+BATCH_STARTS = [-4, 2**32 - 4, -(2**32) - 3, 2**63 - 4, -(2**63) - 3, 2**64 - 4, -(2**64) - 3]
+# No run at all, tails of 1 to 7 lanes, a full block, and one and two blocks
+# with a tail of one.
+BATCH_CASES = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17]
+
+
+def combined(seed, singles):
+    """The result of one call over the run of seeds from ``seed`` whose
+    single-call results are ``singles``, in order."""
+    out = [None, 0, 0, 0, 0, None, 0, None]
+    for case, (_, paths, violations, truncated, longest, witness, _, _) in enumerate(singles):
+        out[1] += paths
+        out[2] += violations
+        out[3] += truncated
+        out[4] = max(out[4], longest)
+        out[6] = max(out[6], paths)
+        if violations and out[7] is None:
+            out[5], out[7] = witness, seed + case
+    return tuple(out)
+
+
+@pytest.mark.parametrize("alternating", [True, False])
+def test_a_call_is_the_sum_of_single_calls(compiled_kernel, alternating):
+    args = (8, 6, alternating, 10**4)
+    for start in BATCH_STARTS:
+        runs = []
+        for kernel in (compiled_kernel, _ladder_py):
+            singles = [kernel.scan_ladder(seed, 1, *args) for seed in range(start, start + 17)]
+            for seed, single in zip(range(start, start + 17), singles):
+                assert single == combined(seed, [single]), seed
+            runs.append([kernel.scan_ladder(start, cases, *args) for cases in BATCH_CASES])
+            for cases, got in zip(BATCH_CASES, runs[-1]):
+                assert got == combined(start, singles[:cases]), (kernel.BACKEND, start, cases)
+        assert runs[0] == runs[1], start
+
+
+def test_first_violation_is_the_first_violating_ladders(compiled_kernel):
+    # The control ladder of seed 4 breaks no two-line property; seed 5's does.
+    for kernel in (compiled_kernel, _ladder_py):
+        assert kernel.scan_ladder(4, 1, 8, 6, False, 10**4)[2] == 0
+        single = kernel.scan_ladder(5, 1, 8, 6, False, 10**4)
+        got = kernel.scan_ladder(4, 3, 8, 6, False, 10**4)
+        assert single[2] > 0 and got[7] == 5 and got[5] == single[5]
+
+
+def test_case_count(compiled_kernel):
+    for kernel in (compiled_kernel, _ladder_py):
+        assert kernel.scan_ladder(7, 0, 8, 6, True, 3) == (None, 0, 0, 0, 0, None, 0, None)
+        with pytest.raises(ValueError, match="cases must be a count >= 0"):
+            kernel.scan_ladder(7, -1, 8, 6, True, 3)
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+@pytest.mark.parametrize(
+    "args",
+    [
+        # One control ladder at the size cap: no end in sight within minutes.
+        (1, 1, SIZE_CAP, SIZE_CAP, False, 10**4),
+        # A billion small ladders.
+        (0, 10**9, 8, 6, True, 10**4),
+    ],
+)
+def test_a_signal_stops_the_compiled_scan(compiled_kernel, args):
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.perf_counter()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(Interrupted):
+            compiled_kernel.scan_ladder(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize(
@@ -130,7 +216,7 @@ def test_seeded_scans_agree_past_a_twist(compiled_kernel, seed, sizes, words):
     assert counter.words == words
     for alternating, step_bound in [(True, 10**4), (True, 3), (False, 3)]:
         args = (*sizes, alternating, step_bound)
-        assert compiled_kernel.scan_ladder(seed, *args) == _ladder_py.scan_ladder(seed, *args)
+        assert compiled_kernel.scan_ladder(seed, 1, *args) == _ladder_py.scan_ladder(seed, 1, *args)
 
 
 @pytest.mark.parametrize("seed", [1.5, 1.0, None, "1", b"1"])
@@ -138,17 +224,17 @@ def test_seed_must_be_an_int(compiled_kernel, seed):
     # Random would seed a float, str or bytes from its hash or its bytes.
     for kernel in (compiled_kernel, _ladder_py):
         with pytest.raises(TypeError, match="seed must be an int"):
-            kernel.scan_ladder(seed, 8, 6, True, 3)
+            kernel.scan_ladder(seed, 1, 8, 6, True, 3)
 
 
 def test_seeded_scan_at_the_size_cap(compiled_kernel):
     for sizes in [(SIZE_CAP, 0), (2, SIZE_CAP), (SIZE_CAP, SIZE_CAP)]:
         for alternating in (True, False):
-            args = (5, *sizes, alternating, 3)
+            args = (5, 1, *sizes, alternating, 3)
             assert compiled_kernel.scan_ladder(*args) == _ladder_py.scan_ladder(*args)
     for sizes in [(SIZE_CAP + 1, 0), (2, SIZE_CAP + 1), (1, 0), (2, -1)]:
         with pytest.raises(ValueError, match="max_levels must lie in 2..1000"):
-            compiled_kernel.scan_ladder(5, *sizes, True, 3)
+            compiled_kernel.scan_ladder(5, 1, *sizes, True, 3)
 
 
 def test_python_scan_is_linear_in_path_length(compiled_kernel):
@@ -156,7 +242,7 @@ def test_python_scan_is_linear_in_path_length(compiled_kernel):
     # scan searched the whole path for each new state, this took 2.7-3.8 s on
     # a 2-vCPU Xeon VM with CPython 3.11; with an on-path mark per state it
     # takes about 1 s there.
-    args = (1, 2, 1000, True, 10**4)
+    args = (1, 1, 2, 1000, True, 10**4)
     start = time.perf_counter()
     got = _ladder_py.scan_ladder(*args)
     elapsed = time.perf_counter() - start
