@@ -12,21 +12,40 @@
  *       cases - 1) give, word for word as dehnfill.ladders._draw does,
  *       encodes each as _encode_lists does, scans it, and sums the counts.
  *       Its own MT19937s, seeded from the ints as CPython seeds one, hand out
- *       the words, so it calls no random.Random.  The seedings run eight at
- *       a time in lock-step: init_by_array is one long chain of dependent
- *       steps, and eight independent chains keep the CPU busy.  The buffers
- *       of the draw and the scan are allocated once per call.
+ *       the words, so it calls no random.Random.  The seeds come in blocks of
+ *       eight, and the seedings of a block run in lock-step: init_by_array
+ *       is one long chain of dependent steps, and independent chains keep
+ *       the CPU busy.
+ *
+ * A scan_ladder call of `cases` ladders runs on min(CPUs, cases / 16)
+ * threads, where CPUs counts the CPUs in the process's affinity mask (at
+ * most MAX_THREADS): the calling thread and POSIX threads that touch no
+ * Python object.  The threads take blocks in turn from a shared counter, each
+ * with its own generators, buffers and counts; the calling thread keeps the
+ * GIL, runs the signal handlers, and merges the counts when all are done.
+ * Sums and maxima do not depend on which thread scanned which ladder, and the
+ * witness is that of the violating ladder of lowest index, so the result is
+ * the same on any number of threads.  A call whose seeds do not all fit in a
+ * long long makes their keys from Python ints, on the calling thread alone.
  *
  * Arguments are positional.  Both scans check for signals every 2**16 search
- * steps, and scan_ladder between ladders, so Ctrl-C stops a long call.  Only
- * the public CPython API is used, and there is no floating point.
+ * steps, and scan_ladder between ladders, so Ctrl-C stops a long call; the
+ * other threads stop at their next check.  Only the public CPython API is
+ * used, and there is no floating point.
  */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
+#include <stdatomic.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <time.h>
+#include <unistd.h>
 
 /* The largest max_levels and max_rungs_per_gap of a seeded ladder, as in
  * dehnfill.ladders.SIZE_CAP.  Up to it a ladder has fewer than 2**20 rungs,
@@ -198,8 +217,8 @@ path_tuple(const Frame *path, int n)
     return out;
 }
 
-/* Buffers that one call reuses for every track it scans, each grown when a
- * track needs more. */
+/* Buffers that one thread reuses for every track it scans, each grown when a
+ * track needs more, and the flag that stops the threads of a call. */
 typedef struct {
     int *ints; /* the arrays of a drawn track */
     size_t n_ints;
@@ -207,23 +226,25 @@ typedef struct {
     size_t n_frames;
     unsigned char *on_path; /* all zero between scans */
     size_t n_marks;
+    atomic_int *stop; /* set when a thread of the call fails */
+    int caller;       /* 1 on the calling thread, which holds the GIL */
 } Scratch;
 
 /* `buf` when it holds `need` items of `size` bytes, else a new zeroed block
- * in its place, with the old one freed and `*cap` updated.  NULL with
- * MemoryError set, and `buf` kept, when there is no memory. */
+ * in its place, with the old one freed and `*cap` updated.  NULL, with `buf`
+ * kept, when there is no memory; no exception is set, as worker threads call
+ * it too. */
 static void *
 reserve(void *buf, size_t *cap, size_t need, size_t size)
 {
     if (need <= *cap) {
         return buf;
     }
-    void *grown = PyMem_RawCalloc(need, size);
+    void *grown = calloc(need, size);
     if (grown == NULL) {
-        PyErr_NoMemory();
         return NULL;
     }
-    PyMem_RawFree(buf);
+    free(buf);
     *cap = need;
     return grown;
 }
@@ -231,22 +252,38 @@ reserve(void *buf, size_t *cap, size_t need, size_t size)
 static void
 scratch_free(Scratch *sc)
 {
-    PyMem_RawFree(sc->ints);
-    PyMem_RawFree(sc->frames);
-    PyMem_RawFree(sc->on_path);
+    free(sc->ints);
+    free(sc->frames);
+    free(sc->on_path);
 }
 
-/* The counts of one or more scans: summed, the longest path, and the first
- * violating path as a tuple. */
+/* 1 when the thread should give up: on the calling thread a signal handler
+ * raised, or some thread of the call failed. */
+static int
+stopping(Scratch *sc)
+{
+    if (sc->caller && PyErr_CheckSignals() < 0) {
+        atomic_store(sc->stop, 1);
+        return 1;
+    }
+    return atomic_load_explicit(sc->stop, memory_order_relaxed);
+}
+
+/* The counts of one or more scans: summed, the longest path, the most paths
+ * of one ladder, and the first violating path with the index of its ladder
+ * in the call. */
 typedef struct {
-    long long paths, violations, truncated;
-    int max_len;
-    PyObject *witness;
+    long long paths, violations, truncated, max_paths;
+    int max_len, witness_len;
+    Frame *witness; /* a copy of the search stack, or NULL */
+    Py_ssize_t first_violation;
 } Tally;
 
 /* Enumerate every maximal carried path of `t`, check the two-line property
  * and add the counts to `tally`.  `paths` is a list to append (path,
- * truncated) pairs to, or NULL.  Returns 0, or -1 with an exception set. */
+ * truncated) pairs to, or NULL; only the calling thread passes one.  Returns
+ * 0, or -1 when out of memory (a Python exception may be set), stopped or
+ * interrupted (with the exception set on the calling thread). */
 static int
 scan(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally, PyObject *paths)
 {
@@ -275,7 +312,7 @@ scan(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally
             st[0].state = side == 0 ? line_state(t, level, 0, 1) : line_state(t, level, n_here, 0);
             st[0].iter = -1;
             while (depth >= 0) {
-                if (++steps % 65536 == 0 && PyErr_CheckSignals() < 0) {
+                if (++steps % 65536 == 0 && stopping(sc)) {
                     return -1;
                 }
                 Frame *f = &st[depth];
@@ -303,9 +340,12 @@ scan(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally
                             }
                             if (violates(t, st, depth + 1, forward_dir)) {
                                 tally->violations++;
-                                if (tally->witness == NULL
-                                    && (tally->witness = path_tuple(st, depth + 1)) == NULL) {
-                                    return -1;
+                                if (tally->witness == NULL) {
+                                    if ((tally->witness = malloc((size_t)(depth + 1) * sizeof(Frame))) == NULL) {
+                                        return -1;
+                                    }
+                                    memcpy(tally->witness, st, (size_t)(depth + 1) * sizeof(Frame));
+                                    tally->witness_len = depth + 1;
                                 }
                             }
                             if (paths != NULL) {
@@ -339,6 +379,13 @@ scan(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally
         }
     }
     return 0;
+}
+
+/* The witness of `tally` as a tuple of states, or None. */
+static PyObject *
+witness_tuple(const Tally *tally)
+{
+    return tally->witness != NULL ? path_tuple(tally->witness, tally->witness_len) : Py_NewRef(Py_None);
 }
 
 /* ------------------------------------------------------------------------
@@ -439,17 +486,18 @@ scan_track(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "track encoding empty or too large");
         return NULL;
     }
-    Scratch sc = {0};
+    atomic_int stop = 0;
+    Scratch sc = {.stop = &stop, .caller = 1};
     Tally tally = {0};
     Track t;
     if ((sc.ints = reserve(NULL, &sc.n_ints, track_size((int)n_offsets - 1, (int)n_sw, (int)n_rungs),
                            sizeof(int))) == NULL) {
-        return NULL;
+        return PyErr_NoMemory();
     }
     track_layout(&t, sc.ints, (int)n_offsets - 1, (int)n_sw, (int)n_rungs);
     int *dest[8] = {t.offsets, t.sw_rung, t.sw_end, t.rung_level, t.cusp_lo, t.cusp_hi, t.lo_idx, t.hi_idx};
     Py_ssize_t size[8] = {n_offsets, n_sw, n_sw, n_rungs, n_rungs, n_rungs, n_rungs, n_rungs};
-    PyObject *paths = NULL, *result = NULL;
+    PyObject *paths = NULL, *witness = NULL, *result = NULL;
     for (int i = 0; i < 8; i++) {
         if (read_ints(args[i], dest[i], size[i]) < 0) {
             goto done;
@@ -463,13 +511,20 @@ scan_track(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (collect && (paths = PyList_New(0)) == NULL) {
         goto done;
     }
-    if (scan(&t, forward_dir, step_bound, &sc, &tally, paths) == 0) {
+    if (scan(&t, forward_dir, step_bound, &sc, &tally, paths) < 0) {
+        if (!PyErr_Occurred()) {
+            PyErr_NoMemory();
+        }
+        goto done;
+    }
+    if ((witness = witness_tuple(&tally)) != NULL) {
         result = Py_BuildValue("(OLLLiO)", paths != NULL ? paths : Py_None, tally.paths, tally.violations,
-                               tally.truncated, tally.max_len, tally.witness != NULL ? tally.witness : Py_None);
+                               tally.truncated, tally.max_len, witness);
     }
 done:
     Py_XDECREF(paths);
-    Py_XDECREF(tally.witness);
+    Py_XDECREF(witness);
+    free(tally.witness);
     scratch_free(&sc);
     return result;
 }
@@ -503,32 +558,39 @@ mt_init_base(void)
     }
 }
 
-/* The seeding of random.Random(int) runs eight at a time.  The count is
- * fixed, so the compiler keeps the eight chains' last words in registers;
- * unused lanes seed spare generators. */
+/* The seeds of a call come in blocks of LANES, whose seedings run in
+ * lock-step. */
 #define LANES 8
 
-/* init_by_array on the keys of LANES generators, each key_len words long,
+#if defined(__GNUC__)
+#define ALWAYS_INLINE __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE
+#endif
+
+/* init_by_array on the keys of `lanes` generators, each key_len words long,
  * in lock-step.  Each step waits on the one before in its own chain, about
- * 1,250 steps per seeding; the eight chains overlap. */
-static void
-mt_seed_lanes(MT *const g[LANES], const uint32_t *const key[LANES], size_t key_len)
+ * 1,250 steps per seeding; the chains overlap.  `lanes` is a constant at each
+ * call (see mt_seed), so the compiler keeps the chains' last words in
+ * registers. */
+static inline ALWAYS_INLINE void
+mt_seed_lanes(MT *const *g, const uint32_t *const *key, size_t key_len, int lanes)
 {
     uint32_t prev[LANES];
-    for (int l = 0; l < LANES; l++) {
+    for (int l = 0; l < lanes; l++) {
         memcpy(g[l]->mt, mt_base, sizeof(mt_base));
         prev[l] = mt_base[0];
     }
     size_t i = 1, j = 0;
     for (size_t k = MT_N > key_len ? MT_N : key_len; k; k--) {
-        for (int l = 0; l < LANES; l++) {
+        for (int l = 0; l < lanes; l++) {
             uint32_t p = prev[l];
             prev[l] = g[l]->mt[i] = (g[l]->mt[i] ^ ((p ^ (p >> 30)) * 1664525U)) + key[l][j] + (uint32_t)j;
         }
         i++;
         j++;
         if (i >= MT_N) {
-            for (int l = 0; l < LANES; l++) {
+            for (int l = 0; l < lanes; l++) {
                 g[l]->mt[0] = prev[l];
             }
             i = 1;
@@ -538,21 +600,38 @@ mt_seed_lanes(MT *const g[LANES], const uint32_t *const key[LANES], size_t key_l
         }
     }
     for (size_t k = MT_N - 1; k; k--) {
-        for (int l = 0; l < LANES; l++) {
+        for (int l = 0; l < lanes; l++) {
             uint32_t p = prev[l];
             prev[l] = g[l]->mt[i] = (g[l]->mt[i] ^ ((p ^ (p >> 30)) * 1566083941U)) - (uint32_t)i;
         }
         i++;
         if (i >= MT_N) {
-            for (int l = 0; l < LANES; l++) {
+            for (int l = 0; l < lanes; l++) {
                 g[l]->mt[0] = prev[l];
             }
             i = 1;
         }
     }
-    for (int l = 0; l < LANES; l++) {
+    for (int l = 0; l < lanes; l++) {
         g[l]->mt[0] = 0x80000000U;
         g[l]->pos = 0;
+    }
+}
+
+/* Seed the `lanes` generators g[0..lanes-1] (1 <= lanes <= LANES) from their
+ * keys, all key_len words long, seeding only those. */
+static void
+mt_seed(MT *const *g, const uint32_t *const *key, size_t key_len, int lanes)
+{
+    switch (lanes) {
+    case 1: mt_seed_lanes(g, key, key_len, 1); break;
+    case 2: mt_seed_lanes(g, key, key_len, 2); break;
+    case 3: mt_seed_lanes(g, key, key_len, 3); break;
+    case 4: mt_seed_lanes(g, key, key_len, 4); break;
+    case 5: mt_seed_lanes(g, key, key_len, 5); break;
+    case 6: mt_seed_lanes(g, key, key_len, 6); break;
+    case 7: mt_seed_lanes(g, key, key_len, 7); break;
+    default: mt_seed_lanes(g, key, key_len, LANES);
     }
 }
 
@@ -574,10 +653,21 @@ mt_next(MT *g)
     return y;
 }
 
-/* The init_by_array key of the int `seed`: the 32-bit little-endian words
- * of abs(seed), [0] for 0, and their count in `*len`.  A key of one or two
- * words is written to `words`; a longer one goes to a new block in `*big`,
- * which the caller frees.  Returns the key, or NULL with an exception set. */
+/* The init_by_array key of the seed `v`: the 32-bit little-endian words of
+ * abs(v), [0] for 0, written to `words`, and their count in `*len`. */
+static const uint32_t *
+small_key(long long v, uint32_t words[2], size_t *len)
+{
+    unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
+    words[0] = (uint32_t)u;
+    words[1] = (uint32_t)(u >> 32);
+    *len = words[1] ? 2 : 1;
+    return words;
+}
+
+/* The init_by_array key of the int `seed`, as small_key gives it.  A key of
+ * more than two words goes to a new block in `*big`, which the caller frees.
+ * Returns the key, or NULL with an exception set. */
 static const uint32_t *
 seed_key(PyObject *seed, uint32_t words[2], uint32_t **big, size_t *len)
 {
@@ -587,11 +677,7 @@ seed_key(PyObject *seed, uint32_t words[2], uint32_t **big, size_t *len)
         return NULL;
     }
     if (!overflow) {
-        unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
-        words[0] = (uint32_t)u;
-        words[1] = (uint32_t)(u >> 32);
-        *len = words[1] ? 2 : 1;
-        return words;
+        return small_key(v, words, len);
     }
     /* abs(seed).to_bytes(4 * words, "little"). */
     PyObject *n = PyNumber_Absolute(seed), *bits = NULL, *bytes = NULL;
@@ -608,7 +694,7 @@ seed_key(PyObject *seed, uint32_t words[2], uint32_t **big, size_t *len)
     if (bytes == NULL) {
         goto done;
     }
-    if ((*big = PyMem_RawMalloc((size_t)n_words * sizeof(uint32_t))) == NULL) {
+    if ((*big = malloc((size_t)n_words * sizeof(uint32_t))) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -625,25 +711,52 @@ done:
     return key;
 }
 
-/* Seed g[0..n-1] for the ints seed + base, ..., seed + base + n - 1, stored
- * in seeds[] as new references.  Lanes whose keys have the same length are
- * seeded together, with spare generators from `spare` in the other lanes.
- * Returns 0, or -1 with an exception set. */
+/* One scan_ladder call, shared by its threads. */
+typedef struct {
+    long long first; /* the first seed, when every seed of the call fits */
+    PyObject *start; /* else NULL; otherwise the first seed as an int */
+    Py_ssize_t cases, n_blocks;
+    int max_levels, max_rungs, alternating;
+    long step_bound;
+    atomic_llong next_block; /* the next block of LANES seeds to take */
+    atomic_int stop;         /* set when a thread fails */
+    atomic_int running;      /* worker threads not yet done */
+} Job;
+
+/* What each thread of a call owns. */
+typedef struct {
+    Job *job;
+    MT g[LANES];
+    Scratch sc;
+    Tally tally;
+    int status; /* 0, or -1 when the thread failed or was stopped */
+    pthread_t thread;
+} Worker;
+
+/* Seed g[0..n-1] for the seeds of the call at indices base, ..., base + n - 1.
+ * Lanes whose keys have the same length are seeded together.  Returns 0, or
+ * -1 with an exception set; only a call whose seeds leave long long, which
+ * runs on the calling thread alone, can fail. */
 static int
-seed_block(MT *g, MT *spare, PyObject *seed, Py_ssize_t base, int n, PyObject **seeds)
+seed_block(MT *g, const Job *job, Py_ssize_t base, int n)
 {
     uint32_t words[LANES][2], *big[LANES] = {NULL};
     const uint32_t *key[LANES];
     size_t len[LANES];
     int status = -1;
     for (int l = 0; l < n; l++) {
-        PyObject *offset = PyLong_FromSsize_t(base + l);
-        if (offset == NULL) {
-            goto done;
+        if (job->start == NULL) {
+            key[l] = small_key(job->first + base + l, words[l], &len[l]);
+            continue;
         }
-        seeds[l] = PyNumber_Add(seed, offset);
-        Py_DECREF(offset);
-        if (seeds[l] == NULL || (key[l] = seed_key(seeds[l], words[l], &big[l], &len[l])) == NULL) {
+        PyObject *offset = PyLong_FromSsize_t(base + l), *seed = NULL;
+        if (offset != NULL) {
+            seed = PyNumber_Add(job->start, offset);
+            Py_DECREF(offset);
+        }
+        key[l] = seed != NULL ? seed_key(seed, words[l], &big[l], &len[l]) : NULL;
+        Py_XDECREF(seed);
+        if (key[l] == NULL) {
             goto done;
         }
     }
@@ -662,16 +775,12 @@ seed_block(MT *g, MT *spare, PyObject *seed, Py_ssize_t base, int n, PyObject **
                 seeded |= 1U << o;
             }
         }
-        for (; m < LANES; m++) {
-            group[m] = &spare[m];
-            group_key[m] = key[l];
-        }
-        mt_seed_lanes(group, group_key, len[l]);
+        mt_seed(group, group_key, len[l], m);
     }
     status = 0;
 done:
     for (int l = 0; l < n; l++) {
-        PyMem_RawFree(big[l]);
+        free(big[l]);
     }
     return status;
 }
@@ -710,8 +819,8 @@ sample_set_size(long long k)
 }
 
 /* Draw the ladder from `g` and encode it in `t`, whose arrays lie in
- * sc->ints.  Returns 0, or -1 with MemoryError set.  The draws are those of
- * dehnfill.ladders._draw, in its order. */
+ * sc->ints.  Returns 0, or -1 when there is no memory.  The draws are those
+ * of dehnfill.ladders._draw, in its order. */
 static int
 draw_track(MT *g, int max_levels, int max_rungs, int alternating, Track *t, Scratch *sc)
 {
@@ -813,6 +922,139 @@ draw_track(MT *g, int max_levels, int max_rungs, int alternating, Track *t, Scra
     return 0;
 }
 
+/* Take blocks of seeds in turn until none is left, and seed, draw and scan
+ * their ladders into the worker's tally.  Returns 0, or -1 when out of
+ * memory, stopped or interrupted. */
+static int
+run_blocks(Worker *w)
+{
+    Job *job = w->job;
+    for (;;) {
+        long long block = atomic_fetch_add(&job->next_block, 1);
+        if (block >= job->n_blocks) {
+            return 0;
+        }
+        Py_ssize_t base = (Py_ssize_t)block * LANES;
+        int n = job->cases - base < LANES ? (int)(job->cases - base) : LANES;
+        if (seed_block(w->g, job, base, n) < 0) {
+            return -1;
+        }
+        for (int l = 0; l < n; l++) {
+            Track t;
+            long long paths = w->tally.paths;
+            if (stopping(&w->sc)
+                || draw_track(&w->g[l], job->max_levels, job->max_rungs, job->alternating, &t, &w->sc) < 0
+                /* Orientation +1 on level 0 in both kinds of seeded ladder,
+                 * so the forward direction is +1 whether or not it is of
+                 * leaf-trace type. */
+                || scan(&t, 1, job->step_bound, &w->sc, &w->tally, NULL) < 0) {
+                return -1;
+            }
+            if (w->tally.paths - paths > w->tally.max_paths) {
+                w->tally.max_paths = w->tally.paths - paths;
+            }
+            /* A thread takes its blocks in order, so its first violation is
+             * its lowest-index one. */
+            if (w->tally.witness != NULL && w->tally.first_violation < 0) {
+                w->tally.first_violation = base + l;
+            }
+        }
+    }
+}
+
+static void *
+worker_main(void *arg)
+{
+    Worker *w = arg;
+    if ((w->status = run_blocks(w)) < 0) {
+        atomic_store(&w->job->stop, 1);
+    }
+    atomic_fetch_sub(&w->job->running, 1);
+    return NULL;
+}
+
+/* The most threads of one call. */
+#define MAX_THREADS 64
+
+/* The CPUs that this process may run on. */
+static long
+usable_cpus(void)
+{
+#ifdef CPU_COUNT
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        return CPU_COUNT(&set);
+    }
+#endif
+    return sysconf(_SC_NPROCESSORS_ONLN);
+}
+
+/* Start worker threads w[1], ..., w[n - 1], with the asynchronous signals
+ * blocked, so that those go to threads that run Python; a fault in a worker
+ * still reaches its handler.  Returns how many threads the call has, the
+ * calling thread included: fewer than `n` when the system refuses one. */
+static int
+start_workers(Worker *w, int n)
+{
+    sigset_t async, old;
+    sigfillset(&async);
+    sigdelset(&async, SIGSEGV);
+    sigdelset(&async, SIGBUS);
+    sigdelset(&async, SIGFPE);
+    sigdelset(&async, SIGILL);
+    pthread_sigmask(SIG_BLOCK, &async, &old);
+    int k = 1;
+    for (; k < n; k++) {
+        atomic_fetch_add(&w->job->running, 1);
+        if (pthread_create(&w[k].thread, NULL, worker_main, &w[k]) != 0) {
+            atomic_fetch_sub(&w->job->running, 1);
+            break;
+        }
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    return k;
+}
+
+/* On the calling thread, w[0]: wait for the worker threads, running the
+ * signal handlers meanwhile.  The last ladders of a call usually end within
+ * microseconds, so the wait spins for a while before it sleeps. */
+static void
+await_workers(Worker *w)
+{
+    struct timespec nap = {0, 1000000};
+    for (unsigned int spins = 0; atomic_load(&w->job->running) > 0; spins++) {
+        if (w->status == 0 && stopping(&w->sc)) {
+            w->status = -1;
+        }
+        if (spins >= 1U << 16) {
+            nanosleep(&nap, NULL);
+        }
+    }
+}
+
+/* Add the counts of `from` to `into`; the witness kept is the one of lower
+ * ladder index. */
+static void
+merge(Tally *into, Tally *from)
+{
+    into->paths += from->paths;
+    into->violations += from->violations;
+    into->truncated += from->truncated;
+    if (from->max_paths > into->max_paths) {
+        into->max_paths = from->max_paths;
+    }
+    if (from->max_len > into->max_len) {
+        into->max_len = from->max_len;
+    }
+    if (from->witness != NULL && (into->witness == NULL || from->first_violation < into->first_violation)) {
+        Frame *kept = into->witness;
+        into->witness = from->witness;
+        into->witness_len = from->witness_len;
+        into->first_violation = from->first_violation;
+        from->witness = kept; /* freed with `from` */
+    }
+}
+
 static PyObject *
 scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -847,55 +1089,75 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (start == NULL) {
         return NULL;
     }
-    /* The generators of one block of lanes, then the spares. */
-    MT *g = PyMem_RawMalloc(2 * LANES * sizeof(MT));
-    if (g == NULL) {
+    Job job = {.cases = cases, .n_blocks = cases / LANES + (cases % LANES != 0), .max_levels = (int)max_levels,
+               .max_rungs = (int)max_rungs, .alternating = alternating, .step_bound = step_bound};
+    int overflow, n_threads = 1;
+    job.first = PyLong_AsLongLongAndOverflow(start, &overflow);
+    if (overflow || (cases > 0 && job.first > LLONG_MAX - (cases - 1))) {
+        job.start = start;
+    }
+    else if (cases >= 4 * LANES) {
+        long cpus = usable_cpus(), most = cases / (2 * LANES);
+        if (cpus > most) {
+            cpus = most;
+        }
+        n_threads = cpus < 1 ? 1 : cpus > MAX_THREADS ? MAX_THREADS : (int)cpus;
+    }
+    Worker *w = calloc((size_t)n_threads, sizeof(Worker));
+    if (w == NULL) {
         Py_DECREF(start);
         return PyErr_NoMemory();
     }
-    Scratch sc = {0};
-    Tally tally = {0};
-    long long max_paths = 0;
-    PyObject *seeds[LANES] = {NULL}, *first_seed = NULL, *result = NULL;
-    for (Py_ssize_t base = 0; base < cases; base += LANES) {
-        int n = cases - base < LANES ? (int)(cases - base) : LANES;
-        if (seed_block(g, g + LANES, start, base, n, seeds) < 0) {
-            goto done;
+    for (int k = 0; k < n_threads; k++) {
+        w[k].job = &job;
+        w[k].sc.stop = &job.stop;
+        w[k].sc.caller = k == 0;
+        w[k].tally.first_violation = -1;
+    }
+    n_threads = start_workers(w, n_threads);
+    if ((w->status = run_blocks(w)) < 0) {
+        atomic_store(&job.stop, 1);
+    }
+    await_workers(w);
+    int failed = w->status;
+    for (int k = 1; k < n_threads; k++) {
+        pthread_join(w[k].thread, NULL);
+        failed |= w[k].status;
+        merge(&w->tally, &w[k].tally);
+    }
+    PyObject *witness = NULL, *first_seed = NULL, *result = NULL;
+    Tally *all = &w->tally;
+    if (failed) {
+        if (!PyErr_Occurred()) {
+            PyErr_NoMemory();
         }
-        for (int l = 0; l < n; l++) {
-            Track t;
-            long long paths = tally.paths, violations = tally.violations;
-            if (PyErr_CheckSignals() < 0 || draw_track(&g[l], (int)max_levels, (int)max_rungs, alternating, &t, &sc) < 0) {
-                goto done;
-            }
-            /* Orientation +1 on level 0 in both kinds of seeded ladder, so
-             * the forward direction is +1 whether or not it is of leaf-trace
-             * type. */
-            if (scan(&t, 1, step_bound, &sc, &tally, NULL) < 0) {
-                goto done;
-            }
-            if (tally.paths - paths > max_paths) {
-                max_paths = tally.paths - paths;
-            }
-            if (first_seed == NULL && tally.violations > violations) {
-                first_seed = Py_NewRef(seeds[l]);
-            }
-        }
-        for (int l = 0; l < n; l++) {
-            Py_CLEAR(seeds[l]);
+        goto done;
+    }
+    if (all->witness == NULL) {
+        first_seed = Py_NewRef(Py_None);
+    }
+    else if (job.start == NULL) {
+        first_seed = PyLong_FromLongLong(job.first + all->first_violation);
+    }
+    else {
+        PyObject *offset = PyLong_FromSsize_t(all->first_violation);
+        if (offset != NULL) {
+            first_seed = PyNumber_Add(start, offset);
+            Py_DECREF(offset);
         }
     }
-    result = Py_BuildValue("(OLLLiOLO)", Py_None, tally.paths, tally.violations, tally.truncated, tally.max_len,
-                           tally.witness != NULL ? tally.witness : Py_None, max_paths,
-                           first_seed != NULL ? first_seed : Py_None);
+    if (first_seed != NULL && (witness = witness_tuple(all)) != NULL) {
+        result = Py_BuildValue("(OLLLiOLO)", Py_None, all->paths, all->violations, all->truncated, all->max_len,
+                               witness, all->max_paths, first_seed);
+    }
 done:
-    for (int l = 0; l < LANES; l++) {
-        Py_XDECREF(seeds[l]);
-    }
+    Py_XDECREF(witness);
     Py_XDECREF(first_seed);
-    Py_XDECREF(tally.witness);
-    scratch_free(&sc);
-    PyMem_RawFree(g);
+    for (int k = 0; k < n_threads; k++) {
+        free(w[k].tally.witness);
+        scratch_free(&w[k].sc);
+    }
+    free(w);
     Py_DECREF(start);
     return result;
 }

@@ -17,12 +17,12 @@ from .filling import _interval_json, _locus_json
 from .filling import analyze_multislope, guaranteed_interval, report_to_json
 from .ladders import kernel_backend, verify_ladders
 from .monodromy import BoundaryOrbit, DegeneracyLocus, action_from_json
-from .slopes import SlopeParseError, _exact, canonical_meridian, format_slope, parse_slope
+from .slopes import SlopeParseError, canonical_meridian, format_slope, parse_slope
 from .tracks import (
     CONFIG_PRESETS,
-    EndpointConfig,
     build_boundary_track,
     carried_slopes,
+    config_from_json,
     track_from_json,
     track_to_json,
     weight_cone,
@@ -187,22 +187,6 @@ def _cmd_arcs(args):
     return 1 if violations else 0
 
 
-def _load_config(text):
-    if text in CONFIG_PRESETS:
-        return CONFIG_PRESETS[text]
-    doc = _load_json(text)
-    phase = doc.get("phase", 0)
-    if type(phase) is not int:
-        raise ValueError('"phase": expected an integer')
-    return EndpointConfig(
-        name=doc.get("name", "custom"),
-        phase=phase,
-        lower_out=_exact(doc.get("lower_out", "1/4"), '"lower_out"'),
-        lower_in=_exact(doc.get("lower_in", "3/4"), '"lower_in"'),
-        upper_nudge=_exact(doc.get("upper_nudge", "1/8"), '"upper_nudge"'),
-    )
-
-
 def _carried_doc(track):
     rays = weight_cone(track, masks=True)
     cs = carried_slopes(track, rays=rays)
@@ -231,7 +215,9 @@ def _cmd_track(args):
                 "--orbit-length %d: on a locus with odd q the orbit length is odd; "
                 "an even one lies outside the paper's domain" % args.orbit_length
             )
-        config = _load_config(args.config) if args.config else None
+        config = None
+        if args.config:
+            config = CONFIG_PRESETS.get(args.config) or config_from_json(_load_json(args.config))
         track = build_boundary_track(locus, args.orbit_length, config)
         _emit(track_to_json(track), args)
         return 0

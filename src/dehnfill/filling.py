@@ -7,6 +7,28 @@ avoiding ``p/q``.  Fillings along rational slopes inside it are guaranteed
 (for co-orientation-reversing monodromy) to be non-L-spaces carrying
 co-orientable taut foliations with left-orderable fundamental group; the
 report labels record exactly which guarantee applies and why.
+
+Distances from the locus, for every ``p``, ``q``, ``c`` and slope.  Write a
+slope as ``s = a/b`` in lowest terms and put ``x = p/s``.  Then
+``locus_distance(s) = |p*b - q*a| = |a|*|x - q|`` when ``a != 0``, and ``p`` at
+the longitude ``s = 0`` (``x = inf``).  The map ``x -> p/x`` is a
+homeomorphism of the projective line that takes ``[q-c, q+c]`` to the closed
+arc from ``p/(q+c)`` to ``p/(q-c)`` through ``p/q``, so ``s`` lies in the
+guaranteed interval exactly when ``x`` lies outside ``[q-c, q+c]``: when
+``a = 0``, or when ``|x - q| > c``.  In the interval, then, the distance is
+``p`` at the longitude and otherwise an integer above ``c*|a|``, so at least
+``c*|a| + 1``.  It follows that:
+
+* no slope at distance 1 lies in the interval, as ``p >= 2`` and
+  ``c*|a| + 1 >= 2``;
+* ``excluded_window`` (``x`` in ``[q-1, q+1]``, ``a != 0``) is disjoint from
+  it, as ``c >= 1``;
+* with ``q`` odd, the only slope at distance 2 inside is ``s = 0`` at
+  ``(2; 1)``.  At the longitude the distance is ``p``, so ``p = 2`` and
+  ``q = 1``.  Elsewhere it would need ``c = |a| = 1``, but then
+  ``p*b - q*a`` is odd.
+
+``tests/test_filling.py`` checks this bound over unbounded integers.
 """
 
 from dataclasses import dataclass, field

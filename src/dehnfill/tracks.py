@@ -15,13 +15,14 @@ from fractions import Fraction
 from math import floor
 
 from .monodromy import Coorientation, DegeneracyLocus, classify_coorientation
-from .slopes import ProjectiveSlope, SlopeInterval
+from .slopes import ProjectiveSlope, SlopeInterval, _exact
 
 __all__ = [
     "Branch",
     "Switch",
     "TorusTrainTrack",
     "EndpointConfig",
+    "config_from_json",
     "CarriedSlopes",
     "weight_cone",
     "carried_slopes",
@@ -413,6 +414,22 @@ CONFIG_PRESETS = {
         upper_nudge=Fraction(1, 16),
     ),
 }
+
+
+def config_from_json(doc) -> EndpointConfig:
+    """The ``EndpointConfig`` of a ``track build --config`` document: a JSON
+    object whose fields default to the ``default`` preset's, with exact
+    values only (an integer or an ``"a/b"`` string, and an integer phase)."""
+    phase = doc.get("phase", 0)
+    if type(phase) is not int:
+        raise ValueError('"phase": expected an integer')
+    return EndpointConfig(
+        name=doc.get("name", "custom"),
+        phase=phase,
+        lower_out=_exact(doc.get("lower_out", "1/4"), '"lower_out"'),
+        lower_in=_exact(doc.get("lower_in", "3/4"), '"lower_in"'),
+        upper_nudge=_exact(doc.get("upper_nudge", "1/8"), '"upper_nudge"'),
+    )
 
 
 def build_boundary_track(

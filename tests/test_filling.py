@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dehnfill.filling import (
     analyze_multislope,
@@ -212,6 +214,49 @@ def test_distance_two_inside_interval_classification_small():
                 if locus_distance(locus, s) == 2 and J.contains(s):
                     hits.append((locus.p, locus.q, s))
     assert set(hits) == {(2, 1, slope(0))}
+
+
+@st.composite
+def loci(draw):
+    """Any canonical locus: ``p`` even and positive, ``q`` in (-p/2, p/2]."""
+    p = 2 * draw(st.integers(min_value=1))
+    return DegeneracyLocus(p, draw(st.integers()) % p - p // 2 + 1)
+
+
+@given(
+    locus=loci(),
+    c=st.integers(min_value=1),
+    a=st.integers(),
+    b=st.integers(),
+)
+# The one distance-two slope inside, an endpoint and the excluded slope.
+@example(locus=DegeneracyLocus(2, 1), c=1, a=0, b=1)
+@example(locus=DegeneracyLocus(6, 3), c=2, a=6, b=5)
+@example(locus=DegeneracyLocus(6, 3), c=2, a=2, b=1)
+def test_criteria_2_to_4_for_every_parameter(locus, c, a, b):
+    # The argument in the dehnfill.filling docstring, with its bound as the
+    # oracle: for s = a/b and x = p/s, distance(s, p/q) = |a|*|x - q|, and
+    # s lies in the guaranteed interval exactly when x lies outside
+    # [q - c, q + c].
+    if a == 0 and b == 0:
+        b = 1
+    s = ProjectiveSlope.of(a, b)
+    a, b = s.num, s.den
+    p, q = locus.p, locus.q
+    d = locus_distance(locus, s)
+    inside = guaranteed_interval(locus, c).contains(s)
+    assert d == abs(p * b - q * a)
+    assert inside == (a == 0 or d > c * abs(a))
+    assert excluded_window(locus).contains(s) == (a != 0 and d <= abs(a))
+    if inside:
+        assert d == p if a == 0 else d >= c * abs(a) + 1
+        # Criterion 2: no slope at distance one inside.
+        assert d != 1
+        # Criterion 3: the window [q - 1, q + 1] lies outside.
+        assert not excluded_window(locus).contains(s)
+        # Criterion 4: with q odd, distance two inside only at (2; 1), s = 0.
+        if q % 2 and d == 2:
+            assert (p, q, s) == (2, 1, slope(0))
 
 
 def test_interval_mirror_symmetry():

@@ -25,6 +25,8 @@ from dehnfill import _ladder_py
 from dehnfill.ladders import SIZE_CAP, _draw, _encode, _encode_lists, kernel_backend, random_ladder
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dehnfill"
+# The CPUs that a scan_ladder call may spread over.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 def test_backend_reports(compiled_kernel):
@@ -159,6 +161,27 @@ def test_a_call_is_the_sum_of_single_calls(compiled_kernel, alternating):
         assert runs[0] == runs[1], start
 
 
+# Runs that leave a block of eight lanes at every offset and, from 32
+# ladders on, split across threads (one per 16 ladders, up to the CPU count),
+# from starts inside the long long range and across its ends, where the
+# compiled kernel makes the keys from Python ints on one thread.
+THREAD_STARTS = [-100, 2**32 - 90, -(2**63), 2**63 - 120, -(2**64) - 150]
+THREAD_CASES = [16, 23, 31, 32, 33, 47, 48, 63, 64, 100, 129, 200]
+
+
+@pytest.mark.parametrize("alternating", [True, False])
+def test_threaded_runs_are_the_sum_of_single_calls(compiled_kernel, alternating):
+    args = (8, 6, alternating, 10**4)
+    for start in THREAD_STARTS:
+        seeds = range(start, start + max(THREAD_CASES))
+        singles = [_ladder_py.scan_ladder(seed, 1, *args) for seed in seeds]
+        assert [compiled_kernel.scan_ladder(seed, 1, *args) for seed in seeds] == singles, start
+        for cases in THREAD_CASES:
+            got = compiled_kernel.scan_ladder(start, cases, *args)
+            assert got == combined(start, singles[:cases]), (start, cases)
+        assert got == _ladder_py.scan_ladder(start, cases, *args), start
+
+
 def test_first_violation_is_the_first_violating_ladders(compiled_kernel):
     # The control ladder of seed 4 breaks no two-line property; seed 5's does.
     for kernel in (compiled_kernel, _ladder_py):
@@ -166,6 +189,23 @@ def test_first_violation_is_the_first_violating_ladders(compiled_kernel):
         single = kernel.scan_ladder(5, 1, 8, 6, False, 10**4)
         got = kernel.scan_ladder(4, 3, 8, 6, False, 10**4)
         assert single[2] > 0 and got[7] == 5 and got[5] == single[5]
+
+
+# Control ladders at (3, 150), 32 to a call, so two threads where two CPUs
+# are free.  From seed 5 the calling thread spends about 10 ms in the
+# violating ladder of index 0 while the other thread meets violations from
+# index 8 on.  From seed 1149 the first block's ladders have two levels, which
+# never violate, and the first violation is at index 8, in a block the other
+# thread takes while the calling thread is still in the first one.
+@pytest.mark.parametrize("start, first", [(5, 5), (1149, 1157)])
+def test_the_lowest_violating_ladder_wins_across_threads(compiled_kernel, start, first):
+    args = (3, 150, False, 10**4)
+    singles = [compiled_kernel.scan_ladder(seed, 1, *args) for seed in range(start, start + 32)]
+    expected = combined(start, singles)
+    assert expected[7] == first
+    assert sum(single[2] > 0 for single in singles[8:]) > 8
+    for _ in range(10):
+        assert compiled_kernel.scan_ladder(start, 32, *args) == expected
 
 
 def test_case_count(compiled_kernel):
@@ -187,6 +227,8 @@ class Interrupted(Exception):
         (1, 1, SIZE_CAP, SIZE_CAP, False, 10**4),
         # A billion small ladders.
         (0, 10**9, 8, 6, True, 10**4),
+        # A control ladder at the size cap on every thread of the call.
+        (1, 16 * min(CPUS, 64), SIZE_CAP, SIZE_CAP, False, 10**4),
     ],
 )
 def test_a_signal_stops_the_compiled_scan(compiled_kernel, args):
@@ -203,6 +245,27 @@ def test_a_signal_stops_the_compiled_scan(compiled_kernel, args):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 5
+
+
+def test_threaded_scan_under_tracemalloc(compiled_kernel):
+    # tracemalloc's hook on PyMem_RawMalloc takes the GIL, which the calling
+    # thread holds for the whole call, so worker threads take their memory
+    # from malloc.  With PyMem_RawMalloc this call hung.
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('dehnfill._ladder_c', sys.argv[1])\n"
+        "kernel = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(kernel)\n"
+        "print(kernel.scan_ladder(0, 1000, 8, 6, True, 10**4))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "tracemalloc", "-c", code, compiled_kernel.__file__],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    expected = compiled_kernel.scan_ladder(0, 1000, 8, 6, True, 10**4)
+    assert proc.returncode == 0 and proc.stdout == "%r\n" % (expected,), proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize(
