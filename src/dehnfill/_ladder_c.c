@@ -711,17 +711,7 @@ done:
     return key;
 }
 
-/* One scan_ladder call, shared by its threads. */
-typedef struct {
-    long long first; /* the first seed, when every seed of the call fits */
-    PyObject *start; /* else NULL; otherwise the first seed as an int */
-    Py_ssize_t cases, n_blocks;
-    int max_levels, max_rungs, alternating;
-    long step_bound;
-    atomic_llong next_block; /* the next block of LANES seeds to take */
-    atomic_int stop;         /* set when a thread fails */
-    atomic_int running;      /* worker threads not yet done */
-} Job;
+typedef struct Job Job;
 
 /* What each thread of a call owns. */
 typedef struct {
@@ -729,9 +719,24 @@ typedef struct {
     MT g[LANES];
     Scratch sc;
     Tally tally;
-    int status; /* 0, or -1 when the thread failed or was stopped */
-    pthread_t thread;
 } Worker;
+
+/* One scan_ladder call, shared by its threads.  It is freed by the last
+ * thread to let it go, so the calling thread need not wait for a worker
+ * thread that has not started by the time every block is taken. */
+struct Job {
+    long long first; /* the first seed, when every seed of the call fits */
+    PyObject *start; /* else NULL; otherwise the first seed as an int */
+    Py_ssize_t cases, n_blocks;
+    int max_levels, max_rungs, alternating;
+    long step_bound;
+    atomic_llong next_block; /* the next block of LANES seeds to take */
+    atomic_int stop;         /* set when a thread fails */
+    atomic_int busy;         /* threads that may be inside a block */
+    atomic_int refs;         /* threads that still use the job */
+    int n_threads;
+    Worker w[]; /* w[0] is the calling thread's */
+};
 
 /* Seed g[0..n-1] for the seeds of the call at indices base, ..., base + n - 1.
  * Lanes whose keys have the same length are seeded together.  Returns 0, or
@@ -922,55 +927,95 @@ draw_track(MT *g, int max_levels, int max_rungs, int alternating, Track *t, Scra
     return 0;
 }
 
-/* Take blocks of seeds in turn until none is left, and seed, draw and scan
- * their ladders into the worker's tally.  Returns 0, or -1 when out of
- * memory, stopped or interrupted. */
+/* Seed, draw and scan the ladders of block `block` into the worker's tally.
+ * Returns 0, or -1 when out of memory, stopped or interrupted. */
+static int
+scan_block(Worker *w, long long block)
+{
+    Job *job = w->job;
+    Py_ssize_t base = (Py_ssize_t)block * LANES;
+    int n = job->cases - base < LANES ? (int)(job->cases - base) : LANES;
+    if (seed_block(w->g, job, base, n) < 0) {
+        return -1;
+    }
+    for (int l = 0; l < n; l++) {
+        Track t;
+        long long paths = w->tally.paths;
+        if (stopping(&w->sc)
+            || draw_track(&w->g[l], job->max_levels, job->max_rungs, job->alternating, &t, &w->sc) < 0
+            /* Orientation +1 on level 0 in both kinds of seeded ladder, so
+             * the forward direction is +1 whether or not it is of leaf-trace
+             * type. */
+            || scan(&t, 1, job->step_bound, &w->sc, &w->tally, NULL) < 0) {
+            return -1;
+        }
+        if (w->tally.paths - paths > w->tally.max_paths) {
+            w->tally.max_paths = w->tally.paths - paths;
+        }
+        /* A thread takes its blocks in order, so its first violation is its
+         * lowest-index one. */
+        if (w->tally.witness != NULL && w->tally.first_violation < 0) {
+            w->tally.first_violation = base + l;
+        }
+    }
+    return 0;
+}
+
+/* Take blocks in turn and scan them until none is left or the call stops.
+ * A thread counts itself busy before it takes a block and until the block is
+ * done, so the calling thread, once every block is taken, sees every thread
+ * that can still write its tally.  Returns 0, or -1 when the thread failed. */
 static int
 run_blocks(Worker *w)
 {
     Job *job = w->job;
     for (;;) {
+        atomic_fetch_add(&job->busy, 1);
         long long block = atomic_fetch_add(&job->next_block, 1);
-        if (block >= job->n_blocks) {
-            return 0;
+        int status = block >= job->n_blocks ? 1 : atomic_load(&job->stop) ? 0 : scan_block(w, block);
+        if (status < 0) {
+            atomic_store(&job->stop, 1);
         }
-        Py_ssize_t base = (Py_ssize_t)block * LANES;
-        int n = job->cases - base < LANES ? (int)(job->cases - base) : LANES;
-        if (seed_block(w->g, job, base, n) < 0) {
-            return -1;
-        }
-        for (int l = 0; l < n; l++) {
-            Track t;
-            long long paths = w->tally.paths;
-            if (stopping(&w->sc)
-                || draw_track(&w->g[l], job->max_levels, job->max_rungs, job->alternating, &t, &w->sc) < 0
-                /* Orientation +1 on level 0 in both kinds of seeded ladder,
-                 * so the forward direction is +1 whether or not it is of
-                 * leaf-trace type. */
-                || scan(&t, 1, job->step_bound, &w->sc, &w->tally, NULL) < 0) {
-                return -1;
-            }
-            if (w->tally.paths - paths > w->tally.max_paths) {
-                w->tally.max_paths = w->tally.paths - paths;
-            }
-            /* A thread takes its blocks in order, so its first violation is
-             * its lowest-index one. */
-            if (w->tally.witness != NULL && w->tally.first_violation < 0) {
-                w->tally.first_violation = base + l;
-            }
+        atomic_fetch_sub(&job->busy, 1);
+        if (status != 0 || atomic_load(&job->stop)) {
+            return status < 0 ? -1 : 0;
         }
     }
 }
+
+static void
+job_release(Job *job)
+{
+    if (atomic_fetch_sub(&job->refs, 1) > 1) {
+        return;
+    }
+    for (int k = 0; k < job->n_threads; k++) {
+        free(job->w[k].tally.witness);
+        scratch_free(&job->w[k].sc);
+    }
+    free(job);
+}
+
+/* Worker threads alive in the process.  A call starts no more of them than
+ * the CPUs allow beside those still alive, so threads that the host has not
+ * yet run do not pile up over calls. */
+static atomic_int live_workers;
 
 static void *
 worker_main(void *arg)
 {
     Worker *w = arg;
-    if ((w->status = run_blocks(w)) < 0) {
-        atomic_store(&w->job->stop, 1);
-    }
-    atomic_fetch_sub(&w->job->running, 1);
+    run_blocks(w);
+    job_release(w->job);
+    atomic_fetch_sub(&live_workers, 1);
     return NULL;
+}
+
+/* A forked child has only the thread that forked. */
+static void
+forget_workers(void)
+{
+    atomic_store(&live_workers, 0);
 }
 
 /* The most threads of one call. */
@@ -989,12 +1034,29 @@ usable_cpus(void)
     return sysconf(_SC_NPROCESSORS_ONLN);
 }
 
-/* Start worker threads w[1], ..., w[n - 1], with the asynchronous signals
- * blocked, so that those go to threads that run Python; a fault in a worker
- * still reaches its handler.  Returns how many threads the call has, the
- * calling thread included: fewer than `n` when the system refuses one. */
+/* The threads for a call of `cases` ladders: one per 16, so that each has at
+ * least two blocks to take, up to the usable CPUs less the worker threads
+ * still alive, and at least the calling thread. */
 static int
-start_workers(Worker *w, int n)
+thread_count(Py_ssize_t cases)
+{
+    if (cases < 4 * LANES) {
+        return 1;
+    }
+    long n = usable_cpus() - atomic_load(&live_workers);
+    if (n > cases / (2 * LANES)) {
+        n = cases / (2 * LANES);
+    }
+    return n < 1 ? 1 : n > MAX_THREADS ? MAX_THREADS : (int)n;
+}
+
+/* Start detached worker threads for w[1], ..., w[n - 1], with the
+ * asynchronous signals blocked, so that those go to threads that run Python;
+ * a fault in a worker still reaches its handler.  Stops at the first thread
+ * that the system refuses; the blocks are shared out as the threads come, so
+ * the call is the same with fewer. */
+static void
+start_workers(Job *job, int n)
 {
     sigset_t async, old;
     sigfillset(&async);
@@ -1003,28 +1065,31 @@ start_workers(Worker *w, int n)
     sigdelset(&async, SIGFPE);
     sigdelset(&async, SIGILL);
     pthread_sigmask(SIG_BLOCK, &async, &old);
-    int k = 1;
-    for (; k < n; k++) {
-        atomic_fetch_add(&w->job->running, 1);
-        if (pthread_create(&w[k].thread, NULL, worker_main, &w[k]) != 0) {
-            atomic_fetch_sub(&w->job->running, 1);
+    for (int k = 1; k < n; k++) {
+        pthread_t thread;
+        atomic_fetch_add(&job->refs, 1);
+        atomic_fetch_add(&live_workers, 1);
+        if (pthread_create(&thread, NULL, worker_main, &job->w[k]) != 0) {
+            atomic_fetch_sub(&job->refs, 1);
+            atomic_fetch_sub(&live_workers, 1);
             break;
         }
+        pthread_detach(thread);
     }
     pthread_sigmask(SIG_SETMASK, &old, NULL);
-    return k;
 }
 
-/* On the calling thread, w[0]: wait for the worker threads, running the
- * signal handlers meanwhile.  The last ladders of a call usually end within
- * microseconds, so the wait spins for a while before it sleeps. */
+/* On the calling thread, once every block is taken or the call has stopped:
+ * wait until no thread is inside a block, running the signal handlers
+ * meanwhile.  The last ladders of a call usually end within microseconds, so
+ * the wait spins for a while before it sleeps. */
 static void
-await_workers(Worker *w)
+await_blocks(Job *job)
 {
     struct timespec nap = {0, 1000000};
-    for (unsigned int spins = 0; atomic_load(&w->job->running) > 0; spins++) {
-        if (w->status == 0 && stopping(&w->sc)) {
-            w->status = -1;
+    for (unsigned int spins = 0; atomic_load(&job->busy) > 0; spins++) {
+        if (!atomic_load(&job->stop)) {
+            stopping(&job->w[0].sc);
         }
         if (spins >= 1U << 16) {
             nanosleep(&nap, NULL);
@@ -1089,55 +1154,50 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (start == NULL) {
         return NULL;
     }
-    Job job = {.cases = cases, .n_blocks = cases / LANES + (cases % LANES != 0), .max_levels = (int)max_levels,
-               .max_rungs = (int)max_rungs, .alternating = alternating, .step_bound = step_bound};
-    int overflow, n_threads = 1;
-    job.first = PyLong_AsLongLongAndOverflow(start, &overflow);
-    if (overflow || (cases > 0 && job.first > LLONG_MAX - (cases - 1))) {
-        job.start = start;
-    }
-    else if (cases >= 4 * LANES) {
-        long cpus = usable_cpus(), most = cases / (2 * LANES);
-        if (cpus > most) {
-            cpus = most;
-        }
-        n_threads = cpus < 1 ? 1 : cpus > MAX_THREADS ? MAX_THREADS : (int)cpus;
-    }
-    Worker *w = calloc((size_t)n_threads, sizeof(Worker));
-    if (w == NULL) {
+    int overflow;
+    long long first = PyLong_AsLongLongAndOverflow(start, &overflow);
+    int big = overflow || (cases > 0 && first > LLONG_MAX - (cases - 1));
+    int n_threads = big ? 1 : thread_count(cases);
+    Job *job = calloc(1, sizeof(Job) + (size_t)n_threads * sizeof(Worker));
+    if (job == NULL) {
         Py_DECREF(start);
         return PyErr_NoMemory();
     }
+    job->first = first;
+    job->start = big ? start : NULL;
+    job->cases = cases;
+    job->n_blocks = cases / LANES + (cases % LANES != 0);
+    job->max_levels = (int)max_levels;
+    job->max_rungs = (int)max_rungs;
+    job->alternating = alternating;
+    job->step_bound = step_bound;
+    atomic_init(&job->refs, 1);
+    job->n_threads = n_threads;
     for (int k = 0; k < n_threads; k++) {
-        w[k].job = &job;
-        w[k].sc.stop = &job.stop;
-        w[k].sc.caller = k == 0;
-        w[k].tally.first_violation = -1;
+        job->w[k].job = job;
+        job->w[k].sc.stop = &job->stop;
+        job->w[k].sc.caller = k == 0;
+        job->w[k].tally.first_violation = -1;
     }
-    n_threads = start_workers(w, n_threads);
-    if ((w->status = run_blocks(w)) < 0) {
-        atomic_store(&job.stop, 1);
-    }
-    await_workers(w);
-    int failed = w->status;
-    for (int k = 1; k < n_threads; k++) {
-        pthread_join(w[k].thread, NULL);
-        failed |= w[k].status;
-        merge(&w->tally, &w[k].tally);
-    }
+    start_workers(job, n_threads);
+    run_blocks(job->w);
+    await_blocks(job);
     PyObject *witness = NULL, *first_seed = NULL, *result = NULL;
-    Tally *all = &w->tally;
-    if (failed) {
+    Tally *all = &job->w[0].tally;
+    if (atomic_load(&job->stop)) {
         if (!PyErr_Occurred()) {
             PyErr_NoMemory();
         }
         goto done;
     }
+    for (int k = 1; k < n_threads; k++) {
+        merge(all, &job->w[k].tally);
+    }
     if (all->witness == NULL) {
         first_seed = Py_NewRef(Py_None);
     }
-    else if (job.start == NULL) {
-        first_seed = PyLong_FromLongLong(job.first + all->first_violation);
+    else if (!big) {
+        first_seed = PyLong_FromLongLong(first + all->first_violation);
     }
     else {
         PyObject *offset = PyLong_FromSsize_t(all->first_violation);
@@ -1153,11 +1213,7 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 done:
     Py_XDECREF(witness);
     Py_XDECREF(first_seed);
-    for (int k = 0; k < n_threads; k++) {
-        free(w[k].tally.witness);
-        scratch_free(&w[k].sc);
-    }
-    free(w);
+    job_release(job);
     Py_DECREF(start);
     return result;
 }
@@ -1181,6 +1237,7 @@ PyMODINIT_FUNC
 PyInit__ladder_c(void)
 {
     mt_init_base();
+    pthread_atfork(NULL, NULL, forget_workers);
     PyObject *module = PyModule_Create(&module_def);
     if (module != NULL && PyModule_AddStringConstant(module, "BACKEND", "c") < 0) {
         Py_DECREF(module);
