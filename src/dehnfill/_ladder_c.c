@@ -18,15 +18,16 @@
  *       the CPU busy.
  *
  * A scan_ladder call of `cases` ladders runs on min(CPUs, cases / 16)
- * threads, where CPUs counts the CPUs in the process's affinity mask (at
- * most MAX_THREADS): the calling thread and POSIX threads that touch no
- * Python object.  The threads take blocks in turn from a shared counter, each
- * with its own generators, buffers and counts; the calling thread keeps the
- * GIL, runs the signal handlers, and merges the counts when all are done.
- * Sums and maxima do not depend on which thread scanned which ladder, and the
- * witness is that of the violating ladder of lowest index, so the result is
- * the same on any number of threads.  A call whose seeds do not all fit in a
- * long long makes their keys from Python ints, on the calling thread alone.
+ * threads, where CPUs counts the CPUs in the process's affinity mask, less
+ * the worker threads still alive (at most MAX_THREADS): the calling thread
+ * and detached POSIX threads that touch no Python object.  The threads take
+ * blocks in turn from a shared counter, each with its own generators, buffers
+ * and counts; the calling thread keeps the GIL, runs the signal handlers, and
+ * merges the counts once every block is done.  Sums and maxima do not depend
+ * on which thread scanned which ladder, and the witness is that of the
+ * violating ladder of lowest index, so the result is the same on any number
+ * of threads.  A call whose seeds do not all fit in a long long makes their
+ * keys from Python ints, on the calling thread alone.
  *
  * Arguments are positional.  Both scans check for signals every 2**16 search
  * steps, and scan_ladder between ladders, so Ctrl-C stops a long call; the
@@ -1054,7 +1055,10 @@ thread_count(Py_ssize_t cases)
  * asynchronous signals blocked, so that those go to threads that run Python;
  * a fault in a worker still reaches its handler.  Stops at the first thread
  * that the system refuses; the blocks are shared out as the threads come, so
- * the call is the same with fewer. */
+ * the call is the same with fewer.  With glibc, each worker is bound to its
+ * own CPU of the mask other than the calling thread's: a new thread starts on
+ * its creator's CPU, and on a 2-vCPU VM the scheduler often left it there for
+ * the whole of a 50 ms call. */
 static void
 start_workers(Job *job, int n)
 {
@@ -1065,11 +1069,32 @@ start_workers(Job *job, int n)
     sigdelset(&async, SIGFPE);
     sigdelset(&async, SIGILL);
     pthread_sigmask(SIG_BLOCK, &async, &old);
+#ifdef __GLIBC__
+    cpu_set_t mask, one;
+    int cpu = -1, here = sched_getcpu();
+    int place = here >= 0 && sched_getaffinity(0, sizeof(mask), &mask) == 0;
+#endif
     for (int k = 1; k < n; k++) {
         pthread_t thread;
+        pthread_attr_t attr;
+        pthread_attr_init(&attr);
+#ifdef __GLIBC__
+        if (place) {
+            do {
+                cpu++;
+            } while (cpu < CPU_SETSIZE && (cpu == here || !CPU_ISSET(cpu, &mask)));
+            if (cpu < CPU_SETSIZE) {
+                CPU_ZERO(&one);
+                CPU_SET(cpu, &one);
+                pthread_attr_setaffinity_np(&attr, sizeof(one), &one);
+            }
+        }
+#endif
         atomic_fetch_add(&job->refs, 1);
         atomic_fetch_add(&live_workers, 1);
-        if (pthread_create(&thread, NULL, worker_main, &job->w[k]) != 0) {
+        int failed = pthread_create(&thread, &attr, worker_main, &job->w[k]);
+        pthread_attr_destroy(&attr);
+        if (failed) {
             atomic_fetch_sub(&job->refs, 1);
             atomic_fetch_sub(&live_workers, 1);
             break;
