@@ -20,10 +20,11 @@
  * A scan_ladder call of `cases` ladders runs on min(CPUs, cases / 16)
  * threads, where CPUs counts the CPUs in the process's affinity mask, less
  * the worker threads still alive (at most MAX_THREADS): the calling thread
- * and detached POSIX threads that touch no Python object.  The threads take
- * blocks in turn from a shared counter, each with its own generators, buffers
- * and counts; the calling thread keeps the GIL, runs the signal handlers, and
- * merges the counts once every block is done.  Sums and maxima do not depend
+ * and detached POSIX threads that touch no Python object, each started on a
+ * CPU of its own (see start_workers).  The threads take blocks in turn from a
+ * shared counter, each with its own generators, buffers and counts; the
+ * calling thread keeps the GIL, runs the signal handlers, and merges the
+ * counts once every block is done.  Sums and maxima do not depend
  * on which thread scanned which ladder, and the witness is that of the
  * violating ladder of lowest index, so the result is the same on any number
  * of threads.  A call whose seeds do not all fit in a long long makes their
@@ -962,24 +963,24 @@ scan_block(Worker *w, long long block)
     return 0;
 }
 
-/* Take blocks in turn and scan them until none is left or the call stops.
- * A thread counts itself busy before it takes a block and until the block is
- * done, so the calling thread, once every block is taken, sees every thread
- * that can still write its tally.  Returns 0, or -1 when the thread failed. */
-static int
+/* Take blocks in turn and scan them until none is left or the call stops; a
+ * thread that fails stops the call.  A thread counts itself busy before it
+ * takes a block and until the block is done, so the calling thread, once
+ * every block is taken, sees every thread that can still write its tally. */
+static void
 run_blocks(Worker *w)
 {
     Job *job = w->job;
     for (;;) {
         atomic_fetch_add(&job->busy, 1);
         long long block = atomic_fetch_add(&job->next_block, 1);
-        int status = block >= job->n_blocks ? 1 : atomic_load(&job->stop) ? 0 : scan_block(w, block);
-        if (status < 0) {
+        int more = block < job->n_blocks && !atomic_load(&job->stop);
+        if (more && scan_block(w, block) < 0) {
             atomic_store(&job->stop, 1);
         }
         atomic_fetch_sub(&job->busy, 1);
-        if (status != 0 || atomic_load(&job->stop)) {
-            return status < 0 ? -1 : 0;
+        if (!more || atomic_load(&job->stop)) {
+            return;
         }
     }
 }
