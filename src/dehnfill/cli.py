@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a verification fails (census mismatch,
-ladder violations, inadmissible arc system), 2 on usage or parse errors.
+ladder violations, inadmissible arc system), 2 on usage or parse errors, 141
+(128 + SIGPIPE) when the reader of stdout closed it before the output ended.
 All JSON output has stable key order, so identical invocations produce
 byte-identical bytes.
 """
@@ -9,6 +10,7 @@ byte-identical bytes.
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .arcs import refined_matching, system_from_json, system_to_json, validate_system
@@ -337,10 +339,19 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SlopeParseError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone, so there is no one to tell.  Output still
+        # buffered would fail again when the interpreter flushes stdout at
+        # exit, so stdout is pointed at the null device first (the SIGPIPE
+        # note in the Python docs of the signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -149,13 +149,29 @@ def _cycle_masks(track: TorusTrainTrack):
 
     Switches are the vertices and branch ``b`` is an edge from the switch at
     its tail to the switch at its head, labelled with bit ``n - 1 - b``; a
-    cycle's mask is the union of its edge labels.  Johnson's circuit search
-    (SIAM J. Comput. 1975) runs iteratively: each start ``s`` is searched
-    within its strong component among the vertices ``>= s``, and the
-    blocking sets keep the work proportional to the number of cycles found.
-    Blocking is per vertex, so parallel branches each close their own cycle:
-    a vertex from which a cycle was found is unblocked before the next
-    branch into it is tried.
+    cycle's mask is the union of its edge labels.  An edge whose tail is its
+    head (an unattached loop among them) is a cycle on its own and no other
+    simple cycle uses it, so it goes to the output and not into the graph.
+
+    The graph is first series-reduced.  A switch with no incoming or no
+    outgoing edge lies on no cycle and is dropped with its edges.  A switch
+    with exactly one incoming or exactly one outgoing edge is spliced out:
+    each pair of an edge into it and an edge out of it becomes one edge
+    labelled with the union of their labels.  Every simple cycle through the
+    switch uses its single edge on that side, and every merged edge shares
+    that edge's far endpoint, so no simple cycle uses two of them: cycles of
+    the reduced graph map one-to-one onto those of the original, with the
+    same masks, and the edge count never grows.  The reduction repeats until
+    every switch left has two or more edges each way.
+
+    Johnson's circuit search (SIAM J. Comput. 1975) then runs iteratively
+    on what is left: each start ``s`` is searched within its strong
+    component among the vertices ``>= s``, and the blocking sets keep the
+    work proportional to the number of cycles found.  Blocking is per
+    vertex, so parallel edges each close their own cycle: a vertex from
+    which a cycle was found is unblocked before the next edge into it is
+    tried.  The masks are sorted, so the order in which either step meets
+    the cycles never shows.
     """
     n = len(track.branches)
     at = {}
@@ -163,16 +179,47 @@ def _cycle_masks(track: TorusTrainTrack):
         for end in _switch_ends(sw):
             at[end] = i
     masks = []
-    succ = [[] for _ in track.switches]  # per vertex: (head vertex, bit)
-    pred = [[] for _ in track.switches]  # per vertex: (tail vertex, bit)
+    outs = [{} for _ in track.switches]  # per vertex: {edge id: (head, mask)}
+    ins = [{} for _ in track.switches]  # per vertex: {edge id: (tail, mask)}
     for b in range(n):
         bit = 1 << (n - 1 - b)
-        if (b, TAIL) not in at:
-            masks.append(bit)  # an unattached loop is a cycle on its own
-            continue
-        succ[at[b, TAIL]].append((at[b, HEAD], bit))
-        pred[at[b, HEAD]].append((at[b, TAIL], bit))
+        u, w = at.get((b, TAIL)), at.get((b, HEAD))
+        if u == w:
+            masks.append(bit)
+        else:
+            outs[u][b] = w, bit
+            ins[w][b] = u, bit
 
+    edge_id = n
+    alive = [True] * len(outs)
+    todo = list(range(len(outs)))
+    while todo:
+        v = todo.pop()
+        if not alive[v]:
+            continue
+        into, out = ins[v], outs[v]
+        if len(into) > 1 and len(out) > 1:
+            continue
+        alive[v] = False
+        for e, (u, _) in into.items():
+            del outs[u][e]
+            todo.append(u)
+        for e, (w, _) in out.items():
+            del ins[w][e]
+            todo.append(w)
+        for u, m in into.values():
+            for w, m2 in out.values():
+                if u == w:
+                    masks.append(m | m2)
+                else:
+                    outs[u][edge_id] = w, m | m2
+                    ins[w][edge_id] = u, m | m2
+                    edge_id += 1
+
+    left = [v for v in range(len(outs)) if alive[v]]
+    index = {v: i for i, v in enumerate(left)}
+    succ = [[(index[w], m) for w, m in outs[v].values()] for v in left]
+    pred = [[(index[u], m) for u, m in ins[v].values()] for v in left]
     for s in range(len(succ)):
         comp = _reach(succ, s) & _reach(pred, s)
         adj = {v: [(w, bit) for w, bit in succ[v] if w in comp] for v in comp}

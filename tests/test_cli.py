@@ -390,6 +390,23 @@ def test_parser_not_built_at_import():
     assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
 
 
+def test_closed_stdout_exits_141_quietly():
+    # About 260 KB of JSON, more than a pipe holds, so the write meets the
+    # closed pipe while the command is still printing.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["track", "build", "--locus", "40,1", "--orbit-length", "9"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dehnfill", *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "schem'
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141 and err == b"", err
+
+
 def test_track_slopes_enumerates_cycles_once(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "track", "build", "--locus", "6,1", "--orbit-length", "3")
     assert code == 0
