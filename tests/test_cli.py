@@ -390,18 +390,28 @@ def test_parser_not_built_at_import():
     assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
 
 
-def test_closed_stdout_exits_141_quietly():
-    # About 260 KB of JSON, more than a pipe holds, so the write meets the
-    # closed pipe while the command is still printing.
+@pytest.mark.parametrize(
+    "argv, head",
+    [
+        # About 260 KB of JSON, more than a pipe holds: the write meets the
+        # closed pipe while the command is still printing.
+        (["track", "build", "--locus", "40,1", "--orbit-length", "9"], b'{\n  "schem'),
+        # A few lines, closed before the command starts: only the final
+        # flush of stdout meets the closed pipe.
+        (["interval", "--locus", "4,1", "--orbit-length", "1"], b""),
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv, head):
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    argv = ["track", "build", "--locus", "40,1", "--orbit-length", "9"]
+    # Stdout stays block-buffered, as it is on a pipe by default.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.Popen(
         [sys.executable, "-m", "dehnfill", *argv],
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(env, PYTHONPATH=src),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    assert proc.stdout.read(10) == b'{\n  "schem'
+    assert proc.stdout.read(len(head)) == head
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 141 and err == b"", err

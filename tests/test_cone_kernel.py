@@ -136,17 +136,16 @@ def test_reduced_search_on_splice_edge_cases(name):
 
 
 @st.composite
-def trivalent_tracks(draw, max_pairs=8):
-    """Tracks of ``k`` switches whose smooth side is a tail and ``k`` whose
-    smooth side is a head, joined by ``3k`` branches at random."""
-    k = draw(st.integers(1, max_pairs))
-    tails = draw(st.permutations(range(3 * k)))
-    heads = draw(st.permutations(range(3 * k)))
+def trivalent_tracks(draw):
+    """Tracks of ``k <= 8`` switches whose smooth side is a tail and ``k``
+    whose smooth side is a head, joined by ``3k`` branches at random."""
+    k = draw(st.integers(1, 8))
+    tails = [(b, TAIL) for b in draw(st.permutations(range(3 * k)))]
+    heads = [(b, HEAD) for b in draw(st.permutations(range(3 * k)))]
     switches = [
-        Switch(single=(tails[i], TAIL), double=((heads[2 * i], HEAD), (heads[2 * i + 1], HEAD)))
-        for i in range(k)
+        Switch(single=tails[i], double=(heads[2 * i], heads[2 * i + 1])) for i in range(k)
     ] + [
-        Switch(single=(heads[2 * k + i], HEAD), double=((tails[k + 2 * i], TAIL), (tails[k + 2 * i + 1], TAIL)))
+        Switch(single=heads[2 * k + i], double=(tails[k + 2 * i], tails[k + 2 * i + 1]))
         for i in range(k)
     ]
     try:
