@@ -65,6 +65,14 @@ INADMISSIBLE = {
 PRESETS = ("default", "phase-flipped", "wide")
 TRACKS = (("4,1", "1"), ("6,1", "3"))
 
+# Feet at 1/3, 5/7, 13/30 and 43/70: the labels need a common denominator
+# of 210, and phase 1 flips which segments are outgoing.
+ODD_CONFIG = {"lower_out": "1/3", "lower_in": "5/7", "upper_nudge": "1/10", "phase": 1}
+MORE_TRACKS = {
+    "track-build-negative-q": ["track", "build", "--locus", "6,-1", "--orbit-length", "3"],
+    "track-build-c5": ["track", "build", "--locus", "4,1", "--orbit-length", "5"],
+}
+
 GOLDEN = {
     "interval": (0, "bfb0ff03a5ff4f585813c82701f88d1d597c8b09ae92dbb1d1775f8b45832717"),
     "analyze": (0, "992e11990c14c4db3df3a05444438d15beac70f388e0aba77161ad818b97b6f8"),
@@ -85,6 +93,9 @@ GOLDEN = {
     "track-build-phase-flipped-6,1": (0, "fef87b8424b795ac23157a7bf9080f4be99fb7ed6eb9f9c51ee9caa738f6c34a"),
     "track-build-wide-4,1": (0, "eba874a0f53d5ac0065a8ca8362791def70160bfbbb5a8254a008dc78b115485"),
     "track-build-wide-6,1": (0, "02e4e75a2731e0f6fbbc004b8bc471dde8a5c56d64536076830d0b326eb6a987"),
+    "track-build-negative-q": (0, "105855a8098ad6bbd7e2c3f66e90f5976b244623a006cda6ad913b97e4eff70e"),
+    "track-build-c5": (0, "8374e559f510aa4943f11b62dc02e9314901c2b84a5c6dbf17eb997bd115f8fe"),
+    "track-build-odd-config": (0, "da588cc29adfa33a42e89d4dbce84650f5c278188f18ccaf11eb2db5173e20e5"),
     "track-slopes-default-4,1": (0, "349ad61c6e44e01e71858cd157b3f1b0c4dfcef788417589eacec5d43309cecf"),
     "track-slopes-default-6,1": (0, "10ff6fd816b9cf2da0218cd6f672ac8eaad12b2a3aa2a9567d8e339bab6ead70"),
     "track-slopes-phase-flipped-4,1": (0, "349ad61c6e44e01e71858cd157b3f1b0c4dfcef788417589eacec5d43309cecf"),
@@ -127,6 +138,12 @@ def outputs(tmp_path_factory):
             track = tmp / ("track-%s.json" % key)
             track.write_text(out)
             runs["track-slopes-" + key] = _run(["track", "slopes", "--input", str(track)])
+    for name, argv in MORE_TRACKS.items():
+        runs[name] = _run(argv)
+    config = _write(tmp / "odd-config.json", ODD_CONFIG)
+    runs["track-build-odd-config"] = _run(
+        ["track", "build", "--locus", "6,1", "--orbit-length", "3", "--config", config]
+    )
     return {
         name: (code, hashlib.sha256(out.encode()).hexdigest())
         for name, (code, out) in runs.items()
