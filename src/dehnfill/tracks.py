@@ -12,7 +12,9 @@ cone's image decide the realizable slopes.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from functools import cached_property
+from math import gcd, lcm
+from numbers import Rational
 
 from .monodromy import Coorientation, DegeneracyLocus, classify_coorientation
 from .slopes import ProjectiveSlope, SlopeInterval, _exact
@@ -75,6 +77,8 @@ def _switch_ends(sw: Switch):
 def validate_track(track: TorusTrainTrack):
     n = len(track.branches)
     used = set()
+    attached = [0] * n  # per branch: how many of its ends a switch holds
+    adj = [[] for _ in range(n)]  # per branch: the branches at its switches
     for sw in track.switches:
         ends = _switch_ends(sw)
         if len(set(ends)) != 3:
@@ -87,35 +91,34 @@ def validate_track(track: TorusTrainTrack):
                     "branch end (%d, %d) attached to two switches" % (bid, end)
                 )
             used.add((bid, end))
+            attached[bid] += 1
         # Orientation coherence: the smooth side flows opposite to the cusped
         # side, so a tail there forces heads on the double side and vice versa.
         single_out = sw.single[1] == TAIL
         for bid, end in sw.double:
             if (end == TAIL) == single_out:
                 raise ValueError("switch %r mixes orientations" % (sw.label,))
+        (x, _), (y, _), (z, _) = ends
+        adj[x] += y, z
+        adj[y] += x, z
+        adj[z] += x, y
     for bid in range(n):
-        attached = ((bid, TAIL) in used) + ((bid, HEAD) in used)
-        if attached == 1:
+        if attached[bid] == 1:
             raise ValueError(
                 "branch %d has one attached end; branches are loops or fully attached"
                 % bid
             )
     # Connectivity over the branch graph (switches join their branches).
     if n:
-        adj = {i: set() for i in range(n)}
-        for sw in track.switches:
-            ids = [bid for bid, _ in _switch_ends(sw)]
-            for x in ids:
-                for y in ids:
-                    adj[x].add(y)
-        seen = {0}
+        seen = [False] * n
+        seen[0] = True
         stack = [0]
         while stack:
             for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
+                if not seen[nxt]:
+                    seen[nxt] = True
                     stack.append(nxt)
-        if len(seen) != n:
+        if not all(seen):
             raise ValueError("track is disconnected")
 
 
@@ -438,6 +441,10 @@ class EndpointConfig:
     upper_nudge: Fraction = Fraction(1, 8)
 
     def __post_init__(self):
+        if not all(
+            isinstance(f, Rational) for f in (self.lower_out, self.lower_in, self.upper_nudge)
+        ):
+            raise ValueError("foot positions must be exact: an int or a Fraction")
         fracs = self.foot_fractions()
         if len(set(fracs)) != 4 or not all(0 < f < 1 for f in fracs):
             raise ValueError("foot positions must be four distinct points in (0, 1)")
@@ -449,6 +456,14 @@ class EndpointConfig:
             self.lower_out + self.upper_nudge,
             self.lower_in - self.upper_nudge,
         )
+
+    @cached_property
+    def scaled_feet(self):
+        """``(d, feet)``: the least common denominator ``d`` of the foot
+        fractions, and the four of them as ints in units of ``1/d``."""
+        fracs = self.foot_fractions()
+        d = lcm(*(f.denominator for f in fracs))
+        return d, tuple(f.numerator * (d // f.denominator) for f in fracs)
 
 
 CONFIG_PRESETS = {
@@ -479,6 +494,17 @@ def config_from_json(doc) -> EndpointConfig:
     )
 
 
+# Largest boundary track ``build_boundary_track`` makes: ``3 * p * c``
+# branches.  Time, memory and ``track build`` output grow linearly with it.
+BRANCH_CAP = 30_000
+
+
+def _fraction_text(x, d):
+    """``str(Fraction(x, d))`` for ints ``x >= 0`` and ``d > 0``."""
+    g = gcd(x, d)
+    return "%d" % (x // g) if g == d else "%d/%d" % (x // g, d // g)
+
+
 def build_boundary_track(
     locus: DegeneracyLocus, c: int, config: EndpointConfig | None = None
 ) -> TorusTrainTrack:
@@ -492,6 +518,11 @@ def build_boundary_track(
     ``q`` segments.  Cusps at the feet follow the left/right rule for
     lower/upper arcs, which here pins, at every foot, which circle side is
     the smooth side.
+
+    Foot positions are exact ints in units of ``1/d``, where ``d`` is the
+    least common denominator of the config's foot fractions; a switch label
+    prints its position as the reduced fraction.  Tracks of more than
+    ``BRANCH_CAP`` branches raise ``ValueError`` before anything is built.
     """
     if c < 1:
         raise ValueError("orbit length must be >= 1")
@@ -500,89 +531,70 @@ def build_boundary_track(
             "reversing co-orientation parity required (odd q); preserving-parity "
             "loci are outside the guaranteed construction"
         )
+    p, q = locus.p, locus.q
+    if 3 * p * c > BRANCH_CAP:
+        raise ValueError(
+            "a boundary track has 3*p*c branches, which must be at most %d, not %d"
+            % (BRANCH_CAP, 3 * p * c)
+        )
     if config is None:
         config = CONFIG_PRESETS["default"]
-    p, q = locus.p, locus.q
+    d, (low_out, low_in, up_out, up_in) = config.scaled_feet
+    pd = p * d
 
-    def is_out(m, j):
-        return (m + j + config.phase) % 2 == 0
-
+    # Rungs, and the feet on each circle as (position, kind, rung, smooth
+    # side after the foot).  An up-rung leaves its lower foot and arrives at
+    # its upper one; the cusp there puts the smooth side before a lower foot
+    # and after an upper one, and the other way round for a down-rung.
     branches = []
-    rung_index = {}  # (j, m) -> branch id
-    rung_data = {}
+    feet = [[] for _ in range(c)]
     for j in range(c):
+        wrap = j == c - 1
+        shift = q * d if wrap else 0
+        lower, upper = feet[j], feet[(j + 1) % c]
         for m in range(p):
-            out = is_out(m, j)
-            wrap = j == c - 1
-            x_low = m + (config.lower_out if out else config.lower_in)
-            tgt_seg_raw = m + (q if wrap else 0)
-            frac_up = (
-                config.lower_out + config.upper_nudge
-                if out
-                else config.lower_in - config.upper_nudge
-            )
-            x_up_raw = tgt_seg_raw + frac_up
-            crossings = floor(x_up_raw / p) - floor(x_low / p)
-            a, b = (1 if wrap else 0), crossings
+            out = (m + j + config.phase) % 2 == 0
+            x_up_raw = m * d + shift + (up_out if out else up_in)
+            # The lower foot lies in [0, p), so only the upper one crosses.
+            a, b = (1 if wrap else 0), x_up_raw // pd
             if not out:
                 a, b = -a, -b
             bid = len(branches)
             branches.append(Branch(a, b, label="rung[%d,%d]" % (j, m)))
-            rung_index[(j, m)] = bid
-            rung_data[(j, m)] = dict(
-                out=out,
-                x_low=x_low,
-                level_up=(j + 1) % c,
-                x_up=x_up_raw % p,
-                cusp_low=(-1 if out else 1),
-            )
+            lower.append((m * d + (low_out if out else low_in), "lower", bid, not out))
+            upper.append((x_up_raw % pd, "upper", bid, out))
 
-    # Feet on each circle, then circle segments between consecutive feet.
-    feet = {j: [] for j in range(c)}  # (position, kind, (j_rung, m_rung))
-    for (j, m), data in rung_data.items():
-        feet[j].append((data["x_low"], "lower", (j, m)))
-        feet[data["level_up"]].append((data["x_up"], "upper", (j, m)))
+    # Circle segments between consecutive feet, and a switch at each foot.
     switches = []
     for j in range(c):
-        feet[j].sort()
-        positions = [f[0] for f in feet[j]]
-        if len(set(positions)) != len(positions):
-            raise ValueError("config produces colliding feet on circle %d" % j)
-        seg_ids = []
-        for k, start in enumerate(positions):
-            end = positions[(k + 1) % len(positions)]
-            crosses = 1 if k == len(positions) - 1 else 0  # wraps past x = 0
-            bid = len(branches)
+        circle = feet[j]
+        circle.sort()
+        for k in range(1, len(circle)):
+            if circle[k - 1][0] == circle[k][0]:
+                raise ValueError("config produces colliding feet on circle %d" % j)
+        first = len(branches)
+        last = len(circle) - 1
+        for k in range(last + 1):
+            crosses = 1 if k == last else 0  # wraps past x = 0
             branches.append(Branch(0, crosses, label="circle[%d]seg[%d]" % (j, k)))
-            seg_ids.append(bid)
-        for k, (pos, kind, key) in enumerate(feet[j]):
-            data = rung_data[key]
-            rung_bid = rung_index[key]
-            out = data["out"]
-            if kind == "lower":
-                cusp = data["cusp_low"]
-                rung_end = TAIL if out else HEAD  # up-rungs leave, down arrive
+        for k, (x, kind, rung, smooth_after) in enumerate(circle):
+            before = (first + (k - 1 if k else last), HEAD)
+            after = (first + k, TAIL)
+            if smooth_after:
+                single, double = after, (before, (rung, HEAD))
             else:
-                cusp = -data["cusp_low"]
-                rung_end = HEAD if out else TAIL
-            before = (seg_ids[k - 1], HEAD)  # segment arriving at this foot
-            after = (seg_ids[k], TAIL)  # segment leaving this foot
-            if cusp == 1:
-                single, double = after, (before, (rung_bid, rung_end))
-            else:
-                single, double = before, (after, (rung_bid, rung_end))
-            switches.append(
-                Switch(
-                    single=single,
-                    double=double,
-                    label="circle[%d]%s[%s]" % (j, kind, pos),
-                )
-            )
+                single, double = before, (after, (rung, TAIL))
+            label = "circle[%d]%s[%s]" % (j, kind, _fraction_text(x, d))
+            switches.append(Switch(single=single, double=double, label=label))
     return TorusTrainTrack(tuple(branches), tuple(switches))
 
 
-def random_track(seed: int, max_branches: int = 12) -> TorusTrainTrack:
-    """A random connected oriented trivalent track with small classes."""
+def random_track(seed: int) -> TorusTrainTrack:
+    """A random connected oriented trivalent track with small classes.
+
+    It has 0, 2 or 4 switches and so at most 6 branches: a loop branch beside
+    any other branch leaves the track disconnected, and such a draw is made
+    again."""
     import random as _random
 
     rng = _random.Random(seed)
@@ -593,8 +605,6 @@ def random_track(seed: int, max_branches: int = 12) -> TorusTrainTrack:
         # brute-force integral enumeration oracle at desk scale.
         n_loops = rng.randint(0 if n_joint else 1, 2)
         n = n_joint + n_loops
-        if n > max_branches:
-            continue
         branches = tuple(
             Branch(rng.randint(-2, 2), rng.randint(-2, 2), label="b%d" % i)
             for i in range(n)

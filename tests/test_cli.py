@@ -523,6 +523,15 @@ def test_track_build_even_orbit_length_on_odd_q_exits_two(capsys, locus, c):
     )
 
 
+def test_track_build_above_the_branch_cap_exits_two(capsys):
+    code, out, err = run(capsys, "track", "build", "--locus", "10002,1", "--orbit-length", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: a boundary track has 3*p*c branches, which must be at most 30000, "
+        "not 30006\n"
+    )
+
+
 @pytest.mark.parametrize(
     "changes, message",
     [

@@ -156,7 +156,7 @@ def trivalent_tracks(draw):
 
 @given(
     st.one_of(
-        st.builds(random_track, st.integers(min_value=0), max_branches=st.just(24)),
+        st.builds(random_track, st.integers(min_value=0)),
         trivalent_tracks(),
     )
 )

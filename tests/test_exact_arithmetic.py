@@ -12,8 +12,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dehnfill"
 FRACTION_DIVISIONS = [
     ("arcs.py", "eps / 2"),
     ("arcs.py", "epsilon /= 2"),
-    ("tracks.py", "x_low / p"),
-    ("tracks.py", "x_up_raw / p"),
 ]
 
 
