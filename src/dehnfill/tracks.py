@@ -458,7 +458,7 @@ class EndpointConfig:
         )
 
     @cached_property
-    def scaled_feet(self):
+    def _scaled_feet(self):
         """``(d, feet)``: the least common denominator ``d`` of the foot
         fractions, and the four of them as ints in units of ``1/d``."""
         fracs = self.foot_fractions()
@@ -539,7 +539,7 @@ def build_boundary_track(
         )
     if config is None:
         config = CONFIG_PRESETS["default"]
-    d, (low_out, low_in, up_out, up_in) = config.scaled_feet
+    d, (low_out, low_in, up_out, up_in) = config._scaled_feet
     pd = p * d
 
     # Rungs, and the feet on each circle as (position, kind, rung, smooth
