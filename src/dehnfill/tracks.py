@@ -84,7 +84,7 @@ def validate_track(track: TorusTrainTrack):
         if len(set(ends)) != 3:
             raise ValueError("switch %r must reference three distinct ends" % (sw.label,))
         for bid, end in ends:
-            if not (0 <= bid < n) or end not in (TAIL, HEAD):
+            if not (isinstance(bid, int) and 0 <= bid < n) or end not in (TAIL, HEAD):
                 raise ValueError("switch %r references a bad end" % (sw.label,))
             if (bid, end) in used:
                 raise ValueError(

@@ -139,6 +139,20 @@ def test_validator_matches_set_validator(track):
     assert validation(validate_track, track) == validation(set_validate_track, track)
 
 
+@pytest.mark.parametrize("bid", [1.5, 2.0, "2"])
+def test_validator_rejects_a_branch_index_that_is_not_an_int(bid):
+    # The set validator accepted 2.0, blamed branch 2 for 1.5 and raised
+    # TypeError on "2".
+    track = SimpleNamespace(
+        branches=[None] * 3,
+        switches=[
+            Switch(single=(0, TAIL), double=((1, HEAD), (bid, HEAD)), label="s0"),
+            Switch(single=(0, HEAD), double=((1, TAIL), (2, TAIL)), label="s1"),
+        ],
+    )
+    assert validation(validate_track, track) == "ValueError: switch 's0' references a bad end"
+
+
 def test_validator_matches_set_validator_on_valid_tracks():
     tracks = [random_track(seed) for seed in range(300)]
     tracks += [build_boundary_track(DegeneracyLocus(p, q), c) for p, q, c in GRID]
