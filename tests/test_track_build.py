@@ -2,6 +2,7 @@
 replaced, the track validator against the one it replaced (both kept in
 ``tests/track_oracle.py``), and the cap on the builder's size."""
 
+import json
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -24,25 +25,16 @@ from dehnfill.tracks import (
     track_to_json,
     validate_track,
 )
+from test_cone_kernel import reversing_loci
 from track_oracle import fraction_boundary_track, set_validate_track
 
 
-def reversing_loci(max_p):
-    """Canonical loci ``(p; q)`` with even ``p <= max_p`` and odd ``q``."""
-    return [
-        (p, q)
-        for p in range(2, max_p + 1, 2)
-        for q in range(-p // 2 + 1, p // 2 + 1)
-        if q % 2
-    ]
-
-
 def outcome(build, *args):
-    """The track ``build`` returns, as a ``torus_track_v1`` document so that
-    labels and the int type of every class are compared too, or the text of
-    the ``ValueError`` it raises."""
+    """The track ``build`` returns, as ``torus_track_v1`` text so that the
+    int type of every class is compared too, or the text of the
+    ``ValueError`` it raises."""
     try:
-        return track_to_json(build(*args))
+        return json.dumps(track_to_json(build(*args)))
     except ValueError as exc:
         return "ValueError: %s" % exc
 
@@ -60,7 +52,7 @@ def test_matches_fraction_builder_on_the_grid():
         for name, config in CONFIG_PRESETS.items():
             args = DegeneracyLocus(p, q), c, config
             want = outcome(fraction_boundary_track, *args)
-            assert isinstance(want, dict)
+            assert not want.startswith("ValueError")
             assert outcome(build_boundary_track, *args) == want, (p, q, c, name)
 
 
