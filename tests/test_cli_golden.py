@@ -4,8 +4,9 @@ Each entry pins the exit code and the sha256 of stdout of one command: the
 criterion-9 commands (except ``ladder verify``, whose output names the kernel
 backend; seeded ladders are pinned in ``test_ladder_golden.py``), ``arcs
 refine`` and ``arcs validate`` on fixed boundary data, and ``track build`` and
-``track slopes`` for each endpoint preset.  A refactor that changes any byte
-of valid output breaks a digest here.
+``track slopes`` for each endpoint preset, a 9,000-branch track, and a
+partial ``analyze`` report as JSON and as text.  A refactor that changes any
+byte of valid output breaks a digest here.
 """
 
 import contextlib
@@ -71,6 +72,16 @@ ODD_CONFIG = {"lower_out": "1/3", "lower_in": "5/7", "upper_nudge": "1/10", "pha
 MORE_TRACKS = {
     "track-build-negative-q": ["track", "build", "--locus", "6,-1", "--orbit-length", "3"],
     "track-build-c5": ["track", "build", "--locus", "4,1", "--orbit-length", "5"],
+    # 9,000 branches: a deep and wide document.
+    "track-build-1000": ["track", "build", "--locus", "1000,1", "--orbit-length", "3"],
+}
+
+# Slope 4 lies outside the interval of (6;1) and slope 1 inside it, so the
+# report has an empty and a full "guarantees" list and a non-empty "notes".
+PARTIAL = ["analyze", "--locus", "6,1", "--orbit-length", "1", "--slope", "4", "--slope", "1"]
+REPORTS = {
+    "analyze-partial": PARTIAL,
+    "analyze-partial-text": PARTIAL + ["--output", "text"],
 }
 
 GOLDEN = {
@@ -95,6 +106,9 @@ GOLDEN = {
     "track-build-wide-6,1": (0, "02e4e75a2731e0f6fbbc004b8bc471dde8a5c56d64536076830d0b326eb6a987"),
     "track-build-negative-q": (0, "105855a8098ad6bbd7e2c3f66e90f5976b244623a006cda6ad913b97e4eff70e"),
     "track-build-c5": (0, "8374e559f510aa4943f11b62dc02e9314901c2b84a5c6dbf17eb997bd115f8fe"),
+    "track-build-1000": (0, "5a7102b6a7063ecf1ce93602a89933077e1d66aad9cecd3ec7dfe50b109d879c"),
+    "analyze-partial": (0, "82d4c785fac1a5c9b0c764903edaec7e2385b7ac4797b66f7d62f6b130220617"),
+    "analyze-partial-text": (0, "5a8199d262e1ba8c64154fd0738b2f94eb5b815c0e57fa9938451fde9c3c5b83"),
     "track-build-odd-config": (0, "da588cc29adfa33a42e89d4dbce84650f5c278188f18ccaf11eb2db5173e20e5"),
     "track-slopes-default-4,1": (0, "349ad61c6e44e01e71858cd157b3f1b0c4dfcef788417589eacec5d43309cecf"),
     "track-slopes-default-6,1": (0, "10ff6fd816b9cf2da0218cd6f672ac8eaad12b2a3aa2a9567d8e339bab6ead70"),
@@ -121,7 +135,7 @@ def _write(path, doc):
 def outputs(tmp_path_factory):
     """Exit code and stdout of every pinned command, by name."""
     tmp = tmp_path_factory.mktemp("golden")
-    runs = {name: _run(argv) for name, argv in CRITERION_9.items()}
+    runs = {name: _run(argv) for name, argv in {**CRITERION_9, **REPORTS}.items()}
     for name, doc in MONODROMY.items():
         mono = _write(tmp / ("mono-%s.json" % name), {"schema": "monodromy_boundary_v1", **doc})
         _, out = runs["arcs-refine-" + name] = _run(["arcs", "refine", "--input", mono])
