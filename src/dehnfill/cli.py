@@ -33,9 +33,45 @@ from .tracks import (
 __all__ = ["main"]
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(doc, pad="\n"):
+    """``json.dumps(doc, indent=2)``, byte for byte, on JSON types alone.
+
+    The stdlib encodes in pure Python whenever ``indent`` is set; here strings
+    go through its C escaper and each container is one ``str.join``.  A float,
+    a non-str key (which the stdlib would turn into a string) or any other
+    type raises ``TypeError``, so no floating point leaves the library.
+    """
+    kind = type(doc)
+    if kind is str:
+        return _escape(doc)
+    if kind is int:
+        return int.__repr__(doc)
+    inner = pad + "  "
+    if kind is dict:
+        if not doc:
+            return "{}"
+        # The escaper raises TypeError on a key that is not a str.
+        items = [_escape(key) + ": " + _dumps(val, inner) for key, val in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
+        if not doc:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(val, inner) for val in doc]) + pad + "]"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if doc is None:
+        return "null"
+    raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+
+
 def _emit(doc, args):
     if getattr(args, "output", "json") == "json":
-        print(json.dumps(doc, indent=2))
+        print(_dumps(doc))
     else:
         _emit_text(doc)
 
