@@ -521,7 +521,11 @@ def build_boundary_track(
 
     Foot positions are exact ints in units of ``1/d``, where ``d`` is the
     least common denominator of the config's foot fractions; a switch label
-    prints its position as the reduced fraction.  Tracks of more than
+    prints its position as the reduced fraction.  No two feet of a circle
+    share a position: each of its ``p`` segments holds one lower foot, at
+    ``lower_out`` or ``lower_in``, and one upper foot, at one of the two upper
+    fractions, because the wrap shift by ``q`` permutes the segments; and
+    ``EndpointConfig`` makes the four fractions distinct and inside (0, 1).  Tracks of more than
     ``BRANCH_CAP`` branches raise ``ValueError`` before anything is built.
     """
     if c < 1:
@@ -569,9 +573,6 @@ def build_boundary_track(
     for j in range(c):
         circle = feet[j]
         circle.sort()
-        for k in range(1, len(circle)):
-            if circle[k - 1][0] == circle[k][0]:
-                raise ValueError("config produces colliding feet on circle %d" % j)
         first = len(branches)
         last = len(circle) - 1
         for k in range(last + 1):

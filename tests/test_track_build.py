@@ -3,6 +3,7 @@ replaced, the track validator against the one it replaced (both kept in
 ``tests/track_oracle.py``), and the cap on the builder's size."""
 
 import json
+import re
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -68,6 +69,31 @@ def test_matches_fraction_builder_on_even_orbit_lengths():
                 ), (p, q, c)
 
 
+FOOT = re.compile(r"circle\[(\d+)\](lower|upper)\[(.+)\]$")
+
+
+def assert_feet_are_distinct(track, p, c):
+    """Each of the ``p`` segments of each of the ``c`` circles holds one
+    lower and one upper foot, and no two feet of a circle share a position:
+    the claim that lets the builder go without a check for colliding feet."""
+    feet = {}
+    for switch in track.switches:
+        j, kind, x = FOOT.match(switch.label).groups()
+        feet.setdefault(int(j), []).append((kind, Fraction(x)))
+    assert sorted(feet) == list(range(c))
+    for circle in feet.values():
+        positions = [x for _, x in circle]
+        assert len(set(positions)) == len(positions) == 2 * p
+        for kind in ("lower", "upper"):
+            assert sorted(int(x) for k, x in circle if k == kind) == list(range(p))
+
+
+def test_feet_are_distinct_on_the_grid():
+    for p, q, c in GRID:
+        for config in CONFIG_PRESETS.values():
+            assert_feet_are_distinct(build_boundary_track(DegeneracyLocus(p, q), c, config), p, c)
+
+
 @st.composite
 def loci(draw):
     p = 2 * draw(st.integers(1, 6))
@@ -95,6 +121,13 @@ def test_matches_fraction_builder_on_generated_configs(locus, c, config):
     assert outcome(build_boundary_track, locus, c, config) == outcome(
         fraction_boundary_track, locus, c, config
     )
+
+
+@settings(deadline=None)
+@given(loci(), st.integers(1, 5), configs())
+def test_feet_are_distinct_on_generated_configs(locus, c, config):
+    assume(locus.q % 2)
+    assert_feet_are_distinct(build_boundary_track(locus, c, config), locus.p, c)
 
 
 @given(st.integers(min_value=0), st.integers(min_value=1))
