@@ -43,6 +43,7 @@ def _dumps(doc, pad="\n"):
     go through its C escaper and each container is one ``str.join``.  A float,
     a non-str key (which the stdlib would turn into a string) or any other
     type raises ``TypeError``, so no floating point leaves the library.
+    ``pad`` is a newline and the indent of the line ``doc`` starts on.
     """
     kind = type(doc)
     if kind is str:
@@ -60,10 +61,8 @@ def _dumps(doc, pad="\n"):
         if not doc:
             return "[]"
         return "[" + inner + ("," + inner).join([_dumps(val, inner) for val in doc]) + pad + "]"
-    if doc is True:
-        return "true"
-    if doc is False:
-        return "false"
+    if kind is bool:
+        return "true" if doc else "false"
     if doc is None:
         return "null"
     raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
