@@ -525,8 +525,9 @@ def build_boundary_track(
     share a position: each of its ``p`` segments holds one lower foot, at
     ``lower_out`` or ``lower_in``, and one upper foot, at one of the two upper
     fractions, because the wrap shift by ``q`` permutes the segments; and
-    ``EndpointConfig`` makes the four fractions distinct and inside (0, 1).  Tracks of more than
-    ``BRANCH_CAP`` branches raise ``ValueError`` before anything is built.
+    ``EndpointConfig`` makes the four fractions distinct and inside (0, 1).
+    Tracks of more than ``BRANCH_CAP`` branches raise ``ValueError`` before
+    anything is built.
     """
     if c < 1:
         raise ValueError("orbit length must be >= 1")
