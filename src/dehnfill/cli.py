@@ -37,7 +37,7 @@ _escape = json.encoder.encode_basestring_ascii
 
 
 def _dumps(doc, pad="\n"):
-    """``json.dumps(doc, indent=2)``, byte for byte, on JSON types alone.
+    """``json.dumps`` with ``indent=2``, byte for byte, on JSON types alone.
 
     The stdlib encodes in pure Python whenever ``indent`` is set; here strings
     go through its C escaper and each container is one ``str.join``.  A float,
