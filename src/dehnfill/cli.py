@@ -76,23 +76,30 @@ def _emit(doc, args):
 
 
 def _emit_text(doc, indent=0):
+    """``doc`` as indented ``key: value`` and ``- item`` lines.  Strings and
+    ints print as they are; booleans, null and empty lists and objects as
+    JSON writes them."""
     pad = "  " * indent
     if isinstance(doc, dict):
         for key, val in doc.items():
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list)) and val:
                 print("%s%s:" % (pad, key))
                 _emit_text(val, indent + 1)
             else:
-                print("%s%s: %s" % (pad, key, val))
+                print("%s%s: %s" % (pad, key, _text_scalar(val)))
     elif isinstance(doc, list):
         for val in doc:
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list)) and val:
                 _emit_text(val, indent)
                 print()
             else:
-                print("%s- %s" % (pad, val))
+                print("%s- %s" % (pad, _text_scalar(val)))
     else:
-        print("%s%s" % (pad, doc))
+        print("%s%s" % (pad, _text_scalar(doc)))
+
+
+def _text_scalar(val):
+    return val if type(val) is str else _dumps(val)
 
 
 def _parse_slope_arg(text):

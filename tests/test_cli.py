@@ -35,6 +35,23 @@ def test_interval_text_mode(capsys):
     assert "end_a: 2" in out and "end_b: inf" in out
 
 
+def test_text_output_spells_literals_as_json(capsys):
+    argv = ("--output", "text", "analyze", "--locus", "6,1", "--orbit-length", "1")
+    code, out, _ = run(capsys, *argv, "--slope", "4")
+    assert code == 0
+    assert "in_interval: false" in out and "fried_ok: true" in out
+    assert "guarantees: []" in out and "False" not in out and "True" not in out
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "slope: null" in out and "None" not in out
+
+
+def test_text_output_tells_empty_lists_from_empty_objects(capsys):
+    cli._emit_text({"a": {}, "b": [], "c": [[], {}, True, None, "x", 3], "d": {"e": False}})
+    assert capsys.readouterr().out == (
+        "a: {}\nb: []\nc:\n  - []\n  - {}\n  - true\n  - null\n  - x\n  - 3\nd:\n  e: false\n"
+    )
+
+
 def test_analyze_special_case(capsys):
     code, out, _ = run(
         capsys, "analyze", "--locus", "2,1", "--orbit-length", "1", "--slope", "0"
