@@ -30,6 +30,13 @@
  * of threads.  A call whose seeds do not all fit in a long long makes their
  * keys from Python ints, on the calling thread alone.
  *
+ * Both count the maximal carried paths of a track by the path DP of
+ * dehnfill._ladder_py (count_paths), take the witness from a search guided by
+ * it (first_witness), and enumerate the paths (search) only to collect them
+ * or where the DP does not apply.  A track whose counts leave uint64 goes to
+ * the pure-Python kernel, which counts in Python ints; scan_ladder sends those
+ * ladders there once its threads are done.
+ *
  * Arguments are positional.  Both scans check for signals every 2**16 search
  * steps, and scan_ladder between ladders, so Ctrl-C stops a long call; the
  * other threads stop at their next check.  Only the public CPython API is
@@ -54,6 +61,13 @@
  * 2**23 states and 2**22 rung slots, so every count fits in an int and every
  * draw takes at most 32 bits of a word. */
 #define SIZE_CAP 1000
+
+/* The most threads of one call. */
+#define MAX_THREADS 64
+
+/* The most paths, or violations, that one thread's tally counts, so that the
+ * sums of the tallies of a call fit in a long long. */
+#define TALLY_CAP (LLONG_MAX / MAX_THREADS)
 
 typedef struct {
     int n_levels, n_sw, n_rungs, n_line_states, n_states;
@@ -150,7 +164,16 @@ successors(const Track *t, int state, int *s0, int *s1)
 
 typedef struct {
     int state, iter, n, s0, s1, truncated;
+    int crossed; /* rungs crossed up to and with the state, 2 for more */
 } Frame;
+
+/* The line end of `level` that maximal paths start from: its left end heading
+ * right (side 0), or its right end heading left (side 1). */
+static inline int
+source(const Track *t, int level, int side)
+{
+    return side == 0 ? line_state(t, level, 0, 1) : line_state(t, level, t->offsets[level + 1] - t->offsets[level], 0);
+}
 
 /* The two-line property with the one-way entry/exit discipline: 1 when the
  * path of the n states in `path` breaks it. */
@@ -201,6 +224,21 @@ violates(const Track *t, const Frame *path, int n, int forward_dir)
     return bad;
 }
 
+/* 1 when the search emits the maximal path st[0..last]: each undirected path
+ * is emitted once, from the smaller of it and its reverse, whose states are
+ * those of the path in reverse order, each s as s ^ 1. */
+static int
+emitted(const Frame *st, int last)
+{
+    for (int j = 0; j <= last; j++) {
+        int a = st[j].state, b = st[last - j].state ^ 1;
+        if (a != b) {
+            return a < b;
+        }
+    }
+    return 1;
+}
+
 static PyObject *
 path_tuple(const Frame *path, int n)
 {
@@ -219,6 +257,16 @@ path_tuple(const Frame *path, int n)
     return out;
 }
 
+/* What the path DP knows of the maximal paths from one state, as
+ * dehnfill._ladder_py._suffix_counts describes. */
+typedef struct {
+    uint64_t total;  /* the maximal paths from the state */
+    uint64_t bad[2]; /* of those, the ones that make the whole path violate
+                      * when the path up to and with the state has crossed
+                      * 0 or 1 rungs */
+    int longest;     /* the most states on one of them */
+} Suffix;
+
 /* Buffers that one thread reuses for every track it scans, each grown when a
  * track needs more, and the flag that stops the threads of a call. */
 typedef struct {
@@ -228,6 +276,8 @@ typedef struct {
     size_t n_frames;
     unsigned char *on_path; /* all zero between scans */
     size_t n_marks;
+    Suffix *dp; /* the path DP, per state */
+    size_t n_dp;
     atomic_int *stop; /* set when a thread of the call fails */
     int caller;       /* 1 on the calling thread, which holds the GIL */
 } Scratch;
@@ -251,12 +301,32 @@ reserve(void *buf, size_t *cap, size_t need, size_t size)
     return grown;
 }
 
+/* Grow the search stack and the marks of `sc` for a track of `n_states`
+ * states and paths of up to `depth` states.  Returns 0, or -1 when there is
+ * no memory. */
+static int
+reserve_search(Scratch *sc, size_t n_states, size_t depth)
+{
+    Frame *st = reserve(sc->frames, &sc->n_frames, depth + 1, sizeof(Frame));
+    if (st == NULL) {
+        return -1;
+    }
+    sc->frames = st;
+    unsigned char *marks = reserve(sc->on_path, &sc->n_marks, n_states + 1, 1);
+    if (marks == NULL) {
+        return -1;
+    }
+    sc->on_path = marks;
+    return 0;
+}
+
 static void
 scratch_free(Scratch *sc)
 {
     free(sc->ints);
     free(sc->frames);
     free(sc->on_path);
+    free(sc->dp);
 }
 
 /* 1 when the thread should give up: on the calling thread a signal handler
@@ -281,37 +351,45 @@ typedef struct {
     Py_ssize_t first_violation;
 } Tally;
 
-/* Enumerate every maximal carried path of `t`, check the two-line property
- * and add the counts to `tally`.  `paths` is a list to append (path,
- * truncated) pairs to, or NULL; only the calling thread passes one.  Returns
- * 0, or -1 when out of memory (a Python exception may be set), stopped or
- * interrupted (with the exception set on the calling thread). */
+/* Keep the path of the n states in `path` as the witness of `tally`.
+ * Returns 0, or -1 when there is no memory. */
 static int
-scan(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally, PyObject *paths)
+keep_witness(Tally *tally, const Frame *path, int n)
+{
+    if ((tally->witness = malloc((size_t)n * sizeof(Frame))) == NULL) {
+        return -1;
+    }
+    memcpy(tally->witness, path, (size_t)n * sizeof(Frame));
+    tally->witness_len = n;
+    return 0;
+}
+
+/* Enumerate every maximal carried path of `t`, check the two-line property
+ * and add the counts to `tally`: the full search, which the path DP stands
+ * for where it can.  `paths` is a list to append (path, truncated) pairs to,
+ * or NULL; only the calling thread passes one.  Returns 0, or -1 when out of
+ * memory (a Python exception may be set), stopped or interrupted (with the
+ * exception set on the calling thread). */
+static int
+search(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally, PyObject *paths)
 {
     /* A path stops at step_bound states, and at the first repeated state. */
     long depth_cap = step_bound < 1 ? 1 : step_bound;
     if (depth_cap > (long)t->n_states + 1) {
         depth_cap = t->n_states + 1;
     }
-    Frame *st = reserve(sc->frames, &sc->n_frames, (size_t)depth_cap + 1, sizeof(Frame));
-    if (st == NULL) {
+    if (reserve_search(sc, (size_t)t->n_states, (size_t)depth_cap) < 0) {
         return -1;
     }
-    sc->frames = st;
-    unsigned char *on_path = reserve(sc->on_path, &sc->n_marks, (size_t)t->n_states + 1, 1);
-    if (on_path == NULL) {
-        return -1;
-    }
-    sc->on_path = on_path;
+    Frame *st = sc->frames;
+    unsigned char *on_path = sc->on_path;
     unsigned int steps = 0;
     /* Iterative DFS from each line end, in level order; the straight-through
      * continuation is explored before the rung exit. */
     for (int level = 0; level < t->n_levels; level++) {
-        int n_here = t->offsets[level + 1] - t->offsets[level];
         for (int side = 0; side < 2; side++) {
             int depth = 0;
-            st[0].state = side == 0 ? line_state(t, level, 0, 1) : line_state(t, level, n_here, 0);
+            st[0].state = source(t, level, side);
             st[0].iter = -1;
             while (depth >= 0) {
                 if (++steps % 65536 == 0 && stopping(sc)) {
@@ -323,46 +401,31 @@ scan(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally
                     f->truncated = depth + 1 >= step_bound || on_path[f->state];
                     f->n = f->truncated ? 0 : successors(t, f->state, &f->s0, &f->s1);
                     on_path[f->state]++;
-                    if (f->n == 0) {
-                        /* Maximal (or truncated) path; emit it once per
-                         * undirected path, from its smaller direction. */
-                        int emit = 1;
-                        for (int j = 0; j <= depth; j++) {
-                            int a = st[j].state, b = st[depth - j].state ^ 1;
-                            if (a != b) {
-                                emit = a < b;
-                                break;
+                    /* A maximal (or truncated) path. */
+                    if (f->n == 0 && emitted(st, depth)) {
+                        tally->paths++;
+                        tally->truncated += f->truncated;
+                        if (depth + 1 > tally->max_len) {
+                            tally->max_len = depth + 1;
+                        }
+                        if (violates(t, st, depth + 1, forward_dir)) {
+                            tally->violations++;
+                            if (tally->witness == NULL && keep_witness(tally, st, depth + 1) < 0) {
+                                return -1;
                             }
                         }
-                        if (emit) {
-                            tally->paths++;
-                            tally->truncated += f->truncated;
-                            if (depth + 1 > tally->max_len) {
-                                tally->max_len = depth + 1;
+                        if (paths != NULL) {
+                            PyObject *states = path_tuple(st, depth + 1);
+                            if (states == NULL) {
+                                return -1;
                             }
-                            if (violates(t, st, depth + 1, forward_dir)) {
-                                tally->violations++;
-                                if (tally->witness == NULL) {
-                                    if ((tally->witness = malloc((size_t)(depth + 1) * sizeof(Frame))) == NULL) {
-                                        return -1;
-                                    }
-                                    memcpy(tally->witness, st, (size_t)(depth + 1) * sizeof(Frame));
-                                    tally->witness_len = depth + 1;
-                                }
+                            PyObject *pair = PyTuple_Pack(2, states, f->truncated ? Py_True : Py_False);
+                            Py_DECREF(states);
+                            if (pair == NULL || PyList_Append(paths, pair) < 0) {
+                                Py_XDECREF(pair);
+                                return -1;
                             }
-                            if (paths != NULL) {
-                                PyObject *states = path_tuple(st, depth + 1);
-                                if (states == NULL) {
-                                    return -1;
-                                }
-                                PyObject *pair = PyTuple_Pack(2, states, f->truncated ? Py_True : Py_False);
-                                Py_DECREF(states);
-                                if (pair == NULL || PyList_Append(paths, pair) < 0) {
-                                    Py_XDECREF(pair);
-                                    return -1;
-                                }
-                                Py_DECREF(pair);
-                            }
+                            Py_DECREF(pair);
                         }
                     }
                 }
@@ -381,6 +444,211 @@ scan(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally
         }
     }
     return 0;
+}
+
+/* The outcomes of count_paths besides -1. */
+enum { COUNTED, SEARCH, OVERFLOW };
+
+/* The path DP of dehnfill._ladder_py._suffix_counts: fill sc->dp for every
+ * state that the sources reach, by one memoised search in postorder, and sum
+ * over the sources the directed maximal paths into `*total` and the violating
+ * ones into `*bad`, with the most states on one of them in `*longest`.
+ * Returns COUNTED; SEARCH when the states that the sources reach hold a
+ * cycle, or the search stack a path of step_bound states; OVERFLOW when a
+ * count leaves uint64; or -1 when out of memory, stopped or interrupted. */
+static int
+count_paths(const Track *t, int forward_dir, long step_bound, Scratch *sc, uint64_t *total, uint64_t *bad,
+            int *longest)
+{
+    size_t n_states = (size_t)t->n_states;
+    if (step_bound <= 1) {
+        return SEARCH;
+    }
+    Suffix *dp = reserve(sc->dp, &sc->n_dp, n_states + 1, sizeof(Suffix));
+    if (dp == NULL
+        || reserve_search(sc, n_states, (size_t)step_bound < n_states ? (size_t)step_bound : n_states) < 0) {
+        return -1;
+    }
+    sc->dp = dp;
+    Frame *st = sc->frames;
+    unsigned char *mark = sc->on_path; /* 1 on the search path, 2 once counted */
+    unsigned int steps = 0;
+    int status = COUNTED;
+    *total = *bad = 0;
+    *longest = 0;
+    for (int level = 0; level < t->n_levels; level++) {
+        for (int side = 0; side < 2; side++) {
+            int src = source(t, level, side), depth = 0;
+            if (mark[src] == 0) {
+                st[0].state = src;
+                st[0].iter = 0;
+                st[0].n = successors(t, src, &st[0].s0, &st[0].s1);
+                mark[src] = 1;
+            }
+            else {
+                depth = -1;
+            }
+            while (depth >= 0) {
+                if (++steps % 65536 == 0 && stopping(sc)) {
+                    status = -1;
+                    goto done;
+                }
+                Frame *f = &st[depth];
+                if (f->iter < f->n) {
+                    int next = f->iter++ == 0 ? f->s0 : f->s1;
+                    /* A cycle, or a path of step_bound states. */
+                    if (mark[next] == 1 || (mark[next] == 0 && depth + 2 >= step_bound)) {
+                        status = SEARCH;
+                        goto done;
+                    }
+                    if (mark[next] == 0) {
+                        f = &st[++depth];
+                        f->state = next;
+                        f->iter = 0;
+                        f->n = successors(t, next, &f->s0, &f->s1);
+                        mark[next] = 1;
+                    }
+                    continue;
+                }
+                /* Every successor is counted. */
+                Suffix *d = &dp[f->state];
+                if (f->n == 0) {
+                    /* A sink, where a path that crossed one rung is judged:
+                     * it holds when, read along forward_dir, it runs from an
+                     * odd line to an even one. */
+                    int along = (f->state & 1) == (forward_dir > 0);
+                    d->total = 1;
+                    d->bad[0] = 0;
+                    d->bad[1] = along != (t->seg_level[f->state >> 1] % 2 == 0);
+                    d->longest = 1;
+                }
+                else {
+                    *d = dp[f->s0]; /* the line state ahead */
+                    d->longest++;
+                    if (f->n == 2) {
+                        /* The rung exit: a second rung, or a rung that turns
+                         * the direction, violates. */
+                        const Suffix *e = &dp[f->s1];
+                        int r = (f->s1 - t->n_line_states) >> 1;
+                        uint64_t turned = t->cusp_lo[r] == t->cusp_hi[r] ? e->total : e->bad[1];
+                        if (__builtin_add_overflow(d->total, e->total, &d->total)
+                            || __builtin_add_overflow(d->bad[0], turned, &d->bad[0])
+                            || __builtin_add_overflow(d->bad[1], e->total, &d->bad[1])) {
+                            status = OVERFLOW;
+                            goto done;
+                        }
+                        if (e->longest >= d->longest) {
+                            d->longest = e->longest + 1;
+                        }
+                    }
+                }
+                mark[f->state] = 2;
+                depth--;
+            }
+            if (__builtin_add_overflow(*total, dp[src].total, total)
+                || __builtin_add_overflow(*bad, dp[src].bad[0], bad)) {
+                status = OVERFLOW;
+                goto done;
+            }
+            if (dp[src].longest > *longest) {
+                *longest = dp[src].longest;
+            }
+        }
+    }
+done:
+    memset(mark, 0, n_states);
+    return status;
+}
+
+/* The first violating path that search() would emit, kept as the witness of
+ * `tally`: the same search, entering a state only when, with the rungs
+ * crossed so far, some maximal path through it violates, as count_paths left
+ * sc->dp.  Returns 0, or -1 when out of memory, stopped or interrupted. */
+static int
+first_witness(const Track *t, Scratch *sc, Tally *tally)
+{
+    Frame *st = sc->frames;
+    const Suffix *dp = sc->dp;
+    unsigned int steps = 0;
+    for (int level = 0; level < t->n_levels; level++) {
+        for (int side = 0; side < 2; side++) {
+            int depth = 0;
+            st[0].state = source(t, level, side);
+            st[0].crossed = 0;
+            st[0].iter = -1;
+            if (dp[st[0].state].bad[0] == 0) {
+                continue;
+            }
+            while (depth >= 0) {
+                if (++steps % 65536 == 0 && stopping(sc)) {
+                    return -1;
+                }
+                Frame *f = &st[depth];
+                if (f->iter == -1) {
+                    f->iter = 0;
+                    f->n = successors(t, f->state, &f->s0, &f->s1);
+                    if (f->n == 0 && emitted(st, depth)) {
+                        return keep_witness(tally, st, depth + 1);
+                    }
+                }
+                if (f->iter < f->n) {
+                    int next = f->iter++ == 0 ? f->s0 : f->s1, crossed = f->crossed;
+                    if (next >= t->n_line_states) {
+                        int r = (next - t->n_line_states) >> 1;
+                        crossed = crossed || t->cusp_lo[r] == t->cusp_hi[r] ? 2 : 1;
+                    }
+                    if (crossed == 2 || dp[next].bad[crossed]) {
+                        f = &st[++depth];
+                        f->state = next;
+                        f->crossed = crossed;
+                        f->iter = -1;
+                    }
+                }
+                else {
+                    depth--;
+                }
+            }
+        }
+    }
+    return 0;
+}
+
+/* Count the maximal carried paths of `t`, check the two-line property and
+ * add the counts to `tally`: by the path DP, with the witness from
+ * first_witness when the tally has none yet, or by search() when `paths` is
+ * given (a list, on the calling thread alone), when the states hold a cycle,
+ * or when a path has step_bound states or more, where the search
+ * truncates.  Returns 0; 1, with nothing added, when a count leaves uint64
+ * or would take the tally past TALLY_CAP; or -1 as search() does. */
+static int
+scan(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally, PyObject *paths)
+{
+    if (paths != NULL) {
+        return search(t, forward_dir, step_bound, sc, tally, paths);
+    }
+    uint64_t total, bad;
+    int longest, status = count_paths(t, forward_dir, step_bound, sc, &total, &bad, &longest);
+    if (status < 0) {
+        return -1;
+    }
+    if (status == SEARCH || (status == COUNTED && longest >= step_bound)) {
+        return search(t, forward_dir, step_bound, sc, tally, NULL);
+    }
+    if (status == OVERFLOW) {
+        return 1;
+    }
+    /* No path is its own reverse, and a path and its reverse get the same
+     * verdict, so each count is twice that of search(). */
+    long long n_paths = (long long)(total / 2), n_bad = (long long)(bad / 2);
+    if (n_paths > TALLY_CAP - tally->paths || n_bad > TALLY_CAP - tally->violations) {
+        return 1;
+    }
+    tally->paths += n_paths;
+    tally->violations += n_bad;
+    if (longest > tally->max_len) {
+        tally->max_len = longest;
+    }
+    return bad > 0 && tally->witness == NULL ? first_witness(t, sc, tally) : 0;
 }
 
 /* The witness of `tally` as a tuple of states, or None. */
@@ -465,6 +733,48 @@ track_consistent(const Track *t)
     return 1;
 }
 
+/* Every switch an end of its rung that the rung's level and index name, and
+ * every cusp sign and forward_dir +1 or -1, as dehnfill._ladder_py's
+ * _check_encoding requires: then the reverse of a maximal path is one, and
+ * the halved counts of the path DP are exact.  Returns 0, or -1 with
+ * ValueError set. */
+static int
+check_ends(const Track *t, int forward_dir)
+{
+    for (int level = 0; level < t->n_levels; level++) {
+        for (int sw = t->offsets[level]; sw < t->offsets[level + 1]; sw++) {
+            int r = t->sw_rung[sw], end = t->sw_end[sw];
+            if ((end != 0 && end != 1) || t->rung_level[r] + end != level
+                || (end ? t->hi_idx : t->lo_idx)[r] != sw - t->offsets[level]) {
+                PyErr_Format(PyExc_ValueError, "track encoding switch %d is not an end of its rung", sw);
+                return -1;
+            }
+        }
+    }
+    int ok = forward_dir == 1 || forward_dir == -1;
+    for (int r = 0; ok && r < t->n_rungs; r++) {
+        ok = (t->cusp_lo[r] == 1 || t->cusp_lo[r] == -1) && (t->cusp_hi[r] == 1 || t->cusp_hi[r] == -1);
+    }
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "track encoding cusp signs and forward_dir must be +1 or -1");
+        return -1;
+    }
+    return 0;
+}
+
+/* The function `name` of dehnfill._ladder_py, which counts in Python ints. */
+static PyObject *
+python_kernel(const char *name)
+{
+    PyObject *module = PyImport_ImportModule("dehnfill._ladder_py");
+    if (module == NULL) {
+        return NULL;
+    }
+    PyObject *func = PyObject_GetAttrString(module, name);
+    Py_DECREF(module);
+    return func;
+}
+
 static PyObject *
 scan_track(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -509,13 +819,25 @@ scan_track(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_ValueError, "track encoding indices out of range");
         goto done;
     }
+    if (check_ends(&t, forward_dir) < 0) {
+        goto done;
+    }
     track_index_segments(&t);
     if (collect && (paths = PyList_New(0)) == NULL) {
         goto done;
     }
-    if (scan(&t, forward_dir, step_bound, &sc, &tally, paths) < 0) {
+    int status = scan(&t, forward_dir, step_bound, &sc, &tally, paths);
+    if (status < 0) {
         if (!PyErr_Occurred()) {
             PyErr_NoMemory();
+        }
+        goto done;
+    }
+    if (status == 1) { /* a count leaves uint64 or TALLY_CAP */
+        PyObject *func = python_kernel("scan_track");
+        if (func != NULL) {
+            result = PyObject_Vectorcall(func, args, (size_t)nargs, NULL);
+            Py_DECREF(func);
         }
         goto done;
     }
@@ -721,6 +1043,11 @@ typedef struct {
     MT g[LANES];
     Scratch sc;
     Tally tally;
+    /* The indices of the ladders left out of the tally because a count
+     * leaves uint64 or TALLY_CAP; the calling thread has them counted in
+     * Python ints. */
+    Py_ssize_t *deferred;
+    size_t n_deferred, deferred_cap;
 } Worker;
 
 /* One scan_ladder call, shared by its threads.  It is freed by the last
@@ -943,13 +1270,26 @@ scan_block(Worker *w, long long block)
     for (int l = 0; l < n; l++) {
         Track t;
         long long paths = w->tally.paths;
+        int status;
         if (stopping(&w->sc)
             || draw_track(&w->g[l], job->max_levels, job->max_rungs, job->alternating, &t, &w->sc) < 0
             /* Orientation +1 on level 0 in both kinds of seeded ladder, so
              * the forward direction is +1 whether or not it is of leaf-trace
              * type. */
-            || scan(&t, 1, job->step_bound, &w->sc, &w->tally, NULL) < 0) {
+            || (status = scan(&t, 1, job->step_bound, &w->sc, &w->tally, NULL)) < 0) {
             return -1;
+        }
+        if (status == 1) {
+            if (w->n_deferred == w->deferred_cap) {
+                size_t cap = w->deferred_cap ? 2 * w->deferred_cap : LANES;
+                Py_ssize_t *grown = realloc(w->deferred, cap * sizeof(Py_ssize_t));
+                if (grown == NULL) {
+                    return -1;
+                }
+                w->deferred = grown;
+                w->deferred_cap = cap;
+            }
+            w->deferred[w->n_deferred++] = base + l;
         }
         if (w->tally.paths - paths > w->tally.max_paths) {
             w->tally.max_paths = w->tally.paths - paths;
@@ -993,6 +1333,7 @@ job_release(Job *job)
     }
     for (int k = 0; k < job->n_threads; k++) {
         free(job->w[k].tally.witness);
+        free(job->w[k].deferred);
         scratch_free(&job->w[k].sc);
     }
     free(job);
@@ -1019,9 +1360,6 @@ forget_workers(void)
 {
     atomic_store(&live_workers, 0);
 }
-
-/* The most threads of one call. */
-#define MAX_THREADS 64
 
 /* The CPUs that this process may run on. */
 static long
@@ -1146,6 +1484,48 @@ merge(Tally *into, Tally *from)
     }
 }
 
+/* The seed of the ladder at `index` in the call. */
+static PyObject *
+seed_at(const Job *job, Py_ssize_t index)
+{
+    if (job->start == NULL) {
+        return PyLong_FromLongLong(job->first + index);
+    }
+    PyObject *offset = PyLong_FromSsize_t(index), *seed = NULL;
+    if (offset != NULL) {
+        seed = PyNumber_Add(job->start, offset);
+        Py_DECREF(offset);
+    }
+    return seed;
+}
+
+/* `result`, the result of the ladders that the threads of `job` counted, with
+ * those they deferred folded in by dehnfill._ladder_py.fold_in, which scans
+ * them on the calling thread and counts in Python ints.  Steals `result`;
+ * returns the whole result, or NULL with an exception set. */
+static PyObject *
+fold_deferred(const Job *job, PyObject *result)
+{
+    PyObject *seeds = PyList_New(0), *func = NULL, *folded = NULL;
+    for (int k = 0; seeds != NULL && k < job->n_threads; k++) {
+        for (size_t i = 0; seeds != NULL && i < job->w[k].n_deferred; i++) {
+            PyObject *seed = seed_at(job, job->w[k].deferred[i]);
+            if (seed == NULL || PyList_Append(seeds, seed) < 0) {
+                Py_CLEAR(seeds);
+            }
+            Py_XDECREF(seed);
+        }
+    }
+    if (seeds != NULL && (func = python_kernel("fold_in")) != NULL) {
+        folded = PyObject_CallFunction(func, "OOiiOl", result, seeds, job->max_levels, job->max_rungs,
+                                       job->alternating ? Py_True : Py_False, job->step_bound);
+        Py_DECREF(func);
+    }
+    Py_XDECREF(seeds);
+    Py_DECREF(result);
+    return folded;
+}
+
 static PyObject *
 scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1219,22 +1599,17 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     for (int k = 1; k < n_threads; k++) {
         merge(all, &job->w[k].tally);
     }
-    if (all->witness == NULL) {
-        first_seed = Py_NewRef(Py_None);
-    }
-    else if (!big) {
-        first_seed = PyLong_FromLongLong(first + all->first_violation);
-    }
-    else {
-        PyObject *offset = PyLong_FromSsize_t(all->first_violation);
-        if (offset != NULL) {
-            first_seed = PyNumber_Add(start, offset);
-            Py_DECREF(offset);
-        }
-    }
+    first_seed = all->witness == NULL ? Py_NewRef(Py_None) : seed_at(job, all->first_violation);
     if (first_seed != NULL && (witness = witness_tuple(all)) != NULL) {
         result = Py_BuildValue("(OLLLiOLO)", Py_None, all->paths, all->violations, all->truncated, all->max_len,
                                witness, all->max_paths, first_seed);
+    }
+    size_t n_deferred = 0;
+    for (int k = 0; k < n_threads; k++) {
+        n_deferred += job->w[k].n_deferred;
+    }
+    if (result != NULL && n_deferred > 0) {
+        result = fold_deferred(job, result);
     }
 done:
     Py_XDECREF(witness);

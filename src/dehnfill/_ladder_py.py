@@ -1,12 +1,13 @@
-"""Pure-Python ladder kernel: maximal carried-path enumeration and the
-two-line check.  dehnfill._ladder selects this module when the compiled
-extension is unavailable; both expose the same ``scan_track`` and
-``scan_ladder``, and this module is the oracle the compiled one is tested
-against.  Its ``scan_ladder`` scans a run of consecutive seeds in one call,
-one ladder after another, each drawn from ``random.Random(seed + i)``; the
-compiled kernel runs its own MT19937s seeded from the same ints, eight
-seedings at a time, so this module is also the oracle for that seeding and
-for the sums over the run.
+"""Pure-Python ladder kernel: maximal carried-path counts and the two-line
+check.  dehnfill._ladder selects this module when the compiled extension is
+unavailable; both expose the same ``scan_track`` and ``scan_ladder``, and
+this module is the oracle the compiled one is tested against.  Its
+``scan_ladder`` scans a run of consecutive seeds in one call, one ladder
+after another, each drawn from ``random.Random(seed + i)``; the compiled
+kernel runs its own MT19937s seeded from the same ints, eight seedings at a
+time, so this module is also the oracle for that seeding and for the sums
+over the run.  The compiled kernel hands back to this module's path DP any
+ladder whose counts leave 64 bits.
 
 Track encoding (all plain ints):
   offsets    -- per-level CSR offsets into the switch arrays, length n+1
@@ -19,6 +20,24 @@ Track encoding (all plain ints):
 States are numbered as ``dehnfill._ladder_states`` describes.  The reverse of
 a maximal path is again one, so each undirected path is emitted once, from its
 lexicographically smaller direction.
+
+Counting by dynamic programming.  A maximal path runs from a line end heading
+in (a source) to a line end heading out (a sink).  Line steps keep the level
+and the direction; a rung crossing moves one level up or down, and keeps the
+direction unless the rung's two cusps are equal.  So ``_path_violates``
+reduces to an automaton on the number ``k`` of rungs crossed: a path with no
+rung holds; a second rung, or a rung that turns the direction, violates; and
+a path with one rung holds exactly when, read along ``forward_dir``, it runs
+from an odd line to an even one, which its sink's level and direction decide.
+``_suffix_counts`` counts, for each state, the maximal paths from it and the
+violating ones among them for ``k`` = 0 and 1, by one memoised search in
+postorder.  Summed over the sources these count directed paths.  No successor
+of a state ``s`` is ``s ^ 1``, so no path is its own reverse, and a path and
+its reverse get the same verdict: halving gives exactly the counts of the
+emitting search.  That search stays for ``collect``, for graphs where the DP
+does not apply (a cycle, where the search truncates at a repeated state, or a
+path of ``step_bound`` states or more), and as the oracle; the witness comes
+from the same search, entering only states through which some path violates.
 """
 
 import random as _random
@@ -79,7 +98,24 @@ def _build_tables(offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx
         sources.append(line_state(level, 0, True))
         sources.append(line_state(level, n_here, False))
     n_states = n_line_states + 2 * len(rung_level)
-    return decode, successors, sources, n_states
+    return decode, successors, sources, n_states, n_line_states
+
+
+def _check_encoding(
+    offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx, forward_dir
+):
+    """Raise ``ValueError`` unless every switch is the end of its rung that
+    the rung's level and index name, and every cusp sign and ``forward_dir``
+    is +1 or -1: then the reverse of a maximal path is one, and the DP's
+    halved counts are exact."""
+    ends = (lo_idx, hi_idx)
+    for level in range(len(offsets) - 1):
+        for k, sw in enumerate(range(offsets[level], offsets[level + 1])):
+            r, end = sw_rung[sw], sw_end[sw]
+            if end not in (0, 1) or rung_level[r] + end != level or ends[end][r] != k:
+                raise ValueError("track encoding switch %d is not an end of its rung" % sw)
+    if {*cusp_lo, *cusp_hi, forward_dir} - {1, -1}:
+        raise ValueError("track encoding cusp signs and forward_dir must be +1 or -1")
 
 
 def _path_violates(path, decode, forward_dir):
@@ -111,29 +147,106 @@ def _path_violates(path, decode, forward_dir):
     return pattern not in ([], [0], [1], [1, 0])
 
 
-def scan_track(
-    offsets,
-    sw_rung,
-    sw_end,
-    rung_level,
-    cusp_lo,
-    cusp_hi,
-    lo_idx,
-    hi_idx,
-    forward_dir,
-    step_bound,
-    collect,
-):
-    """Enumerate every maximal carried path; check the two-line property.
+def _emitted(path):
+    """Whether the search emits this maximal path: it is the smaller of
+    itself and its reverse ``path[::-1] ^ 1``."""
+    last = len(path) - 1
+    j = 0
+    while j <= last and path[j] == path[last - j] ^ 1:
+        j += 1
+    return j > last or path[j] < path[last - j] ^ 1
 
-    Returns ``(paths, n_paths, n_violations, n_truncated, max_len, witness)``
-    with ``paths`` None unless ``collect``; ``witness`` is the first
-    violating path, if any.  Deterministic: sources in level order, the
-    straight-through continuation explored before the rung exit.
-    """
-    decode, successors, sources, n_states = _build_tables(
-        offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx
-    )
+
+def _suffix_counts(tables, cusp_lo, cusp_hi, forward_dir, step_bound):
+    """The path DP, or None when the states that the sources reach hold a
+    cycle or a path of ``step_bound`` states, where the search truncates.
+    Returns lists indexed by state, filled for those states:
+    ``total``, the maximal paths from the state; ``bad0`` and ``bad1``, those
+    of them that make the whole path violate when the path up to and with the
+    state has crossed 0 or 1 rungs; and ``longest``, the most states on one
+    of them."""
+    if step_bound <= 1:
+        return None
+    decode, successors, sources, n_states, n_line_states = tables
+    total = [0] * n_states
+    bad0 = [0] * n_states
+    bad1 = [0] * n_states
+    longest = [0] * n_states
+    mark = bytearray(n_states)  # 1 while on the search path, 2 once counted
+    for src in sources:
+        if mark[src]:
+            continue
+        mark[src] = 1
+        stack = [(src, successors(src))]
+        while stack:
+            s, nxt = stack[-1]
+            for t in nxt:
+                if mark[t] == 0:
+                    if len(stack) + 1 >= step_bound:
+                        return None
+                    mark[t] = 1
+                    stack.append((t, successors(t)))
+                    break
+                if mark[t] == 1:
+                    return None
+            else:
+                stack.pop()
+                mark[s] = 2
+                if not nxt:  # a sink, where a one-rung path is judged
+                    _, level, _, d = decode(s)
+                    total[s] = longest[s] = 1
+                    bad1[s] = int((d == forward_dir) != (level % 2 == 0))
+                    continue
+                a = nxt[0]  # a line state
+                total[s], bad0[s], bad1[s], longest[s] = total[a], bad0[a], bad1[a], longest[a] + 1
+                if len(nxt) == 2:
+                    b = nxt[1]  # the rung exit
+                    r = (b - n_line_states) >> 1
+                    total[s] += total[b]
+                    bad0[s] += total[b] if cusp_lo[r] == cusp_hi[r] else bad1[b]
+                    bad1[s] += total[b]
+                    longest[s] = max(longest[s], longest[b] + 1)
+    return total, bad0, bad1, longest
+
+
+def _first_witness(tables, counts, cusp_lo, cusp_hi):
+    """The first violating path that ``_search`` emits, found by the same
+    search entering a state only when, with the rungs crossed so far, some
+    maximal path through it violates (``counts`` from ``_suffix_counts``)."""
+    _, successors, sources, _, n_line_states = tables
+    _, bad0, bad1, _ = counts
+    bad = (bad0, bad1)
+    for src in sources:
+        if not bad0[src]:
+            continue
+        stack = [(src, 0)]
+        path = []
+        while stack:
+            item = stack.pop()
+            if item is None:
+                path.pop()
+                continue
+            state, crossed = item  # crossed == 2: the path already violates
+            path.append(state)
+            stack.append(None)
+            nxt = successors(state)
+            if not nxt and _emitted(path):
+                return tuple(path)
+            for t in reversed(nxt):
+                c = crossed
+                if t >= n_line_states:
+                    r = (t - n_line_states) >> 1
+                    c = 2 if crossed or cusp_lo[r] == cusp_hi[r] else 1
+                if c == 2 or bad[c][t]:
+                    stack.append((t, c))
+    return None
+
+
+def _search(tables, forward_dir, step_bound, collect):
+    """Enumerate every maximal carried path and check each one; the oracle of
+    the DP.  Deterministic: sources in level order, the straight-through
+    continuation explored before the rung exit."""
+    decode, successors, sources, n_states, _ = tables
     paths = [] if collect else None
     n_paths = 0
     n_violations = 0
@@ -161,13 +274,8 @@ def scan_track(
                 for s in reversed(nxt):
                     stack.append((s, False))
                 continue
-            # Maximal (or truncated) path; emit once per undirected path,
-            # from the smaller of it and its reverse path[::-1] ^ 1.
-            last = len(path) - 1
-            j = 0
-            while j <= last and path[j] == path[last - j] ^ 1:
-                j += 1
-            if j <= last and path[j] > path[last - j] ^ 1:
+            # Maximal (or truncated) path; emit once per undirected path.
+            if not _emitted(path):
                 continue
             fwd = tuple(path)
             n_paths += 1
@@ -182,6 +290,48 @@ def scan_track(
             if collect:
                 paths.append((fwd, truncated))
     return paths, n_paths, n_violations, n_truncated, max_len, witness
+
+
+def _scan(enc, forward_dir, step_bound, collect):
+    """``scan_track`` on the eight lists ``enc`` of an encoding that
+    ``_check_encoding`` accepts."""
+    tables = _build_tables(*enc)
+    sources, cusp_lo, cusp_hi = tables[2], enc[4], enc[5]
+    counts = None if collect else _suffix_counts(tables, cusp_lo, cusp_hi, forward_dir, step_bound)
+    if counts is not None:
+        total, bad0, _, longest = counts
+        max_len = max((longest[src] for src in sources), default=0)
+    if counts is None or max_len >= step_bound:
+        return _search(tables, forward_dir, step_bound, collect)
+    n_violations = sum(bad0[src] for src in sources) // 2
+    witness = _first_witness(tables, counts, cusp_lo, cusp_hi) if n_violations else None
+    return None, sum(total[src] for src in sources) // 2, n_violations, 0, max_len, witness
+
+
+def scan_track(
+    offsets,
+    sw_rung,
+    sw_end,
+    rung_level,
+    cusp_lo,
+    cusp_hi,
+    lo_idx,
+    hi_idx,
+    forward_dir,
+    step_bound,
+    collect,
+):
+    """Count every maximal carried path; check the two-line property.
+
+    Returns ``(paths, n_paths, n_violations, n_truncated, max_len, witness)``
+    with ``paths`` None unless ``collect``; ``witness`` is the first
+    violating path, if any.  Deterministic: sources in level order, the
+    straight-through continuation explored before the rung exit.  Raises
+    ``ValueError`` on an encoding that ``_check_encoding`` rejects.
+    """
+    enc = (offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx)
+    _check_encoding(*enc, forward_dir)
+    return _scan(enc, forward_dir, step_bound, collect)
 
 
 def scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bound):
@@ -203,10 +353,10 @@ def scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bo
     n_paths = n_violations = n_truncated = max_len = max_paths = 0
     witness = first_violation_seed = None
     for case in range(seed, seed + cases):
-        enc = _encode_lists(
+        *enc, forward_dir = _encode_lists(
             *_draw(_random.Random(case), max_levels, max_rungs_per_gap, alternating)
         )
-        _, paths, violations, truncated, longest, first = scan_track(*enc, step_bound, False)
+        _, paths, violations, truncated, longest, first = _scan(enc, forward_dir, step_bound, False)
         n_paths += paths
         n_violations += violations
         n_truncated += truncated
@@ -224,3 +374,22 @@ def scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bo
         max_paths,
         first_violation_seed,
     )
+
+
+def fold_in(result, seeds, max_levels, max_rungs_per_gap, alternating, step_bound):
+    """``result``, a ``scan_ladder`` result that leaves out the ladders of
+    ``seeds``, with those ladders scanned and added.  The compiled kernel
+    hands over this way the ladders whose counts leave 64 bits."""
+    _, n_paths, n_violations, n_truncated, max_len, witness, max_paths, first = result
+    for seed in seeds:
+        _, paths, violations, truncated, longest, path, _, _ = scan_ladder(
+            seed, 1, max_levels, max_rungs_per_gap, alternating, step_bound
+        )
+        n_paths += paths
+        n_violations += violations
+        n_truncated += truncated
+        max_len = max(max_len, longest)
+        max_paths = max(max_paths, paths)
+        if violations and (first is None or seed < first):
+            witness, first = path, seed
+    return None, n_paths, n_violations, n_truncated, max_len, witness, max_paths, first
