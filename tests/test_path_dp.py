@@ -139,6 +139,8 @@ def test_counts_past_64_bits_go_to_the_python_dp(compiled_kernel):
 def test_threaded_and_one_cpu_scans_agree(compiled_kernel):
     # The same calls in a process pinned to one CPU, where every call stays
     # on the calling thread.
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity")
     calls = [(0, 200, 8, 6, False, 10**4), (5, 200, 3, 150, False, 10**4), (0, 42, *BIG)]
     code = (
         "import importlib.util, os, sys\n"
@@ -148,8 +150,6 @@ def test_threaded_and_one_cpu_scans_agree(compiled_kernel):
         "spec.loader.exec_module(kernel)\n"
         "print([kernel.scan_ladder(*args) for args in %r])\n" % (calls,)
     )
-    if not hasattr(os, "sched_setaffinity"):
-        pytest.skip("no CPU affinity")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-c", code, compiled_kernel.__file__],
