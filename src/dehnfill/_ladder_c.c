@@ -1,21 +1,30 @@
 /* Compiled ladder kernel.  It has the same two entry points as
- * dehnfill._ladder_py, with the same state encoding, traversal order and
- * outputs:
+ * dehnfill._ladder_py, with the same state encoding and outputs, and one job:
+ * counting the maximal carried paths of a track, and the violating ones, by
+ * the path DP of dehnfill._ladder_py (_suffix_counts).  Every other case goes
+ * to dehnfill._ladder_py, which is the only enumerator of paths and the only
+ * witness search:
  *
  *   scan_track(offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi,
  *              lo_idx, hi_idx, forward_dir, step_bound, collect)
- *       scans a track given in the plain-int encoding of dehnfill._ladder_py;
+ *       checks a track given in the plain-int encoding of dehnfill._ladder_py
+ *       and counts its paths.  It returns dehnfill._ladder_py.scan_track of
+ *       its own arguments when `collect` is true, when the DP meets a cycle or
+ *       a path of step_bound states (where the enumeration truncates), when a
+ *       count leaves 64 bits, and when some path violates, as the witness is
+ *       needed;
  *
  *   scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating,
  *               step_bound)
  *       draws the ladders that random.Random(seed), ..., Random(seed +
  *       cases - 1) give, word for word as dehnfill.ladders._draw does,
- *       encodes each as _encode_lists does, scans it, and sums the counts.
- *       Its own MT19937s, seeded from the ints as CPython seeds one, hand out
- *       the words, so it calls no random.Random.  The seeds come in blocks of
- *       eight, and the seedings of a block run in lock-step: init_by_array
- *       is one long chain of dependent steps, and independent chains keep
- *       the CPU busy.
+ *       encodes each as _encode_lists does, counts its paths, and sums the
+ *       counts.  Its own MT19937s, seeded from the ints as CPython seeds one,
+ *       hand out the words, so it calls no random.Random.  The seeds come in
+ *       blocks of eight, and the seedings of a block run in lock-step:
+ *       init_by_array is one long chain of dependent steps, and independent
+ *       chains keep the CPU busy.  A call whose seeds do not all fit in a
+ *       long long goes to dehnfill._ladder_py.scan_ladder whole.
  *
  * A scan_ladder call of `cases` ladders runs on min(CPUs, cases / 16)
  * threads, where CPUs counts the CPUs in the process's affinity mask, less
@@ -24,23 +33,18 @@
  * CPU of its own (see start_workers).  The threads take blocks in turn from a
  * shared counter, each with its own generators, buffers and counts; the
  * calling thread keeps the GIL, runs the signal handlers, and merges the
- * counts once every block is done.  Sums and maxima do not depend
- * on which thread scanned which ladder, and the witness is that of the
- * violating ladder of lowest index, so the result is the same on any number
- * of threads.  A call whose seeds do not all fit in a long long makes their
- * keys from Python ints, on the calling thread alone.
+ * counts once every block is done.  Each thread leaves out of its counts, by
+ * index, every ladder that the DP cannot count and its own first violating
+ * ladder; the calling thread then has dehnfill._ladder_py.fold_in scan those,
+ * in Python ints.  A thread takes its blocks in order, so the violating
+ * ladder of lowest index is among them, and fold_in keeps its witness.  Sums
+ * and maxima do not depend on which thread counted which ladder, so the result
+ * is the same on any number of threads.
  *
- * Both count the maximal carried paths of a track by the path DP of
- * dehnfill._ladder_py (count_paths), take the witness from a search guided by
- * it (first_witness), and enumerate the paths (search) only to collect them
- * or where the DP does not apply.  A track whose counts leave uint64 goes to
- * the pure-Python kernel, which counts in Python ints; scan_ladder sends those
- * ladders there once its threads are done.
- *
- * Arguments are positional.  Both scans check for signals every 2**16 search
- * steps, and scan_ladder between ladders, so Ctrl-C stops a long call; the
- * other threads stop at their next check.  Only the public CPython API is
- * used, and there is no floating point.
+ * Arguments are positional.  The DP checks for signals every 2**16 steps, and
+ * scan_ladder between ladders, so Ctrl-C stops a long call; the other threads
+ * stop at their next check.  Only the public CPython API is used, and there
+ * is no floating point.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -162,11 +166,6 @@ successors(const Track *t, int state, int *s0, int *s1)
     return 1;
 }
 
-typedef struct {
-    int state, iter, n, s0, s1, truncated;
-    int crossed; /* rungs crossed up to and with the state, 2 for more */
-} Frame;
-
 /* The line end of `level` that maximal paths start from: its left end heading
  * right (side 0), or its right end heading left (side 1). */
 static inline int
@@ -175,87 +174,11 @@ source(const Track *t, int level, int side)
     return side == 0 ? line_state(t, level, 0, 1) : line_state(t, level, t->offsets[level + 1] - t->offsets[level], 0);
 }
 
-/* The two-line property with the one-way entry/exit discipline: 1 when the
- * path of the n states in `path` breaks it. */
-static int
-violates(const Track *t, const Frame *path, int n, int forward_dir)
-{
-    int first_dir = 0;
-    for (int j = 0; j < n; j++) {
-        int state = path[j].state;
-        if (state < t->n_line_states) {
-            int d = (state & 1) ? 1 : -1;
-            if (first_dir == 0) {
-                first_dir = d;
-            }
-            else if (d != first_dir) {
-                return 1; /* direction-incoherent */
-            }
-        }
-    }
-    if (first_dir == 0) {
-        return 0;
-    }
-    int backward = first_dir == -forward_dir;
-    int seen[2] = {-1, -1}; /* the even and the odd level met */
-    int last_tag = -1, runs = 0, bad = 0;
-    for (int j = 0; j < n; j++) {
-        int state = path[backward ? n - 1 - j : j].state;
-        if (state >= t->n_line_states) {
-            continue;
-        }
-        int level = t->seg_level[state >> 1];
-        int tag = level % 2;
-        if (seen[tag] == -1) {
-            seen[tag] = level;
-        }
-        else if (seen[tag] != level) {
-            return 1;
-        }
-        if (tag != last_tag) {
-            runs++;
-            /* Allowed run patterns: [0], [1] and [1, 0]. */
-            if (runs > 2 || (runs == 2 && !(last_tag == 1 && tag == 0))) {
-                bad = 1;
-            }
-            last_tag = tag;
-        }
-    }
-    return bad;
-}
-
-/* 1 when the search emits the maximal path st[0..last]: each undirected path
- * is emitted once, from the smaller of it and its reverse, whose states are
- * those of the path in reverse order, each s as s ^ 1. */
-static int
-emitted(const Frame *st, int last)
-{
-    for (int j = 0; j <= last; j++) {
-        int a = st[j].state, b = st[last - j].state ^ 1;
-        if (a != b) {
-            return a < b;
-        }
-    }
-    return 1;
-}
-
-static PyObject *
-path_tuple(const Frame *path, int n)
-{
-    PyObject *out = PyTuple_New(n);
-    if (out == NULL) {
-        return NULL;
-    }
-    for (int j = 0; j < n; j++) {
-        PyObject *s = PyLong_FromLong(path[j].state);
-        if (s == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(out, j, s);
-    }
-    return out;
-}
+/* A state on the DP's search stack and its successors, of which the first
+ * `iter` are taken. */
+typedef struct {
+    int state, iter, n, s0, s1;
+} Frame;
 
 /* What the path DP knows of the maximal paths from one state, as
  * dehnfill._ladder_py._suffix_counts describes. */
@@ -267,14 +190,14 @@ typedef struct {
     int longest;     /* the most states on one of them */
 } Suffix;
 
-/* Buffers that one thread reuses for every track it scans, each grown when a
+/* Buffers that one thread reuses for every track it counts, each grown when a
  * track needs more, and the flag that stops the threads of a call. */
 typedef struct {
     int *ints; /* the arrays of a drawn track */
     size_t n_ints;
     Frame *frames; /* the search stack */
     size_t n_frames;
-    unsigned char *on_path; /* all zero between scans */
+    unsigned char *marks; /* all zero between counts */
     size_t n_marks;
     Suffix *dp; /* the path DP, per state */
     size_t n_dp;
@@ -301,31 +224,12 @@ reserve(void *buf, size_t *cap, size_t need, size_t size)
     return grown;
 }
 
-/* Grow the search stack and the marks of `sc` for a track of `n_states`
- * states and paths of up to `depth` states.  Returns 0, or -1 when there is
- * no memory. */
-static int
-reserve_search(Scratch *sc, size_t n_states, size_t depth)
-{
-    Frame *st = reserve(sc->frames, &sc->n_frames, depth + 1, sizeof(Frame));
-    if (st == NULL) {
-        return -1;
-    }
-    sc->frames = st;
-    unsigned char *marks = reserve(sc->on_path, &sc->n_marks, n_states + 1, 1);
-    if (marks == NULL) {
-        return -1;
-    }
-    sc->on_path = marks;
-    return 0;
-}
-
 static void
 scratch_free(Scratch *sc)
 {
     free(sc->ints);
     free(sc->frames);
-    free(sc->on_path);
+    free(sc->marks);
     free(sc->dp);
 }
 
@@ -341,120 +245,13 @@ stopping(Scratch *sc)
     return atomic_load_explicit(sc->stop, memory_order_relaxed);
 }
 
-/* The counts of one or more scans: summed, the longest path, the most paths
- * of one ladder, and the first violating path with the index of its ladder
- * in the call. */
-typedef struct {
-    long long paths, violations, truncated, max_paths;
-    int max_len, witness_len;
-    Frame *witness; /* a copy of the search stack, or NULL */
-    Py_ssize_t first_violation;
-} Tally;
-
-/* Keep the path of the n states in `path` as the witness of `tally`.
- * Returns 0, or -1 when there is no memory. */
-static int
-keep_witness(Tally *tally, const Frame *path, int n)
-{
-    if ((tally->witness = malloc((size_t)n * sizeof(Frame))) == NULL) {
-        return -1;
-    }
-    memcpy(tally->witness, path, (size_t)n * sizeof(Frame));
-    tally->witness_len = n;
-    return 0;
-}
-
-/* Enumerate every maximal carried path of `t`, check the two-line property
- * and add the counts to `tally`: the full search, which the path DP stands
- * for where it can.  `paths` is a list to append (path, truncated) pairs to,
- * or NULL; only the calling thread passes one.  Returns 0, or -1 when out of
- * memory (a Python exception may be set), stopped or interrupted (with the
- * exception set on the calling thread). */
-static int
-search(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally, PyObject *paths)
-{
-    /* A path stops at step_bound states, and at the first repeated state. */
-    long depth_cap = step_bound < 1 ? 1 : step_bound;
-    if (depth_cap > (long)t->n_states + 1) {
-        depth_cap = t->n_states + 1;
-    }
-    if (reserve_search(sc, (size_t)t->n_states, (size_t)depth_cap) < 0) {
-        return -1;
-    }
-    Frame *st = sc->frames;
-    unsigned char *on_path = sc->on_path;
-    unsigned int steps = 0;
-    /* Iterative DFS from each line end, in level order; the straight-through
-     * continuation is explored before the rung exit. */
-    for (int level = 0; level < t->n_levels; level++) {
-        for (int side = 0; side < 2; side++) {
-            int depth = 0;
-            st[0].state = source(t, level, side);
-            st[0].iter = -1;
-            while (depth >= 0) {
-                if (++steps % 65536 == 0 && stopping(sc)) {
-                    return -1;
-                }
-                Frame *f = &st[depth];
-                if (f->iter == -1) {
-                    f->iter = 0;
-                    f->truncated = depth + 1 >= step_bound || on_path[f->state];
-                    f->n = f->truncated ? 0 : successors(t, f->state, &f->s0, &f->s1);
-                    on_path[f->state]++;
-                    /* A maximal (or truncated) path. */
-                    if (f->n == 0 && emitted(st, depth)) {
-                        tally->paths++;
-                        tally->truncated += f->truncated;
-                        if (depth + 1 > tally->max_len) {
-                            tally->max_len = depth + 1;
-                        }
-                        if (violates(t, st, depth + 1, forward_dir)) {
-                            tally->violations++;
-                            if (tally->witness == NULL && keep_witness(tally, st, depth + 1) < 0) {
-                                return -1;
-                            }
-                        }
-                        if (paths != NULL) {
-                            PyObject *states = path_tuple(st, depth + 1);
-                            if (states == NULL) {
-                                return -1;
-                            }
-                            PyObject *pair = PyTuple_Pack(2, states, f->truncated ? Py_True : Py_False);
-                            Py_DECREF(states);
-                            if (pair == NULL || PyList_Append(paths, pair) < 0) {
-                                Py_XDECREF(pair);
-                                return -1;
-                            }
-                            Py_DECREF(pair);
-                        }
-                    }
-                }
-                if (f->iter < f->n) {
-                    int next = f->iter == 0 ? f->s0 : f->s1;
-                    f->iter++;
-                    depth++;
-                    st[depth].state = next;
-                    st[depth].iter = -1;
-                }
-                else {
-                    on_path[f->state]--;
-                    depth--;
-                }
-            }
-        }
-    }
-    return 0;
-}
-
-/* The outcomes of count_paths besides -1. */
-enum { COUNTED, SEARCH, OVERFLOW };
-
 /* The path DP of dehnfill._ladder_py._suffix_counts: fill sc->dp for every
  * state that the sources reach, by one memoised search in postorder, and sum
  * over the sources the directed maximal paths into `*total` and the violating
  * ones into `*bad`, with the most states on one of them in `*longest`.
- * Returns COUNTED; SEARCH when the states that the sources reach hold a
- * cycle, or the search stack a path of step_bound states; OVERFLOW when a
+ * Returns 0; 1 when the DP cannot give the counts of the enumeration in
+ * dehnfill._ladder_py, because the states that the sources reach hold a cycle
+ * or a path of step_bound states (where the enumeration truncates), or a
  * count leaves uint64; or -1 when out of memory, stopped or interrupted. */
 static int
 count_paths(const Track *t, int forward_dir, long step_bound, Scratch *sc, uint64_t *total, uint64_t *bad,
@@ -462,18 +259,26 @@ count_paths(const Track *t, int forward_dir, long step_bound, Scratch *sc, uint6
 {
     size_t n_states = (size_t)t->n_states;
     if (step_bound <= 1) {
-        return SEARCH;
+        return 1;
     }
+    size_t max_depth = (size_t)step_bound < n_states ? (size_t)step_bound : n_states;
     Suffix *dp = reserve(sc->dp, &sc->n_dp, n_states + 1, sizeof(Suffix));
-    if (dp == NULL
-        || reserve_search(sc, n_states, (size_t)step_bound < n_states ? (size_t)step_bound : n_states) < 0) {
+    if (dp == NULL) {
         return -1;
     }
     sc->dp = dp;
-    Frame *st = sc->frames;
-    unsigned char *mark = sc->on_path; /* 1 on the search path, 2 once counted */
+    Frame *st = reserve(sc->frames, &sc->n_frames, max_depth + 1, sizeof(Frame));
+    if (st == NULL) {
+        return -1;
+    }
+    sc->frames = st;
+    unsigned char *mark = reserve(sc->marks, &sc->n_marks, n_states + 1, 1);
+    if (mark == NULL) {
+        return -1;
+    }
+    sc->marks = mark; /* 1 on the search path, 2 once counted */
     unsigned int steps = 0;
-    int status = COUNTED;
+    int status = 0;
     *total = *bad = 0;
     *longest = 0;
     for (int level = 0; level < t->n_levels; level++) {
@@ -498,7 +303,7 @@ count_paths(const Track *t, int forward_dir, long step_bound, Scratch *sc, uint6
                     int next = f->iter++ == 0 ? f->s0 : f->s1;
                     /* A cycle, or a path of step_bound states. */
                     if (mark[next] == 1 || (mark[next] == 0 && depth + 2 >= step_bound)) {
-                        status = SEARCH;
+                        status = 1;
                         goto done;
                     }
                     if (mark[next] == 0) {
@@ -534,7 +339,7 @@ count_paths(const Track *t, int forward_dir, long step_bound, Scratch *sc, uint6
                         if (__builtin_add_overflow(d->total, e->total, &d->total)
                             || __builtin_add_overflow(d->bad[0], turned, &d->bad[0])
                             || __builtin_add_overflow(d->bad[1], e->total, &d->bad[1])) {
-                            status = OVERFLOW;
+                            status = 1;
                             goto done;
                         }
                         if (e->longest >= d->longest) {
@@ -545,9 +350,11 @@ count_paths(const Track *t, int forward_dir, long step_bound, Scratch *sc, uint6
                 mark[f->state] = 2;
                 depth--;
             }
-            if (__builtin_add_overflow(*total, dp[src].total, total)
+            /* The DP gives up on a path of step_bound states on its stack,
+             * but a memoised state can end a longer one. */
+            if (dp[src].longest >= step_bound || __builtin_add_overflow(*total, dp[src].total, total)
                 || __builtin_add_overflow(*bad, dp[src].bad[0], bad)) {
-                status = OVERFLOW;
+                status = 1;
                 goto done;
             }
             if (dp[src].longest > *longest) {
@@ -560,102 +367,34 @@ done:
     return status;
 }
 
-/* The first violating path that search() would emit, kept as the witness of
- * `tally`: the same search, entering a state only when, with the rungs
- * crossed so far, some maximal path through it violates, as count_paths left
- * sc->dp.  Returns 0, or -1 when out of memory, stopped or interrupted. */
-static int
-first_witness(const Track *t, Scratch *sc, Tally *tally)
-{
-    Frame *st = sc->frames;
-    const Suffix *dp = sc->dp;
-    unsigned int steps = 0;
-    for (int level = 0; level < t->n_levels; level++) {
-        for (int side = 0; side < 2; side++) {
-            int depth = 0;
-            st[0].state = source(t, level, side);
-            st[0].crossed = 0;
-            st[0].iter = -1;
-            if (dp[st[0].state].bad[0] == 0) {
-                continue;
-            }
-            while (depth >= 0) {
-                if (++steps % 65536 == 0 && stopping(sc)) {
-                    return -1;
-                }
-                Frame *f = &st[depth];
-                if (f->iter == -1) {
-                    f->iter = 0;
-                    f->n = successors(t, f->state, &f->s0, &f->s1);
-                    if (f->n == 0 && emitted(st, depth)) {
-                        return keep_witness(tally, st, depth + 1);
-                    }
-                }
-                if (f->iter < f->n) {
-                    int next = f->iter++ == 0 ? f->s0 : f->s1, crossed = f->crossed;
-                    if (next >= t->n_line_states) {
-                        int r = (next - t->n_line_states) >> 1;
-                        crossed = crossed || t->cusp_lo[r] == t->cusp_hi[r] ? 2 : 1;
-                    }
-                    if (crossed == 2 || dp[next].bad[crossed]) {
-                        f = &st[++depth];
-                        f->state = next;
-                        f->crossed = crossed;
-                        f->iter = -1;
-                    }
-                }
-                else {
-                    depth--;
-                }
-            }
-        }
-    }
-    return 0;
-}
+/* The summed counts of the ladders that the threads of a call counted, the
+ * longest path and the most paths of one ladder. */
+typedef struct {
+    long long paths, violations, max_paths;
+    int max_len;
+} Tally;
 
-/* Count the maximal carried paths of `t`, check the two-line property and
- * add the counts to `tally`: by the path DP, with the witness from
- * first_witness when the tally has none yet, or by search() when `paths` is
- * given (a list, on the calling thread alone), when the states hold a cycle,
- * or when a path has step_bound states or more, where the search
- * truncates.  Returns 0; 1, with nothing added, when a count leaves uint64
- * or would take the tally past TALLY_CAP; or -1 as search() does. */
+/* Add to `tally` a ladder of the directed counts `total` and `bad` that
+ * count_paths gives and the longest path `longest`.  No path is its own
+ * reverse, and a path and its reverse get the same verdict, so the counts of
+ * undirected paths are half those.  Returns 0, or 1, with nothing added, when
+ * a sum would pass TALLY_CAP. */
 static int
-scan(const Track *t, int forward_dir, long step_bound, Scratch *sc, Tally *tally, PyObject *paths)
+tally_add(Tally *tally, uint64_t total, uint64_t bad, int longest)
 {
-    if (paths != NULL) {
-        return search(t, forward_dir, step_bound, sc, tally, paths);
-    }
-    uint64_t total, bad;
-    int longest, status = count_paths(t, forward_dir, step_bound, sc, &total, &bad, &longest);
-    if (status < 0) {
-        return -1;
-    }
-    if (status == SEARCH || (status == COUNTED && longest >= step_bound)) {
-        return search(t, forward_dir, step_bound, sc, tally, NULL);
-    }
-    if (status == OVERFLOW) {
-        return 1;
-    }
-    /* No path is its own reverse, and a path and its reverse get the same
-     * verdict, so each count is twice that of search(). */
     long long n_paths = (long long)(total / 2), n_bad = (long long)(bad / 2);
     if (n_paths > TALLY_CAP - tally->paths || n_bad > TALLY_CAP - tally->violations) {
         return 1;
     }
     tally->paths += n_paths;
     tally->violations += n_bad;
+    if (n_paths > tally->max_paths) {
+        tally->max_paths = n_paths;
+    }
     if (longest > tally->max_len) {
         tally->max_len = longest;
     }
-    return bad > 0 && tally->witness == NULL ? first_witness(t, sc, tally) : 0;
-}
-
-/* The witness of `tally` as a tuple of states, or None. */
-static PyObject *
-witness_tuple(const Tally *tally)
-{
-    return tally->witness != NULL ? path_tuple(tally->witness, tally->witness_len) : Py_NewRef(Py_None);
+    return 0;
 }
 
 /* ------------------------------------------------------------------------
@@ -762,7 +501,7 @@ check_ends(const Track *t, int forward_dir)
     return 0;
 }
 
-/* The function `name` of dehnfill._ladder_py, which counts in Python ints. */
+/* The function `name` of dehnfill._ladder_py. */
 static PyObject *
 python_kernel(const char *name)
 {
@@ -773,6 +512,19 @@ python_kernel(const char *name)
     PyObject *func = PyObject_GetAttrString(module, name);
     Py_DECREF(module);
     return func;
+}
+
+/* The function `name` of dehnfill._ladder_py called with the arguments of the
+ * call that hands over to it. */
+static PyObject *
+hand_over(const char *name, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *func = python_kernel(name), *result = NULL;
+    if (func != NULL) {
+        result = PyObject_Vectorcall(func, args, (size_t)nargs, NULL);
+        Py_DECREF(func);
+    }
+    return result;
 }
 
 static PyObject *
@@ -800,7 +552,6 @@ scan_track(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     }
     atomic_int stop = 0;
     Scratch sc = {.stop = &stop, .caller = 1};
-    Tally tally = {0};
     Track t;
     if ((sc.ints = reserve(NULL, &sc.n_ints, track_size((int)n_offsets - 1, (int)n_sw, (int)n_rungs),
                            sizeof(int))) == NULL) {
@@ -809,7 +560,7 @@ scan_track(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     track_layout(&t, sc.ints, (int)n_offsets - 1, (int)n_sw, (int)n_rungs);
     int *dest[8] = {t.offsets, t.sw_rung, t.sw_end, t.rung_level, t.cusp_lo, t.cusp_hi, t.lo_idx, t.hi_idx};
     Py_ssize_t size[8] = {n_offsets, n_sw, n_sw, n_rungs, n_rungs, n_rungs, n_rungs, n_rungs};
-    PyObject *paths = NULL, *witness = NULL, *result = NULL;
+    PyObject *result = NULL;
     for (int i = 0; i < 8; i++) {
         if (read_ints(args[i], dest[i], size[i]) < 0) {
             goto done;
@@ -823,32 +574,21 @@ scan_track(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         goto done;
     }
     track_index_segments(&t);
-    if (collect && (paths = PyList_New(0)) == NULL) {
-        goto done;
-    }
-    int status = scan(&t, forward_dir, step_bound, &sc, &tally, paths);
+    uint64_t total = 0, bad = 0;
+    int longest = 0, status = collect ? 1 : count_paths(&t, forward_dir, step_bound, &sc, &total, &bad, &longest);
     if (status < 0) {
         if (!PyErr_Occurred()) {
             PyErr_NoMemory();
         }
         goto done;
     }
-    if (status == 1) { /* a count leaves uint64 or TALLY_CAP */
-        PyObject *func = python_kernel("scan_track");
-        if (func != NULL) {
-            result = PyObject_Vectorcall(func, args, (size_t)nargs, NULL);
-            Py_DECREF(func);
-        }
-        goto done;
-    }
-    if ((witness = witness_tuple(&tally)) != NULL) {
-        result = Py_BuildValue("(OLLLiO)", paths != NULL ? paths : Py_None, tally.paths, tally.violations,
-                               tally.truncated, tally.max_len, witness);
-    }
+    /* The paths to list, the paths that the DP cannot count, and the witness
+     * of a violation come from the pure-Python kernel.  Halving is exact as
+     * in tally_add. */
+    result = status == 1 || bad > 0 ? hand_over("scan_track", args, nargs)
+                                    : Py_BuildValue("(OLiiiO)", Py_None, (long long)(total / 2), 0, 0, longest,
+                                                    Py_None);
 done:
-    Py_XDECREF(paths);
-    Py_XDECREF(witness);
-    free(tally.witness);
     scratch_free(&sc);
     return result;
 }
@@ -980,59 +720,13 @@ mt_next(MT *g)
 /* The init_by_array key of the seed `v`: the 32-bit little-endian words of
  * abs(v), [0] for 0, written to `words`, and their count in `*len`. */
 static const uint32_t *
-small_key(long long v, uint32_t words[2], size_t *len)
+mt_key(long long v, uint32_t words[2], size_t *len)
 {
     unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
     words[0] = (uint32_t)u;
     words[1] = (uint32_t)(u >> 32);
     *len = words[1] ? 2 : 1;
     return words;
-}
-
-/* The init_by_array key of the int `seed`, as small_key gives it.  A key of
- * more than two words goes to a new block in `*big`, which the caller frees.
- * Returns the key, or NULL with an exception set. */
-static const uint32_t *
-seed_key(PyObject *seed, uint32_t words[2], uint32_t **big, size_t *len)
-{
-    int overflow;
-    long long v = PyLong_AsLongLongAndOverflow(seed, &overflow);
-    if (v == -1 && PyErr_Occurred()) {
-        return NULL;
-    }
-    if (!overflow) {
-        return small_key(v, words, len);
-    }
-    /* abs(seed).to_bytes(4 * words, "little"). */
-    PyObject *n = PyNumber_Absolute(seed), *bits = NULL, *bytes = NULL;
-    const uint32_t *key = NULL;
-    if (n == NULL || (bits = PyObject_CallMethod(n, "bit_length", NULL)) == NULL) {
-        goto done;
-    }
-    Py_ssize_t n_bits = PyLong_AsSsize_t(bits);
-    if (n_bits == -1 && PyErr_Occurred()) {
-        goto done;
-    }
-    Py_ssize_t n_words = (n_bits + 31) / 32;
-    bytes = PyObject_CallMethod(n, "to_bytes", "ns", 4 * n_words, "little");
-    if (bytes == NULL) {
-        goto done;
-    }
-    if ((*big = malloc((size_t)n_words * sizeof(uint32_t))) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    const unsigned char *b = (const unsigned char *)PyBytes_AS_STRING(bytes);
-    for (Py_ssize_t i = 0; i < n_words; i++, b += 4) {
-        (*big)[i] = (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16 | (uint32_t)b[3] << 24;
-    }
-    *len = (size_t)n_words;
-    key = *big;
-done:
-    Py_XDECREF(n);
-    Py_XDECREF(bits);
-    Py_XDECREF(bytes);
-    return key;
 }
 
 typedef struct Job Job;
@@ -1043,19 +737,20 @@ typedef struct {
     MT g[LANES];
     Scratch sc;
     Tally tally;
-    /* The indices of the ladders left out of the tally because a count
-     * leaves uint64 or TALLY_CAP; the calling thread has them counted in
-     * Python ints. */
+    /* The indices of the ladders left out of the tally, which the calling
+     * thread has dehnfill._ladder_py.fold_in scan: those that count_paths
+     * cannot count or that would take the tally past TALLY_CAP, and the
+     * thread's first violating ladder, whose witness is needed. */
     Py_ssize_t *deferred;
     size_t n_deferred, deferred_cap;
+    int violated; /* 1 once the first violating ladder is deferred */
 } Worker;
 
 /* One scan_ladder call, shared by its threads.  It is freed by the last
  * thread to let it go, so the calling thread need not wait for a worker
  * thread that has not started by the time every block is taken. */
 struct Job {
-    long long first; /* the first seed, when every seed of the call fits */
-    PyObject *start; /* else NULL; otherwise the first seed as an int */
+    long long first; /* the first seed; every seed of the call fits */
     Py_ssize_t cases, n_blocks;
     int max_levels, max_rungs, alternating;
     long step_bound;
@@ -1068,31 +763,15 @@ struct Job {
 };
 
 /* Seed g[0..n-1] for the seeds of the call at indices base, ..., base + n - 1.
- * Lanes whose keys have the same length are seeded together.  Returns 0, or
- * -1 with an exception set; only a call whose seeds leave long long, which
- * runs on the calling thread alone, can fail. */
-static int
+ * Lanes whose keys have the same length are seeded together. */
+static void
 seed_block(MT *g, const Job *job, Py_ssize_t base, int n)
 {
-    uint32_t words[LANES][2], *big[LANES] = {NULL};
+    uint32_t words[LANES][2];
     const uint32_t *key[LANES];
     size_t len[LANES];
-    int status = -1;
     for (int l = 0; l < n; l++) {
-        if (job->start == NULL) {
-            key[l] = small_key(job->first + base + l, words[l], &len[l]);
-            continue;
-        }
-        PyObject *offset = PyLong_FromSsize_t(base + l), *seed = NULL;
-        if (offset != NULL) {
-            seed = PyNumber_Add(job->start, offset);
-            Py_DECREF(offset);
-        }
-        key[l] = seed != NULL ? seed_key(seed, words[l], &big[l], &len[l]) : NULL;
-        Py_XDECREF(seed);
-        if (key[l] == NULL) {
-            goto done;
-        }
+        key[l] = mt_key(job->first + base + l, words[l], &len[l]);
     }
     unsigned int seeded = 0; /* a bit per lane */
     for (int l = 0; l < n; l++) {
@@ -1111,12 +790,6 @@ seed_block(MT *g, const Job *job, Py_ssize_t base, int n)
         }
         mt_seed(group, group_key, len[l], m);
     }
-    status = 0;
-done:
-    for (int l = 0; l < n; l++) {
-        free(big[l]);
-    }
-    return status;
 }
 
 /* A draw below n as Random._randbelow makes it: the top n.bit_length() bits
@@ -1256,49 +929,46 @@ draw_track(MT *g, int max_levels, int max_rungs, int alternating, Track *t, Scra
     return 0;
 }
 
-/* Seed, draw and scan the ladders of block `block` into the worker's tally.
- * Returns 0, or -1 when out of memory, stopped or interrupted. */
+/* Seed, draw and count the ladders of block `block` into the worker's tally,
+ * or note them as deferred.  Returns 0, or -1 when out of memory, stopped or
+ * interrupted. */
 static int
 scan_block(Worker *w, long long block)
 {
     Job *job = w->job;
     Py_ssize_t base = (Py_ssize_t)block * LANES;
     int n = job->cases - base < LANES ? (int)(job->cases - base) : LANES;
-    if (seed_block(w->g, job, base, n) < 0) {
-        return -1;
-    }
+    seed_block(w->g, job, base, n);
     for (int l = 0; l < n; l++) {
         Track t;
-        long long paths = w->tally.paths;
-        int status;
+        uint64_t total, bad;
+        int longest, status;
         if (stopping(&w->sc)
             || draw_track(&w->g[l], job->max_levels, job->max_rungs, job->alternating, &t, &w->sc) < 0
             /* Orientation +1 on level 0 in both kinds of seeded ladder, so
              * the forward direction is +1 whether or not it is of leaf-trace
              * type. */
-            || (status = scan(&t, 1, job->step_bound, &w->sc, &w->tally, NULL)) < 0) {
+            || (status = count_paths(&t, 1, job->step_bound, &w->sc, &total, &bad, &longest)) < 0) {
             return -1;
         }
-        if (status == 1) {
-            if (w->n_deferred == w->deferred_cap) {
-                size_t cap = w->deferred_cap ? 2 * w->deferred_cap : LANES;
-                Py_ssize_t *grown = realloc(w->deferred, cap * sizeof(Py_ssize_t));
-                if (grown == NULL) {
-                    return -1;
-                }
-                w->deferred = grown;
-                w->deferred_cap = cap;
+        /* A thread takes its blocks in order, so its first violating ladder
+         * is its lowest-index one, and the lowest of the call is deferred. */
+        if (status == 0 && bad > 0 && !w->violated) {
+            w->violated = status = 1;
+        }
+        if (status == 0 && tally_add(&w->tally, total, bad, longest) == 0) {
+            continue;
+        }
+        if (w->n_deferred == w->deferred_cap) {
+            size_t cap = w->deferred_cap ? 2 * w->deferred_cap : LANES;
+            Py_ssize_t *grown = realloc(w->deferred, cap * sizeof(Py_ssize_t));
+            if (grown == NULL) {
+                return -1;
             }
-            w->deferred[w->n_deferred++] = base + l;
+            w->deferred = grown;
+            w->deferred_cap = cap;
         }
-        if (w->tally.paths - paths > w->tally.max_paths) {
-            w->tally.max_paths = w->tally.paths - paths;
-        }
-        /* A thread takes its blocks in order, so its first violation is its
-         * lowest-index one. */
-        if (w->tally.witness != NULL && w->tally.first_violation < 0) {
-            w->tally.first_violation = base + l;
-        }
+        w->deferred[w->n_deferred++] = base + l;
     }
     return 0;
 }
@@ -1332,7 +1002,6 @@ job_release(Job *job)
         return;
     }
     for (int k = 0; k < job->n_threads; k++) {
-        free(job->w[k].tally.witness);
         free(job->w[k].deferred);
         scratch_free(&job->w[k].sc);
     }
@@ -1461,55 +1130,32 @@ await_blocks(Job *job)
     }
 }
 
-/* Add the counts of `from` to `into`; the witness kept is the one of lower
- * ladder index. */
+/* Add the counts of `from` to `into`. */
 static void
-merge(Tally *into, Tally *from)
+merge(Tally *into, const Tally *from)
 {
     into->paths += from->paths;
     into->violations += from->violations;
-    into->truncated += from->truncated;
     if (from->max_paths > into->max_paths) {
         into->max_paths = from->max_paths;
     }
     if (from->max_len > into->max_len) {
         into->max_len = from->max_len;
     }
-    if (from->witness != NULL && (into->witness == NULL || from->first_violation < into->first_violation)) {
-        Frame *kept = into->witness;
-        into->witness = from->witness;
-        into->witness_len = from->witness_len;
-        into->first_violation = from->first_violation;
-        from->witness = kept; /* freed with `from` */
-    }
-}
-
-/* The seed of the ladder at `index` in the call. */
-static PyObject *
-seed_at(const Job *job, Py_ssize_t index)
-{
-    if (job->start == NULL) {
-        return PyLong_FromLongLong(job->first + index);
-    }
-    PyObject *offset = PyLong_FromSsize_t(index), *seed = NULL;
-    if (offset != NULL) {
-        seed = PyNumber_Add(job->start, offset);
-        Py_DECREF(offset);
-    }
-    return seed;
 }
 
 /* `result`, the result of the ladders that the threads of `job` counted, with
  * those they deferred folded in by dehnfill._ladder_py.fold_in, which scans
- * them on the calling thread and counts in Python ints.  Steals `result`;
- * returns the whole result, or NULL with an exception set. */
+ * them on the calling thread, counts in Python ints and keeps the witness of
+ * the lowest violating seed.  Steals `result`; returns the whole result, or
+ * NULL with an exception set. */
 static PyObject *
 fold_deferred(const Job *job, PyObject *result)
 {
     PyObject *seeds = PyList_New(0), *func = NULL, *folded = NULL;
     for (int k = 0; seeds != NULL && k < job->n_threads; k++) {
         for (size_t i = 0; seeds != NULL && i < job->w[k].n_deferred; i++) {
-            PyObject *seed = seed_at(job, job->w[k].deferred[i]);
+            PyObject *seed = PyLong_FromLongLong(job->first + job->w[k].deferred[i]);
             if (seed == NULL || PyList_Append(seeds, seed) < 0) {
                 Py_CLEAR(seeds);
             }
@@ -1554,23 +1200,17 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                      SIZE_CAP, SIZE_CAP);
         return NULL;
     }
-    /* The seeds are plain ints even when `seed` is a bool or an int
-     * subclass, as the ints of range(seed, ...) are. */
-    PyObject *start = PyNumber_Index(seed);
-    if (start == NULL) {
-        return NULL;
-    }
     int overflow;
-    long long first = PyLong_AsLongLongAndOverflow(start, &overflow);
-    int big = overflow || (cases > 0 && first > LLONG_MAX - (cases - 1));
-    int n_threads = big ? 1 : thread_count(cases);
+    long long first = PyLong_AsLongLongAndOverflow(seed, &overflow);
+    if (overflow || (cases > 0 && first > LLONG_MAX - (cases - 1))) {
+        return hand_over("scan_ladder", args, nargs);
+    }
+    int n_threads = thread_count(cases);
     Job *job = calloc(1, sizeof(Job) + (size_t)n_threads * sizeof(Worker));
     if (job == NULL) {
-        Py_DECREF(start);
         return PyErr_NoMemory();
     }
     job->first = first;
-    job->start = big ? start : NULL;
     job->cases = cases;
     job->n_blocks = cases / LANES + (cases % LANES != 0);
     job->max_levels = (int)max_levels;
@@ -1583,12 +1223,11 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         job->w[k].job = job;
         job->w[k].sc.stop = &job->stop;
         job->w[k].sc.caller = k == 0;
-        job->w[k].tally.first_violation = -1;
     }
     start_workers(job, n_threads);
     run_blocks(job->w);
     await_blocks(job);
-    PyObject *witness = NULL, *first_seed = NULL, *result = NULL;
+    PyObject *result = NULL;
     Tally *all = &job->w[0].tally;
     if (atomic_load(&job->stop)) {
         if (!PyErr_Occurred()) {
@@ -1596,26 +1235,19 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         goto done;
     }
+    size_t n_deferred = job->w[0].n_deferred;
     for (int k = 1; k < n_threads; k++) {
         merge(all, &job->w[k].tally);
-    }
-    first_seed = all->witness == NULL ? Py_NewRef(Py_None) : seed_at(job, all->first_violation);
-    if (first_seed != NULL && (witness = witness_tuple(all)) != NULL) {
-        result = Py_BuildValue("(OLLLiOLO)", Py_None, all->paths, all->violations, all->truncated, all->max_len,
-                               witness, all->max_paths, first_seed);
-    }
-    size_t n_deferred = 0;
-    for (int k = 0; k < n_threads; k++) {
         n_deferred += job->w[k].n_deferred;
     }
+    /* The C counts no truncated path and keeps no witness. */
+    result = Py_BuildValue("(OLLiiOLO)", Py_None, all->paths, all->violations, 0, all->max_len, Py_None,
+                           all->max_paths, Py_None);
     if (result != NULL && n_deferred > 0) {
         result = fold_deferred(job, result);
     }
 done:
-    Py_XDECREF(witness);
-    Py_XDECREF(first_seed);
     job_release(job);
-    Py_DECREF(start);
     return result;
 }
 

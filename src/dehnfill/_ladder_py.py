@@ -6,8 +6,11 @@ this module is the oracle the compiled one is tested against.  Its
 after another, each drawn from ``random.Random(seed + i)``; the compiled
 kernel runs its own MT19937s seeded from the same ints, eight seedings at a
 time, so this module is also the oracle for that seeding and for the sums
-over the run.  The compiled kernel hands back to this module's path DP any
-ladder whose counts leave 64 bits.
+over the run.  The compiled kernel only counts, by the path DP below: this
+module is the only enumerator of paths and the only witness search, and the
+compiled kernel hands it every call that lists paths, every track that the DP
+cannot count or whose counts leave 64 bits, every track that violates (for
+its witness), and every run whose seeds leave a C ``long long``.
 
 Track encoding (all plain ints):
   offsets    -- per-level CSR offsets into the switch arrays, length n+1
@@ -38,6 +41,9 @@ emitting search.  That search stays for ``collect``, for graphs where the DP
 does not apply (a cycle, where the search truncates at a repeated state, or a
 path of ``step_bound`` states or more), and as the oracle; the witness comes
 from the same search, entering only states through which some path violates.
+``fold_in`` adds to a compiled ``scan_ladder`` result the ladders that its
+threads left out: those the DP cannot count and each thread's first violating
+ladder, of which it keeps the witness of the lowest seed.
 """
 
 import random as _random
@@ -378,8 +384,10 @@ def scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bo
 
 def fold_in(result, seeds, max_levels, max_rungs_per_gap, alternating, step_bound):
     """``result``, a ``scan_ladder`` result that leaves out the ladders of
-    ``seeds``, with those ladders scanned and added.  The compiled kernel
-    hands over this way the ladders whose counts leave 64 bits."""
+    ``seeds``, with those ladders scanned and added, and the witness of the
+    lowest violating seed kept.  The compiled kernel hands over this way the
+    ladders that it does not count and each thread's first violating
+    ladder."""
     _, n_paths, n_violations, n_truncated, max_len, witness, max_paths, first = result
     for seed in seeds:
         _, paths, violations, truncated, longest, path, _, _ = scan_ladder(

@@ -18,7 +18,7 @@ from .census import SYMBOLIC_FAMILIES, census_entries, census_entry, census_to_j
 from .filling import _interval_json, _locus_json
 from .filling import analyze_multislope, guaranteed_interval, report_to_json
 from .ladders import kernel_backend, verify_ladders
-from .monodromy import BoundaryOrbit, DegeneracyLocus, action_from_json
+from .monodromy import ORBIT_LENGTH_CAP, BoundaryOrbit, DegeneracyLocus, action_from_json
 from .slopes import SlopeParseError, canonical_meridian, format_slope, parse_slope
 from .tracks import (
     CONFIG_PRESETS,
@@ -124,6 +124,8 @@ def _parse_locus(text):
 
 
 def _single_orbit(locus, c):
+    if c > ORBIT_LENGTH_CAP:
+        raise ValueError("--orbit-length must be at most %d, not %d" % (ORBIT_LENGTH_CAP, c))
     return BoundaryOrbit(
         circles=tuple("C%d" % i for i in range(c)), c=c, locus=locus
     )
@@ -206,7 +208,10 @@ def _cmd_census(args):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply to read" % path) from None
     if not isinstance(doc, dict):
         raise ValueError("%s: the top level must be a JSON object" % path)
     return doc

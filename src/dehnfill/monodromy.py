@@ -233,6 +233,11 @@ def euler_poincare_residual(genus, boundary_sing_counts, interior_prongs=()):
 # linear in the count.
 STABLE_SINGS_CAP = 1000
 
+# The longest orbit that `dehnfill analyze --orbit-length` builds.  It names
+# one circle per unit of length, and its report lists them all: about 36
+# bytes of output per circle.
+ORBIT_LENGTH_CAP = 100_000
+
 
 def _circle_entries(doc):
     """The ``(id, stable_sings)`` pairs of the ``circles`` list of a boundary

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dehnfill import cli, tracks
+from dehnfill import cli, monodromy, tracks
 from dehnfill.cli import main
 from dehnfill.arcs import system_from_json
 from dehnfill.monodromy import action_from_json
@@ -538,6 +538,23 @@ def test_track_build_even_orbit_length_on_odd_q_exits_two(capsys, locus, c):
         "error: --orbit-length %d: on a locus with odd q the orbit length is odd; "
         "an even one lies outside the paper's domain\n" % c
     )
+
+
+def test_analyze_orbit_length_cap(capsys):
+    # One circle id per unit of length is built and printed, so the cap is
+    # checked before anything is built.  `interval` takes constant work at
+    # any length and has no cap.
+    cap = monodromy.ORBIT_LENGTH_CAP
+    code, out, err = run(capsys, "analyze", "--locus", "6,1", "--orbit-length", str(cap))
+    doc = json.loads(out)
+    assert code == 0 and err == ""
+    assert doc["orbits"][0]["orbit_length"] == cap and len(doc["orbits"][0]["circles"]) == cap
+    for c in (cap + 1, 10**30):
+        code, out, err = run(capsys, "analyze", "--locus", "6,1", "--orbit-length", str(c))
+        assert code == 2 and out == ""
+        assert err == "error: --orbit-length must be at most %d, not %d\n" % (cap, c)
+    code, out, _ = run(capsys, "interval", "--locus", "6,1", "--orbit-length", str(10**30))
+    assert code == 0 and json.loads(out)["schema"] == "interval_v1"
 
 
 def test_track_build_above_the_branch_cap_exits_two(capsys):

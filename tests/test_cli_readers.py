@@ -4,7 +4,8 @@ system that way) and never raises.
 
 Two strategies feed each reader: any JSON value as the whole document, and a
 valid document with one value anywhere in it, or the whole of it, replaced by
-any JSON value, so that the readers' inner checks are reached too.
+any JSON value, so that the readers' inner checks are reached too.  A file
+nested too deeply for ``json.load`` exits 2 as well.
 """
 
 import json
@@ -79,10 +80,14 @@ def mutations(doc):
 
 
 def run_reader(argv, doc):
+    return run_text(argv, json.dumps(doc))
+
+
+def run_text(argv, text):
     fd, path = tempfile.mkstemp(suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            fh.write(text)
         return capture(argv + (path,))
     finally:
         os.remove(path)
@@ -113,3 +118,13 @@ def test_any_value_inside_a_document_exits_cleanly(data):
     assert code in codes, (argv, doc, err)
     if code == 2:
         assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_deeply_nested_input_exits_two():
+    # json.load raises RecursionError on 200,000 nested arrays, which json
+    # itself cannot write.
+    text = "[" * 200_000 + "]" * 200_000
+    for argv, _, _ in READERS:
+        code, out, err = run_text(argv, text)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.endswith(": JSON nested too deeply to read\n"), err

@@ -1,8 +1,10 @@
 """The compiled ladder kernel and the pure-Python one must agree
 step-for-step: same paths, same counts, same witnesses, and for a seeded
-ladder the same draw.  The compiled kernel seeds its own MT19937 from the int
-seed, the pure-Python one seeds ``random.Random``, so the seeded tests also
-hold the C seeding to CPython's.
+ladder the same draw.  The compiled kernel only counts, and hands the listing
+of paths and the witness search to the pure-Python one, so the tests that
+compare paths and witnesses hold that hand-over.  The compiled kernel seeds
+its own MT19937 from the int seed, the pure-Python one seeds
+``random.Random``, so the seeded tests also hold the C seeding to CPython's.
 
 The compiled kernel is the one built from the committed C by the
 ``compiled_kernel`` fixture; the tests skip only when no C compiler is found.
@@ -46,12 +48,14 @@ def test_backends_agree_exactly(compiled_kernel, alternating):
 
 
 def test_backends_agree_on_summaries(compiled_kernel):
+    # Most control ladders violate, and the compiled kernel hands those over.
     for seed in range(200, 300):
-        track = random_ladder(seed, max_levels=6, max_rungs_per_gap=5)
-        enc = _encode(track)
-        py = _ladder_py.scan_track(*enc, 10**4, False)
-        c = compiled_kernel.scan_track(*enc, 10**4, False)
-        assert py[1:] == c[1:]
+        for alternating in (True, False):
+            track = random_ladder(seed, max_levels=6, max_rungs_per_gap=5, alternating=alternating)
+            enc = _encode(track)
+            py = _ladder_py.scan_track(*enc, 10**4, False)
+            c = compiled_kernel.scan_track(*enc, 10**4, False)
+            assert py[1:] == c[1:], (seed, alternating)
 
 
 def test_step_bound_truncation_agrees(compiled_kernel):
@@ -164,7 +168,7 @@ def test_a_call_is_the_sum_of_single_calls(compiled_kernel, alternating):
 # Runs that leave a block of eight lanes at every offset and, from 32
 # ladders on, split across threads (one per 16 ladders, up to the CPU count),
 # from starts inside the long long range and across its ends, where the
-# compiled kernel makes the keys from Python ints on one thread.
+# compiled kernel hands the whole call to the pure-Python one.
 THREAD_STARTS = [-100, 2**32 - 90, -(2**63), 2**63 - 120, -(2**64) - 150]
 THREAD_CASES = [16, 23, 31, 32, 33, 47, 48, 63, 64, 100, 129, 200]
 
@@ -192,11 +196,12 @@ def test_first_violation_is_the_first_violating_ladders(compiled_kernel):
 
 
 # Control ladders at (3, 150), 32 to a call, so two threads where two CPUs
-# are free.  From seed 5 the calling thread spends about 10 ms in the
-# violating ladder of index 0 while the other thread meets violations from
-# index 8 on.  From seed 1149 the first block's ladders have two levels, which
-# never violate, and the first violation is at index 8, in a block the other
-# thread takes while the calling thread is still in the first one.
+# are free, and each thread defers its first violating ladder to the
+# pure-Python kernel.  From seed 5 the ladder of index 0 violates, and the
+# other thread meets violations from index 8 on.  From seed 1149 the first
+# block's ladders have two levels, which never violate, and the first
+# violation is at index 8, in a block the other thread may take while the
+# calling thread is still in the first one.
 @pytest.mark.parametrize("start, first", [(5, 5), (1149, 1157)])
 def test_the_lowest_violating_ladder_wins_across_threads(compiled_kernel, start, first):
     args = (3, 150, False, 10**4)

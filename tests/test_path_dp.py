@@ -1,12 +1,14 @@
-"""The path DP of both ladder kernels against their full search.
+"""The path DP of both ladder kernels against the full search.
 
-``scan_track(..., collect=True)`` always runs the search that enumerates every
-maximal carried path, so it is the oracle: ``collect=False``, which counts by
-dynamic programming wherever the DP applies and falls back to the search
-elsewhere, must give the same counts, longest path and first witness.  The
-compiled kernel hands any ladder whose counts leave 64 bits to the pure-Python
-DP; the tests here reach that hand-over on one track, in runs split across
-threads, and at the size cap.
+``scan_track(..., collect=True)`` always runs the pure-Python search that
+enumerates every maximal carried path (the compiled kernel hands such calls
+over), so it is the oracle: ``collect=False``, which counts by dynamic
+programming wherever the DP applies and falls back to the search elsewhere,
+must give the same counts, longest path and first witness.  The compiled
+kernel only counts: it hands to the pure-Python kernel every track that the DP
+cannot count, whose counts leave 64 bits, or that violates, and every call
+whose seeds leave a long long.  The tests here reach that hand-over on one
+track, in runs split across threads and on one CPU, and at the size cap.
 """
 
 import json
@@ -80,9 +82,12 @@ def test_a_cycle_falls_back_to_the_search(kernel):
     tables = _ladder_py._build_tables(*enc[:8])
     assert _ladder_py._suffix_counts(tables, enc[4], enc[5], enc[8], 10**4) is None
     got = kernel.scan_track(*enc, 10**4, False)
-    assert got == (None,) + kernel.scan_track(*enc, 10**4, True)[1:]
+    listed = kernel.scan_track(*enc, 10**4, True)
+    assert got == (None,) + listed[1:]
     # Only the search truncates, at the first repeated state.
     assert got[3] > 0 and got[2] > 0
+    # The compiled kernel hands the cycle over, listed and counted.
+    assert (listed, got) == tuple(_ladder_py.scan_track(*enc, 10**4, c) for c in (True, False))
 
 
 def test_the_first_witness_is_the_searchs(kernel, monkeypatch):
@@ -136,12 +141,27 @@ def test_counts_past_64_bits_go_to_the_python_dp(compiled_kernel):
         assert got[1] >= 2**64 and got[7] == start
 
 
+# Calls at the compiled kernel's hand-over, besides the control run from seed
+# 0 below, in which every block of eight seeds holds a violating ladder, so
+# every thread defers its first violating ladder to fold_in: the same run at
+# step bounds where the DP gives up on some ladders (it counts no path that
+# the search truncates) or on all of them; runs that end at 2**63 - 1 or
+# start at -2**63, which the C counts; and runs that leave the long long
+# range at either end, which go to the pure-Python kernel whole.
+HAND_OVER_CALLS = [(0, 200, 8, 6, False, step_bound) for step_bound in (1, 2, 3, 5, 8)]
+HAND_OVER_CALLS += [
+    (start, 200, 8, 6, False, 10**4)
+    for start in (2**63 - 200, 2**63 - 100, -(2**63), -(2**63) - 100)
+]
+
+
 def test_threaded_and_one_cpu_scans_agree(compiled_kernel):
     # The same calls in a process pinned to one CPU, where every call stays
     # on the calling thread.
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity")
     calls = [(0, 200, 8, 6, False, 10**4), (5, 200, 3, 150, False, 10**4), (0, 42, *BIG)]
+    calls += HAND_OVER_CALLS
     code = (
         "import importlib.util, os, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
@@ -160,7 +180,11 @@ def test_threaded_and_one_cpu_scans_agree(compiled_kernel):
     )
     expected = [compiled_kernel.scan_ladder(*args) for args in calls]
     assert proc.returncode == 0 and proc.stdout == "%r\n" % (expected,), proc.stderr
-    assert expected[:2] == [_ladder_py.scan_ladder(*args) for args in calls[:2]]
+    assert expected[:2] + expected[3:] == [
+        _ladder_py.scan_ladder(*args) for args in calls[:2] + calls[3:]
+    ]
+    singles = [_ladder_py.scan_ladder(seed, 1, 8, 6, False, 10**4) for seed in range(200)]
+    assert all(any(single[2] for single in singles[k : k + 8]) for k in range(0, 200, 8))
 
 
 # `ladder verify --control` at the size cap, seed 1: its maximal paths and the
