@@ -4,7 +4,8 @@ Each entry pins the exit code and the sha256 of stdout of one command: the
 criterion-9 commands (except ``ladder verify``, whose output names the kernel
 backend; seeded ladders are pinned in ``test_ladder_golden.py``), ``arcs
 refine`` and ``arcs validate`` on fixed boundary data, and ``track build`` and
-``track slopes`` for each endpoint preset, a 9,000-branch track, and a
+``track slopes`` for each endpoint preset, ``track slopes`` on ``(4;1)`` c=5
+and on seeded random tracks of every kind, a 9,000-branch track, and a
 partial ``analyze`` report as JSON and as text.  A refactor that changes any
 byte of valid output breaks a digest here.
 """
@@ -17,6 +18,7 @@ import json
 import pytest
 
 from dehnfill.cli import main
+from dehnfill.tracks import random_track, track_to_json
 
 CRITERION_9 = {
     "interval": ["interval", "--locus", "4,1", "--orbit-length", "1"],
@@ -76,6 +78,13 @@ MORE_TRACKS = {
     "track-build-1000": ["track", "build", "--locus", "1000,1", "--orbit-length", "3"],
 }
 
+# track_to_json(random_track(seed)) for each kind of carried set: single (1),
+# all (9), empty with the zero class listed once per ray (14), and two arcs
+# whose extreme ray holds two parallel classes, (3, 3) and (4, 4) at seed 3,
+# (-8, 2) and (-4, 1) at seed 43, so the excluded witness depends on which of
+# them is taken.
+RANDOM_SEEDS = (1, 3, 9, 14, 43)
+
 # Slope 4 lies outside the interval of (6;1) and slope 1 inside it, so the
 # report has an empty and a full "guarantees" list and a non-empty "notes".
 PARTIAL = ["analyze", "--locus", "6,1", "--orbit-length", "1", "--slope", "4", "--slope", "1"]
@@ -116,6 +125,12 @@ GOLDEN = {
     "track-slopes-phase-flipped-6,1": (0, "10ff6fd816b9cf2da0218cd6f672ac8eaad12b2a3aa2a9567d8e339bab6ead70"),
     "track-slopes-wide-4,1": (0, "349ad61c6e44e01e71858cd157b3f1b0c4dfcef788417589eacec5d43309cecf"),
     "track-slopes-wide-6,1": (0, "10ff6fd816b9cf2da0218cd6f672ac8eaad12b2a3aa2a9567d8e339bab6ead70"),
+    "track-slopes-c5": (0, "54a35bec260fd2b68448f94c1ce447130110c57bef7334ebf7e148eb09bcf5f7"),
+    "track-slopes-random-1": (0, "c3ca11c6975a4d8f21b53433fe621e626edd2ebb5f535f098253ec69b9327933"),
+    "track-slopes-random-3": (0, "0d593e822f1207a18f7773a3938bb7abf6e13a31338a27ed98235c46cc5c8058"),
+    "track-slopes-random-9": (0, "e043bc544ae654c58be94431884bfa17fcd69366e1ec351afeca3e988fc183e4"),
+    "track-slopes-random-14": (0, "fd2df88413051ef68083fa6150fdca6054133261ae7da9a768866979ddba1d73"),
+    "track-slopes-random-43": (0, "52708340626d6d6b849a16c904378b01d27e3e0369de9307469e173083d63f27"),
 }
 
 
@@ -154,6 +169,12 @@ def outputs(tmp_path_factory):
             runs["track-slopes-" + key] = _run(["track", "slopes", "--input", str(track)])
     for name, argv in MORE_TRACKS.items():
         runs[name] = _run(argv)
+    track = tmp / "track-c5.json"
+    track.write_text(runs["track-build-c5"][1])
+    runs["track-slopes-c5"] = _run(["track", "slopes", "--input", str(track)])
+    for seed in RANDOM_SEEDS:
+        track = _write(tmp / ("random-%d.json" % seed), track_to_json(random_track(seed)))
+        runs["track-slopes-random-%d" % seed] = _run(["track", "slopes", "--input", track])
     config = _write(tmp / "odd-config.json", ODD_CONFIG)
     runs["track-build-odd-config"] = _run(
         ["track", "build", "--locus", "6,1", "--orbit-length", "3", "--config", config]
