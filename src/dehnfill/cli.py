@@ -27,7 +27,7 @@ from .tracks import (
     config_from_json,
     track_from_json,
     track_to_json,
-    weight_cone,
+    weight_cone,  # not called here; perfbench traces and checks it at this name
 )
 
 __all__ = ["main"]
@@ -124,6 +124,8 @@ def _parse_locus(text):
 
 
 def _single_orbit(locus, c):
+    if c < 1:
+        raise ValueError("orbit length must be >= 1")
     if c > ORBIT_LENGTH_CAP:
         raise ValueError("--orbit-length must be at most %d, not %d" % (ORBIT_LENGTH_CAP, c))
     return BoundaryOrbit(
@@ -237,12 +239,11 @@ def _cmd_arcs(args):
 
 
 def _carried_doc(track):
-    rays = weight_cone(track, masks=True)
-    cs = carried_slopes(track, rays=rays)
+    cs = carried_slopes(track)
     doc = {
         "schema": "carried_slopes_v1",
         "kind": cs.kind,
-        "extreme_rays": len(rays),
+        "extreme_rays": cs.extreme_rays,
         "extreme_classes": [list(c) for c in cs.extreme_classes],
     }
     if cs.kind == "single":

@@ -147,24 +147,26 @@ def _reach(adj, s):
     return seen
 
 
-def _cycle_masks(track: TorusTrainTrack):
-    """Every simple directed cycle of the switch graph as a branch bitmask.
+def _cycle_sums(track: TorusTrainTrack, labels):
+    """Yield, for each simple directed cycle of the switch graph, the sum of
+    ``labels[b]`` over its branches ``b``.
 
     Switches are the vertices and branch ``b`` is an edge from the switch at
-    its tail to the switch at its head, labelled with bit ``n - 1 - b``; a
-    cycle's mask is the union of its edge labels.  An edge whose tail is its
-    head (an unattached loop among them) is a cycle on its own and no other
-    simple cycle uses it, so it goes to the output and not into the graph.
+    its tail to the switch at its head, labelled ``labels[b]``.  A simple
+    cycle uses each branch at most once, so with ``labels[b] = 1 << (n - 1 -
+    b)`` its sum is its branch mask.  An edge whose tail is its head (an
+    unattached loop among them) is a cycle on its own and no other simple
+    cycle uses it, so it is yielded and not put into the graph.
 
     The graph is first series-reduced.  A switch with no incoming or no
     outgoing edge lies on no cycle and is dropped with its edges.  A switch
     with exactly one incoming or exactly one outgoing edge is spliced out:
     each pair of an edge into it and an edge out of it becomes one edge
-    labelled with the union of their labels.  Every simple cycle through the
+    labelled with the sum of their labels.  Every simple cycle through the
     switch uses its single edge on that side, and every merged edge shares
     that edge's far endpoint, so no simple cycle uses two of them: cycles of
     the reduced graph map one-to-one onto those of the original, with the
-    same masks, and the edge count never grows.  The reduction repeats until
+    same sums, and the edge count never grows.  The reduction repeats until
     every switch left has two or more edges each way.
 
     Johnson's circuit search (SIAM J. Comput. 1975) then runs iteratively
@@ -173,27 +175,22 @@ def _cycle_masks(track: TorusTrainTrack):
     work proportional to the number of cycles found.  Blocking is per
     vertex, so parallel edges each close their own cycle: a vertex from
     which a cycle was found is unblocked before the next edge into it is
-    tried.  The masks are sorted, so the order in which either step meets
-    the cycles never shows.
+    tried.  Cycles come in no particular order.
     """
-    n = len(track.branches)
     at = {}
     for i, sw in enumerate(track.switches):
-        for end in _switch_ends(sw):
-            at[end] = i
-    masks = []
-    outs = [{} for _ in track.switches]  # per vertex: {edge id: (head, mask)}
-    ins = [{} for _ in track.switches]  # per vertex: {edge id: (tail, mask)}
-    for b in range(n):
-        bit = 1 << (n - 1 - b)
+        at[sw.single] = at[sw.double[0]] = at[sw.double[1]] = i
+    outs = [{} for _ in track.switches]  # per vertex: {edge id: (head, label)}
+    ins = [{} for _ in track.switches]  # per vertex: {edge id: (tail, label)}
+    for b, label in enumerate(labels):
         u, w = at.get((b, TAIL)), at.get((b, HEAD))
         if u == w:
-            masks.append(bit)
+            yield label
         else:
-            outs[u][b] = w, bit
-            ins[w][b] = u, bit
+            outs[u][b] = w, label
+            ins[w][b] = u, label
 
-    edge_id = n
+    edge_id = len(labels)
     alive = [True] * len(outs)
     todo = list(range(len(outs)))
     while todo:
@@ -213,34 +210,36 @@ def _cycle_masks(track: TorusTrainTrack):
         for u, m in into.values():
             for w, m2 in out.values():
                 if u == w:
-                    masks.append(m | m2)
+                    yield m + m2
                 else:
-                    outs[u][edge_id] = w, m | m2
-                    ins[w][edge_id] = u, m | m2
+                    outs[u][edge_id] = w, m + m2
+                    ins[w][edge_id] = u, m + m2
                     edge_id += 1
 
     left = [v for v in range(len(outs)) if alive[v]]
+    if not left:
+        return
     index = {v: i for i, v in enumerate(left)}
     succ = [[(index[w], m) for w, m in outs[v].values()] for v in left]
     pred = [[(index[u], m) for u, m in ins[v].values()] for v in left]
     for s in range(len(succ)):
         comp = _reach(succ, s) & _reach(pred, s)
-        adj = {v: [(w, bit) for w, bit in succ[v] if w in comp] for v in comp}
+        adj = {v: [(w, m) for w, m in succ[v] if w in comp] for v in comp}
         blocked = {s}
         held = {v: set() for v in comp}  # Johnson's B lists
         path = [s]
-        prefix = [0]  # mask of the path up to each vertex
+        prefix = [0]  # label sum of the path up to each vertex
         found = [False]  # whether a cycle was closed below each vertex
         frames = [iter(adj[s])]
         while frames:
-            for w, bit in frames[-1]:
+            for w, m in frames[-1]:
                 if w == s:
-                    masks.append(prefix[-1] | bit)
+                    yield prefix[-1] + m
                     found[-1] = True
                 elif w not in blocked:
                     blocked.add(w)
                     path.append(w)
-                    prefix.append(prefix[-1] | bit)
+                    prefix.append(prefix[-1] + m)
                     found.append(False)
                     frames.append(iter(adj[w]))
                     break
@@ -261,11 +260,25 @@ def _cycle_masks(track: TorusTrainTrack):
                 else:
                     for w, _ in adj[v]:
                         held[w].add(v)
-    masks.sort()
-    return masks
 
 
-def weight_cone(track: TorusTrainTrack, *, masks: bool = False):
+@dataclass
+class RayClasses:
+    """The homology classes of a track's extreme rays, without the rays.
+
+    ``least`` maps each class ``(a, b)`` to the least mask (as in
+    ``weight_cone(track, masks=True)``) among the rays of that class, in
+    the order of those masks, and ``len()`` is the number of rays.
+    """
+
+    least: dict
+    rays: int
+
+    def __len__(self):
+        return self.rays
+
+
+def weight_cone(track: TorusTrainTrack, *, masks: bool = False, by_class: bool = False):
     """Extreme rays of ``{w >= 0 : switch conditions}``.
 
     Each switch condition is flow conservation at a vertex of the switch
@@ -274,17 +287,39 @@ def weight_cone(track: TorusTrainTrack, *, masks: bool = False):
     of Train Tracks*, 1992).  Rays come in lexicographic order; an empty
     list means the track carries nothing.  With ``masks=True`` each ray is
     an int whose bit ``n - 1 - b`` is its weight on branch ``b``, in the
-    same order.
+    same order.  With ``by_class=True`` the result is a ``RayClasses``: the
+    rays are counted and summed to their classes as the search finds them,
+    and never listed.
     """
-    rays = _cycle_masks(track)
-    if masks:
-        return rays
     n = len(track.branches)
-    return [tuple((m >> (n - 1 - b)) & 1 for b in range(n)) for m in rays]
-
-
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
+    if not by_class:
+        rays = sorted(_cycle_sums(track, [1 << (n - 1 - b) for b in range(n)]))
+        if masks:
+            return rays
+        return [tuple((m >> (n - 1 - b)) & 1 for b in range(n)) for m in rays]
+    # A cycle's label packs its mask below bit n and its class (a, b) above
+    # it as a + b * 2**width, where |a| < 2**(width - 1).  The masks of the
+    # branches of a simple cycle are disjoint, so summing labels sums both.
+    width = sum([abs(br.a) for br in track.branches]).bit_length() + 1
+    labels = []
+    low = (1 << n) - 1
+    bit = low + 1
+    for br in track.branches:
+        bit >>= 1
+        labels.append(bit + ((br.a + (br.b << width)) << n))
+    least = {}
+    rays = 0
+    for label in _cycle_sums(track, labels):
+        rays += 1
+        key, mask = label >> n, label & low
+        if mask < least.get(key, low + 1):
+            least[key] = mask
+    half = 1 << (width - 1)
+    classes = {}
+    for mask, key in sorted(zip(least.values(), least)):
+        a = ((key + half) & ((1 << width) - 1)) - half
+        classes[a, (key - a) >> width] = mask
+    return RayClasses(classes, rays)
 
 
 @dataclass(frozen=True)
@@ -294,13 +329,14 @@ class CarriedSlopes:
     ``kind`` is one of ``empty`` (nothing carried), ``single`` (one slope),
     ``arc`` (a salient cone of classes) or ``all`` (the image cone spans a
     half-plane or more).  The arc is closed: extreme rays attain both of its
-    endpoints.
+    endpoints.  ``extreme_rays`` counts the extreme rays of the weight cone.
     """
 
     kind: str
     slope: ProjectiveSlope | None = None
     arc: SlopeInterval | None = None
     extreme_classes: tuple = ()
+    extreme_rays: int = 0
 
     def contains_class(self, cls) -> bool:
         """Closed containment test for an integer homology class."""
@@ -316,63 +352,44 @@ class CarriedSlopes:
         return self.arc.contains(s)
 
 
-def carried_slopes(track: TorusTrainTrack, *, rays=None) -> CarriedSlopes:
-    """The arc of slopes realizable by curves carried with positive weights.
-
-    ``rays`` is ``weight_cone(track, masks=True)`` when the caller already
-    holds it, so the cycles are not enumerated a second time.
-    """
-    if rays is None:
-        rays = weight_cone(track, masks=True)
-    if not rays:
-        return CarriedSlopes(kind="empty")
-    # A ray's class is each branch class times the number of its branches in
-    # the cycle, so branches are grouped by class into one bitmask each.
-    n = len(track.branches)
-    groups = {}
-    for b, br in enumerate(track.branches):
-        if br.a or br.b:
-            groups[br.a, br.b] = groups.get((br.a, br.b), 0) | 1 << (n - 1 - b)
-    groups = list(groups.items())
-    # Each class once, in the order of its first ray: the checks below use
-    # only the set of classes and which one comes first, and the rays can be
-    # far more numerous than their classes.
-    classes = {}
-    for m in rays:
-        a = b = 0
-        for (ga, gb), g in groups:
-            k = (m & g).bit_count()
-            a += ga * k
-            b += gb * k
-        classes[a, b] = None
-    nonzero = [c for c in classes if c != (0, 0)]
+def carried_slopes(track: TorusTrainTrack) -> CarriedSlopes:
+    """The arc of slopes realizable by curves carried with positive weights."""
+    cone = weight_cone(track, by_class=True)
+    rays = len(cone)
+    # Each class once, in the order of its first ray (its least mask).
+    nonzero = [c for c in cone.least if c != (0, 0)]
     if not nonzero:
         # carried_slopes_v1 lists the zero class once per ray here.
-        return CarriedSlopes(kind="empty", extreme_classes=((0, 0),) * len(rays))
+        return CarriedSlopes(kind="empty", extreme_classes=((0, 0),) * rays, extreme_rays=rays)
     extreme = tuple(sorted(nonzero))
-    if all(_cross(u, v) == 0 for u in nonzero for v in nonzero):
-        return CarriedSlopes(
-            kind="single",
-            slope=ProjectiveSlope.of(*nonzero[0]),
-            extreme_classes=extreme,
-        )
-    rights = [u for u in nonzero if all(_cross(u, v) >= 0 for v in nonzero)]
-    lefts = [v for v in nonzero if all(_cross(u, v) >= 0 for u in nonzero)]
-    if not rights or not lefts:
-        return CarriedSlopes(kind="all", extreme_classes=extreme)
-    e_r = rights[0]
-    e_l = lefts[0]
-    end_a = ProjectiveSlope.of(*e_r)
-    end_b = ProjectiveSlope.of(*e_l)
-    if end_a == end_b:
-        # Antipodal extreme classes: the cone is a half-plane, which already
-        # projects onto every slope.
-        return CarriedSlopes(kind="all", extreme_classes=extreme)
-    # The complement of the projectivized cone is the open cone between e_r
-    # and -e_l, so their difference is a witness strictly outside the arc.
-    witness = ProjectiveSlope.of(e_r[0] - e_l[0], e_r[1] - e_l[1])
-    arc = SlopeInterval(end_a, end_b, excluded=witness, closed_a=True, closed_b=True)
-    return CarriedSlopes(kind="arc", arc=arc, extreme_classes=extreme)
+    # In a salient cone, e_r = (ra, rb) moves to the first class on its
+    # clockwise extreme and e_l = (la, lb) to the first on the other, each
+    # only to a class strictly beyond it.  Neither moves if every class is
+    # parallel to the first.  The check after it catches any other cone.
+    ra, rb = la, lb = first = nonzero[0]
+    for a, b in nonzero:
+        if ra * b < rb * a:
+            ra, rb = a, b
+        if a * lb < b * la:
+            la, lb = a, b
+    if (ra, rb) == (la, lb) == first:
+        slope = ProjectiveSlope.of(*first)
+        return CarriedSlopes(kind="single", slope=slope, extreme_classes=extreme, extreme_rays=rays)
+    for a, b in nonzero:
+        if ra * b < rb * a or a * lb < b * la:
+            break
+    else:
+        end_a = ProjectiveSlope.of(ra, rb)
+        end_b = ProjectiveSlope.of(la, lb)
+        if end_a != end_b:
+            # The open cone between e_r and -e_l is the complement of the
+            # projectivized cone, so e_r - e_l is a witness outside the arc.
+            witness = ProjectiveSlope.of(ra - la, rb - lb)
+            arc = SlopeInterval(end_a, end_b, excluded=witness, closed_a=True, closed_b=True)
+            return CarriedSlopes(kind="arc", arc=arc, extreme_classes=extreme, extreme_rays=rays)
+    # A class lies beyond e_r or e_l, or they are antipodal and the cone is a
+    # half-plane: either way every slope is carried.
+    return CarriedSlopes(kind="all", extreme_classes=extreme, extreme_rays=rays)
 
 
 def integral_carried_classes(track: TorusTrainTrack, weight_bound: int):

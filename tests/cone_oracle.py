@@ -1,4 +1,4 @@
-"""Oracles for ``dehnfill.tracks.weight_cone``.
+"""Oracles for ``dehnfill.tracks.weight_cone`` and ``carried_slopes``.
 
 ``unreduced_cycle_masks`` is Johnson's circuit search run on the whole switch
 graph, with no series reduction: the search the library ran before it
@@ -9,12 +9,23 @@ switch hyperplane at a time (Fukuda–Prodon 1996), keeping a combination of a
 positive and a negative ray only when the two are adjacent.  It shares
 nothing with the cycle enumeration in the library except the switch
 equations, and its cost grows quickly with the number of rays, so tests use it
-on small tracks only.
+on small tracks only.  ``mask_carried_slopes`` is the carried-slope arc as
+the library found it before it summed classes during the search: from the
+sorted list of every ray's mask, with each class summed in a second pass.
 """
 
 from math import gcd
 
-from dehnfill.tracks import HEAD, TAIL, _reach, _switch_ends, _switch_equations
+from dehnfill.slopes import ProjectiveSlope, SlopeInterval
+from dehnfill.tracks import (
+    HEAD,
+    TAIL,
+    CarriedSlopes,
+    _reach,
+    _switch_ends,
+    _switch_equations,
+    weight_cone,
+)
 
 
 def unreduced_cycle_masks(track):
@@ -132,3 +143,52 @@ def double_description(track):
                     new_rays.append(norm)
         rays = sorted(set(new_rays))
     return rays
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def mask_carried_slopes(track):
+    """``carried_slopes`` from ``weight_cone(track, masks=True)``: every ray's
+    class summed from its mask, the classes in the order of their first ray,
+    and the extremes found by comparing every pair of classes."""
+    rays = weight_cone(track, masks=True)
+    if not rays:
+        return CarriedSlopes(kind="empty")
+    n = len(track.branches)
+    groups = {}
+    for b, br in enumerate(track.branches):
+        if br.a or br.b:
+            groups[br.a, br.b] = groups.get((br.a, br.b), 0) | 1 << (n - 1 - b)
+    classes = {}
+    for m in rays:
+        a = b = 0
+        for (ga, gb), g in groups.items():
+            k = (m & g).bit_count()
+            a += ga * k
+            b += gb * k
+        classes[a, b] = None
+    count = len(rays)
+    nonzero = [c for c in classes if c != (0, 0)]
+    if not nonzero:
+        return CarriedSlopes(kind="empty", extreme_classes=((0, 0),) * count, extreme_rays=count)
+    extreme = tuple(sorted(nonzero))
+    if all(_cross(u, v) == 0 for u in nonzero for v in nonzero):
+        return CarriedSlopes(
+            kind="single",
+            slope=ProjectiveSlope.of(*nonzero[0]),
+            extreme_classes=extreme,
+            extreme_rays=count,
+        )
+    rights = [u for u in nonzero if all(_cross(u, v) >= 0 for v in nonzero)]
+    lefts = [v for v in nonzero if all(_cross(u, v) >= 0 for u in nonzero)]
+    if not rights or not lefts:
+        return CarriedSlopes(kind="all", extreme_classes=extreme, extreme_rays=count)
+    e_r, e_l = rights[0], lefts[0]
+    end_a, end_b = ProjectiveSlope.of(*e_r), ProjectiveSlope.of(*e_l)
+    if end_a == end_b:
+        return CarriedSlopes(kind="all", extreme_classes=extreme, extreme_rays=count)
+    witness = ProjectiveSlope.of(e_r[0] - e_l[0], e_r[1] - e_l[1])
+    arc = SlopeInterval(end_a, end_b, excluded=witness, closed_a=True, closed_b=True)
+    return CarriedSlopes(kind="arc", arc=arc, extreme_classes=extreme, extreme_rays=count)

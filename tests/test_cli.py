@@ -440,9 +440,11 @@ def test_track_slopes_enumerates_cycles_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "track.json"
     path.write_text(out)
     calls = []
-    enumerate_cycles = tracks._cycle_masks
+    enumerate_cycles = tracks._cycle_sums
     monkeypatch.setattr(
-        tracks, "_cycle_masks", lambda track: calls.append(track) or enumerate_cycles(track)
+        tracks,
+        "_cycle_sums",
+        lambda track, labels: calls.append(track) or enumerate_cycles(track, labels),
     )
     code, out, _ = run(capsys, "track", "slopes", "--input", str(path))
     assert code == 0 and json.loads(out)["extreme_rays"] > 0
@@ -555,6 +557,22 @@ def test_analyze_orbit_length_cap(capsys):
         assert err == "error: --orbit-length must be at most %d, not %d\n" % (cap, c)
     code, out, _ = run(capsys, "interval", "--locus", "6,1", "--orbit-length", str(10**30))
     assert code == 0 and json.loads(out)["schema"] == "interval_v1"
+
+
+@pytest.mark.parametrize("c", [-3, 0])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--locus", "6,1", "--slope=1/2"),
+        ("analyze", "--locus", "6,1"),
+        ("interval", "--locus", "6,1"),
+        ("track", "build", "--locus", "6,1"),
+    ],
+)
+def test_orbit_length_below_one_exits_two(capsys, argv, c):
+    code, out, err = run(capsys, *argv, "--orbit-length=%d" % c)
+    assert code == 2 and out == ""
+    assert err == "error: orbit length must be >= 1\n"
 
 
 def test_track_build_above_the_branch_cap_exits_two(capsys):
