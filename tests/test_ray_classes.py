@@ -21,9 +21,6 @@ from dehnfill.tracks import (
     weight_cone,
 )
 
-# The seeds and the track whose ``track slopes`` output test_cli_golden.py pins.
-GOLDEN_SEEDS = (1, 3, 9, 14, 43)
-
 
 def agrees(track):
     """Equal to the oracle in every field, ``extreme_rays`` (the number of
@@ -34,6 +31,8 @@ def agrees(track):
 
 
 def test_matches_mask_oracle_on_random_tracks():
+    # Among them the seeds whose ``track slopes`` output test_cli_golden.py
+    # pins; its (4; 1) track with c = 5 is in the sweep.
     kinds = set()
     for seed in range(3000):
         kinds.add(agrees(random_track(seed)).kind)
@@ -45,12 +44,6 @@ def test_matches_mask_oracle_over_the_sweep():
     for p, q, c in SWEEP:
         for track in built(p, q, c):
             assert agrees(track).kind == "arc", (p, q, c)
-
-
-def test_matches_mask_oracle_on_golden_tracks():
-    for seed in GOLDEN_SEEDS:
-        agrees(random_track(seed))
-    agrees(build_boundary_track(DegeneracyLocus(4, 1), 5))
 
 
 @given(
@@ -86,7 +79,7 @@ def test_ray_classes_keep_the_least_mask_of_each_class():
 
 def test_memory_does_not_grow_with_the_rays():
     # (10; 1) with c = 3 has 13,958 rays and 12 classes.  A list of their
-    # masks peaks at about 720 KB; one least mask per class at about 60 KB.
+    # masks peaks at about 720 KB; one least mask per class at about 70 KB.
     track = build_boundary_track(DegeneracyLocus(10, 1), 3)
     tracemalloc.start()
     try:
