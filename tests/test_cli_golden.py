@@ -5,8 +5,9 @@ criterion-9 commands (except ``ladder verify``, whose output names the kernel
 backend; seeded ladders are pinned in ``test_ladder_golden.py``), ``arcs
 refine`` and ``arcs validate`` on fixed boundary data, and ``track build`` and
 ``track slopes`` for each endpoint preset, ``track slopes`` on ``(4;1)`` c=5
-and on seeded random tracks of every kind, a 9,000-branch track, and a
-partial ``analyze`` report as JSON and as text.  A refactor that changes any
+and on seeded random tracks of every kind, a 9,000-branch track, a partial
+``analyze`` report as JSON and as text, ``analyze`` with no slope and on
+preserving-parity data, and ``census show``.  A refactor that changes any
 byte of valid output breaks a digest here.
 """
 
@@ -91,6 +92,14 @@ PARTIAL = ["analyze", "--locus", "6,1", "--orbit-length", "1", "--slope", "4", "
 REPORTS = {
     "analyze-partial": PARTIAL,
     "analyze-partial-text": PARTIAL + ["--output", "text"],
+    # No slope: the report that cli._cmd_analyze writes by hand.
+    "analyze-no-slope": ["analyze", "--locus", "6,1", "--orbit-length", "3"],
+    # Preserving parity: verdict "partial", the LO label from zung_sign_check,
+    # and slope 2 equal to the degeneracy slope.
+    "analyze-preserving": [
+        "analyze", "--locus", "4,2", "--orbit-length", "1", "--slope", "1", "--slope", "2"
+    ],
+    "census-show": ["census", "show", "m003"],
 }
 
 GOLDEN = {
@@ -118,6 +127,9 @@ GOLDEN = {
     "track-build-1000": (0, "5a7102b6a7063ecf1ce93602a89933077e1d66aad9cecd3ec7dfe50b109d879c"),
     "analyze-partial": (0, "82d4c785fac1a5c9b0c764903edaec7e2385b7ac4797b66f7d62f6b130220617"),
     "analyze-partial-text": (0, "c221fc84f7b02ba4980c3b551afca60287cd1020ec47c21bfc2aac627cb0d7d3"),
+    "analyze-no-slope": (0, "446194b5b6f8219ef2d71d97190e61efffbe6c26cd5c528b4534f56357090b26"),
+    "analyze-preserving": (0, "bf2db58793de26fbdf11574fcbedce86828f6ec32b7249657988ec632002468c"),
+    "census-show": (0, "528eb362af0303ee05ce7d246d601aa624e2d2ddbf771d58f9ebee0c76f04109"),
     "track-build-odd-config": (0, "da588cc29adfa33a42e89d4dbce84650f5c278188f18ccaf11eb2db5173e20e5"),
     "track-slopes-default-4,1": (0, "349ad61c6e44e01e71858cd157b3f1b0c4dfcef788417589eacec5d43309cecf"),
     "track-slopes-default-6,1": (0, "10ff6fd816b9cf2da0218cd6f672ac8eaad12b2a3aa2a9567d8e339bab6ead70"),
