@@ -16,7 +16,6 @@ hold by construction.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import floor
 
 from .monodromy import MonodromyBoundaryAction, _action_entries
 from .slopes import _exact
@@ -25,12 +24,10 @@ __all__ = [
     "ArcEndpoint",
     "CombinatorialArc",
     "AdmissibleArcSystem",
-    "PushOffSystem",
     "Violation",
     "validate_system",
     "refined_matching",
     "enumerate_matchings",
-    "push_off",
     "system_to_json",
     "system_from_json",
 ]
@@ -79,13 +76,6 @@ class AdmissibleArcSystem:
     @property
     def endpoints(self):
         return tuple(e for arc in self.arcs for e in arc.endpoints)
-
-
-@dataclass(frozen=True)
-class PushOffSystem:
-    base: AdmissibleArcSystem
-    epsilon: Fraction
-    offset_endpoints: tuple
 
 
 @dataclass(frozen=True)
@@ -259,51 +249,6 @@ def refined_matching(
         # pointwise-fixed circle, excluded above.
         eps = Fraction(1, 8 * total) if eps == 0 else eps / 2
     raise RuntimeError("no refined system exists for this data")  # pragma: no cover
-
-
-def push_off(sys: AdmissibleArcSystem, epsilon) -> PushOffSystem:
-    """Offset every endpoint by ``+epsilon`` along the boundary orientation.
-
-    The offset family models the parallel copies on the right side of the
-    arcs.  The offset must keep every endpoint inside its half-segment
-    (rejected outright otherwise), and the monodromy images of the offset
-    endpoints must avoid the original ones; on such a collision ``epsilon``
-    is halved, up to 8 times, before giving up.
-    """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    for e in sys.endpoints:
-        if _crosses_singularity(e.position, epsilon):
-            raise ValueError(
-                "push-off collision: offset of endpoint %s on circle %s by %s "
-                "leaves its half-segment" % (e.position, e.circle_id, epsilon)
-            )
-
-    base_positions = {(e.circle_id, e.position) for e in sys.endpoints}
-    last_conflict = None
-    for _ in range(9):
-        offsets = []
-        conflict = None
-        for e in sys.endpoints:
-            moved = ArcEndpoint(e.circle_id, e.position + epsilon)
-            image = sys.action.image(moved.circle_id, moved.position)
-            if image in base_positions:
-                conflict = (e, ArcEndpoint(*image))
-                break
-            offsets.append(moved)
-        if conflict is None:
-            return PushOffSystem(base=sys, epsilon=epsilon, offset_endpoints=tuple(offsets))
-        last_conflict = conflict
-        epsilon /= 2
-    raise ValueError("push-off collision: endpoint %s maps onto %s" % last_conflict)
-
-
-def _crosses_singularity(position: Fraction, epsilon: Fraction) -> bool:
-    """Does ``(position, position + epsilon]`` contain a half-integer multiple?"""
-    two_start = 2 * position
-    two_end = 2 * (position + epsilon)
-    return floor(two_end) > floor(two_start) or two_end.denominator == 1
 
 
 def system_to_json(sys: AdmissibleArcSystem):

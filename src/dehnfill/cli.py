@@ -14,7 +14,7 @@ import os
 import sys
 
 from .arcs import refined_matching, system_from_json, system_to_json, validate_system
-from .census import SYMBOLIC_FAMILIES, census_entries, census_entry, census_to_json, census_verify
+from .census import census_entry, census_to_json, census_verify
 from .filling import _interval_json, _locus_json
 from .filling import analyze_multislope, guaranteed_interval, report_to_json
 from .ladders import kernel_backend, verify_ladders

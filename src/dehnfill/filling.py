@@ -31,7 +31,7 @@ guaranteed interval exactly when ``x`` lies outside ``[q-c, q+c]``: when
 ``tests/test_filling.py`` checks this bound over unbounded integers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .monodromy import (
     BoundaryOrbit,
@@ -166,41 +166,28 @@ def analyze_multislope(orbits, slopes) -> MultislopeReport:
         )
     notes = []
     parities = {classify_coorientation(o.locus) for o in orbits}
-    entries = []
-    for orbit, s in zip(orbits, slopes):
-        interval = guaranteed_interval(orbit.locus, orbit.c)
-        dist, fried_ok, special = check_fried(orbit.locus, s)
-        entries.append(
-            dict(
-                orbit=orbit,
-                interval=interval,
-                slope=s,
-                in_interval=interval.contains(s),
-                dist=dist,
-                fried_ok=fried_ok,
-                special=special,
-            )
-        )
+    intervals = [guaranteed_interval(orbit.locus, orbit.c) for orbit in orbits]
+    inside = [interval.contains(s) for interval, s in zip(intervals, slopes)]
 
     guarantees: frozenset = frozenset()
     if parities == {Coorientation.REVERSING}:
-        if all(e["in_interval"] for e in entries):
+        if all(inside):
             guarantees = frozenset(ALL_GUARANTEES)
             verdict = "guaranteed"
         else:
             verdict = "none"
-            for e in entries:
-                if not e["in_interval"]:
+            for orbit, s, ok in zip(orbits, slopes, inside):
+                if not ok:
                     notes.append(
                         "slope %s outside guaranteed interval on orbit %s"
-                        % (format_slope(e["slope"]), e["orbit"].base_id)
+                        % (format_slope(s), orbit.base_id)
                     )
     elif parities == {Coorientation.PRESERVING}:
         notes.append(
             "preserving-parity data: outside the reversing-monodromy guarantee; "
             "labels below rest on the preserving-case constructions"
         )
-        if all(e["slope"] != e["orbit"].locus.delta for e in entries):
+        if all(s != orbit.locus.delta for orbit, s in zip(orbits, slopes)):
             labels = {"CTF"}
             if zung_sign_check(orbits, slopes):
                 labels.add("LO")
@@ -214,17 +201,8 @@ def analyze_multislope(orbits, slopes) -> MultislopeReport:
         notes.append("mixed co-orientation parities: no joint guarantee applies")
 
     reports = tuple(
-        FillingReport(
-            orbit=e["orbit"],
-            interval=e["interval"],
-            slope=e["slope"],
-            in_interval=e["in_interval"],
-            dist_to_locus=e["dist"],
-            fried_ok=e["fried_ok"],
-            special_no_singular=e["special"],
-            guarantees=guarantees,
-        )
-        for e in entries
+        FillingReport(orbit, interval, s, ok, *check_fried(orbit.locus, s), guarantees)
+        for orbit, interval, s, ok in zip(orbits, intervals, slopes, inside)
     )
     return MultislopeReport(reports=reports, verdict=verdict, notes=tuple(notes))
 

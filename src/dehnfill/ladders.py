@@ -22,10 +22,8 @@ from ._ladder_states import state_decoder
 __all__ = [
     "Rung",
     "LadderTrack",
-    "OrientedLadder",
     "CarriedPath",
     "random_ladder",
-    "orient_ladder",
     "enumerate_carried_paths",
     "check_two_line_property",
     "separation_check",
@@ -81,11 +79,6 @@ class LadderTrack:
                 if foot in feet:
                     raise ValueError("rung feet on level %d collide" % foot[0])
                 feet.add(foot)
-
-    def is_leaf_trace_type(self) -> bool:
-        """Alternating chosen orientations with cusp agreement at both ends."""
-        level, _, _, cusp_low, cusp_high = _rung_lists(self.rungs)
-        return _leaf_trace_type(self.orientations, level, cusp_low, cusp_high)
 
 
 def _rung_lists(rungs):
@@ -266,26 +259,6 @@ def random_ladder(
         _random.Random(seed), max_levels, max_rungs_per_gap, alternating
     )
     return LadderTrack(n_levels, orientations, tuple(map(Rung, *rung_lists)))
-
-
-@dataclass(frozen=True)
-class OrientedLadder:
-    track: LadderTrack
-    forward_dir: int  # the uniform geometric direction of the track orientation
-    rung_upward: tuple  # rule: rungs point up from odd levels, down from even
-
-
-def orient_ladder(track: LadderTrack) -> OrientedLadder:
-    """Assign the track orientation: even lines keep their chosen direction,
-    odd lines flip, rungs run upward exactly when leaving an odd level.
-
-    Raises unless the cusp data certifies the ladder as leaf-trace type.
-    """
-    if not track.is_leaf_trace_type():
-        raise ValueError("not a leaf-trace-type ladder (cusp/orientation mismatch)")
-    forward_dir = track.orientations[0]  # == orientations[k] * parity sign, all k
-    rung_upward = tuple(r.lower_level % 2 == 1 for r in track.rungs)
-    return OrientedLadder(track=track, forward_dir=forward_dir, rung_upward=rung_upward)
 
 
 def _encode(track: LadderTrack):

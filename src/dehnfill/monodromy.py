@@ -12,7 +12,6 @@ orbit length ``c``.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .slopes import ProjectiveSlope
@@ -27,9 +26,7 @@ __all__ = [
     "canonical_locus",
     "classify_coorientation",
     "locus_distance",
-    "euler_poincare_residual",
     "action_from_json",
-    "action_to_json",
 ]
 
 
@@ -214,20 +211,6 @@ def locus_distance(locus: DegeneracyLocus, s: ProjectiveSlope) -> int:
     return abs(locus.p * s.den - locus.q * s.num)
 
 
-def euler_poincare_residual(genus, boundary_sing_counts, interior_prongs=()):
-    """Advisory index check for a singular foliation on a fibered surface.
-
-    Returns the exact ``Fraction`` ``chi - (sum over interior p-prong
-    singularities of (1 - p/2) - (total boundary singularities)/2)`` where
-    ``chi = 2 - 2*genus - #boundary circles``; zero means the data is
-    consistent.  Advisory only: interior data is usually unknown here.
-    """
-    chi = 2 - 2 * genus - len(boundary_sing_counts)
-    interior = sum(1 - Fraction(prongs, 2) for prongs in interior_prongs)
-    index = interior - Fraction(sum(boundary_sing_counts), 2)
-    return chi - index
-
-
 # The most stable singularities a boundary document may put on one circle.
 # Refining and validating arc systems take work and memory, and write output,
 # linear in the count.
@@ -315,14 +298,3 @@ def action_from_json(doc) -> MonodromyBoundaryAction:
     if sorted(shifts) != bases:
         raise ValueError("shifts must be keyed by orbit base ids %s" % bases)
     return action
-
-
-def action_to_json(action: MonodromyBoundaryAction):
-    return {
-        "schema": "monodromy_boundary_v1",
-        "circles": [
-            {"id": cid, "stable_sings": count} for cid, count in action.counts.items()
-        ],
-        "permutation": dict(action.permutation),
-        "shifts": {orbit.circles[0]: orbit.shift for orbit in orbit_decomposition(action)},
-    }

@@ -13,15 +13,12 @@ from math import gcd
 
 __all__ = [
     "ProjectiveSlope",
-    "BasisChange",
     "SlopeInterval",
     "SlopeParseError",
     "slope",
     "INFINITY",
     "LONGITUDE",
     "distance",
-    "div_slope",
-    "apply_basis_change",
     "canonical_meridian",
     "parse_slope",
     "format_slope",
@@ -81,54 +78,6 @@ def distance(x: ProjectiveSlope, y: ProjectiveSlope) -> int:
     symmetric and vanishes exactly when the slopes agree.
     """
     return abs(_det(x, y))
-
-
-def div_slope(p: int, x: ProjectiveSlope) -> ProjectiveSlope:
-    """The slope ``p/x`` on the projective line (0 -> inf, inf -> 0)."""
-    if p <= 0:
-        raise ValueError("p must be positive")
-    # p / (num/den) = (p*den) / num
-    return ProjectiveSlope.of(p * x.den, x.num)
-
-
-@dataclass(frozen=True)
-class BasisChange:
-    """Integer matrix ``[[a, b], [c, d]]`` with determinant +1.
-
-    Column 1 is the image of the meridian, column 2 the image of the
-    longitude; acting on a slope transports its coordinates to the new basis.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("basis change must have determinant +1")
-
-    @staticmethod
-    def identity():
-        return BasisChange(1, 0, 0, 1)
-
-    def __mul__(self, other):
-        if not isinstance(other, BasisChange):
-            return NotImplemented
-        return BasisChange(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-
-def apply_basis_change(m: BasisChange, s: ProjectiveSlope) -> ProjectiveSlope:
-    """Matrix action on the coprime pair, renormalized.
-
-    Distance is invariant: ``distance(m*x, m*y) == distance(x, y)``.
-    """
-    return ProjectiveSlope.of(m.a * s.num + m.b * s.den, m.c * s.num + m.d * s.den)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,12 @@ from dehnfill.arcs import (
     CombinatorialArc,
     default_polarity,
     enumerate_matchings,
-    push_off,
     refined_matching,
     system_from_json,
     system_to_json,
     validate_system,
 )
-from dehnfill.monodromy import MonodromyBoundaryAction, action_from_json, action_to_json
+from dehnfill.monodromy import MonodromyBoundaryAction, action_from_json
 
 
 def boundary(counts, permutation, shifts):
@@ -144,46 +143,6 @@ def test_refined_systems_pass_validation_randomized():
     assert cases >= 1000
 
 
-def test_push_off_basic():
-    system = refined_matching(rotation({"A": 2}, 1))
-    result = push_off(system, Fraction(1, 8))
-    assert result.epsilon == Fraction(1, 8)
-    offset = {e.position for e in result.offset_endpoints}
-    assert offset == {Fraction(3, 8), Fraction(15, 8)}
-
-
-def test_push_off_epsilon_too_large():
-    system = refined_matching(rotation({"A": 2}, 1))
-    with pytest.raises(ValueError, match="push-off"):
-        push_off(system, 3)
-
-
-def test_push_off_collision_retries():
-    # Circles swapped with zero rotation: the offset endpoint of A at
-    # 1/4 + 1/16 lands exactly on B's endpoint at 5/16, forcing one halving.
-    swap = boundary({"A": 2, "B": 2}, {"A": "B", "B": "A"}, {"A": 0, "B": 0})
-    arcs = (
-        CombinatorialArc(ArcEndpoint("A", Fraction(1, 4)), ArcEndpoint("A", Fraction(7, 4))),
-        CombinatorialArc(ArcEndpoint("B", Fraction(5, 16)), ArcEndpoint("B", Fraction(13, 8))),
-    )
-    system = AdmissibleArcSystem(swap, arcs)
-    result = push_off(system, Fraction(1, 16))
-    assert result.epsilon == Fraction(1, 32)
-
-
-def test_push_off_preserves_slot_conditions():
-    action = boundary({"A": 4, "B": 4}, {"A": "B", "B": "A"}, {"A": 1, "B": 2})
-    system = refined_matching(action)
-    result = push_off(system, Fraction(1, 64))
-    # Re-run the slot predicates on the offset family.
-    offset_arcs = tuple(
-        CombinatorialArc(result.offset_endpoints[2 * i], result.offset_endpoints[2 * i + 1])
-        for i in range(len(system.arcs))
-    )
-    offset_system = AdmissibleArcSystem(action, offset_arcs)
-    assert validate_system(offset_system) == []
-
-
 def test_relabelling_equivariance():
     rng = random.Random(7)
     action = boundary(
@@ -220,10 +179,8 @@ def test_json_roundtrip():
 
 
 @st.composite
-def actions(draw, base_shifts_only=False):
-    """Boundary actions on 1-4 circles.  With ``base_shifts_only`` every
-    circle but the least of its orbit has shift 0, as in
-    ``monodromy_boundary_v1``."""
+def actions(draw):
+    """Boundary actions on 1-4 circles."""
     ids = draw(st.permutations(["C%d" % i for i in range(draw(st.integers(1, 4)))]))
     cuts = sorted(draw(st.sets(st.integers(1, len(ids) - 1)))) if len(ids) > 1 else []
     counts, permutation, shifts = {}, {}, {}
@@ -233,14 +190,29 @@ def actions(draw, base_shifts_only=False):
         for k, cid in enumerate(cycle):
             counts[cid] = p
             permutation[cid] = cycle[(k + 1) % len(cycle)]
-            base = cid == min(cycle)
-            shifts[cid] = draw(st.integers(-9, 9)) if base or not base_shifts_only else 0
+            shifts[cid] = draw(st.integers(-9, 9))
     return boundary(counts, permutation, shifts)
 
 
-@given(actions(base_shifts_only=True))
-def test_action_json_roundtrip(action):
-    assert action_from_json(action_to_json(action)) == action
+def test_action_json_roundtrip():
+    # Two orbits; the schema keys each orbit's shift by its base circle, so
+    # B, off the base of its orbit, gets shift 0.
+    doc = {
+        "schema": "monodromy_boundary_v1",
+        "circles": [
+            {"id": "A", "stable_sings": 4},
+            {"id": "B", "stable_sings": 4},
+            {"id": "C", "stable_sings": 2},
+        ],
+        "permutation": {"A": "B", "B": "A", "C": "C"},
+        "shifts": {"A": 3, "C": -1},
+    }
+    action = action_from_json(doc)
+    assert action == boundary(
+        {"A": 4, "B": 4, "C": 2}, {"A": "B", "B": "A", "C": "C"}, {"A": 3, "B": 0, "C": -1}
+    )
+    system = refined_matching(action)
+    assert system_from_json(system_to_json(system)).action == action
 
 
 @given(actions(), st.sampled_from([0, 1]))

@@ -11,7 +11,6 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dehnfill"
 # (module, source text) of each true division of a Fraction.
 FRACTION_DIVISIONS = [
     ("arcs.py", "eps / 2"),
-    ("arcs.py", "epsilon /= 2"),
 ]
 
 

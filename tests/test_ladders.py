@@ -14,7 +14,6 @@ from dehnfill.ladders import (
     check_two_line_property,
     enumerate_carried_paths,
     kernel_backend,
-    orient_ladder,
     random_ladder,
     separation_check,
     standard_orientations,
@@ -39,41 +38,6 @@ def leaf_trace_ladder(n_levels, rung_specs):
         orientations,
         tuple(trace_rung(level, x, orientations) for level, x in rung_specs),
     )
-
-
-def test_orient_rules():
-    # A rung leaving an odd level points up, one leaving an even level down.
-    ladder = leaf_trace_ladder(3, [(1, 2)])
-    oriented = orient_ladder(ladder)
-    assert oriented.rung_upward == (True,)
-
-    ladder = leaf_trace_ladder(2, [(0, 2)])
-    oriented = orient_ladder(ladder)
-    assert oriented.rung_upward == (False,)
-
-    bare = leaf_trace_ladder(4, [])
-    oriented = orient_ladder(bare)
-    assert oriented.track.orientations == (1, -1, 1, -1)
-
-
-def test_orient_rule_is_the_unique_coherent_one():
-    # A rung's landing direction is its cusp there; it matches the track
-    # orientation of the landing line only on even levels, so exactly one of
-    # the two rung directions is coherent, the one given by the parity rule.
-    ladder = leaf_trace_ladder(4, [(0, 2), (1, 4), (2, 6)])
-    oriented = orient_ladder(ladder)
-    for rung, up in zip(ladder.rungs, oriented.rung_upward):
-        landing_level = rung.lower_level + 1 if up else rung.lower_level
-        assert landing_level % 2 == 0
-        flipped_landing = rung.lower_level if up else rung.lower_level + 1
-        assert flipped_landing % 2 == 1
-
-
-def test_orient_rejects_non_tau():
-    control = random_ladder(3, alternating=False)
-    assert not control.is_leaf_trace_type()
-    with pytest.raises(ValueError, match="leaf-trace"):
-        orient_ladder(control)
 
 
 def test_enumerate_no_rungs():

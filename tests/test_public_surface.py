@@ -1,0 +1,105 @@
+"""The library's public surface is the command line, what the library's own
+code uses, and the functions that the README's "Library API" section lists.
+Every module under ``src/dehnfill`` is parsed, and each name in its
+``__all__`` must be loaded by some other code there or be on that list, so
+that no public function lives on for its own tests alone."""
+
+import ast
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dehnfill"
+
+
+def public_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def loads(tree):
+    """(name, owner) of each load in a module's code: a bare name, or an
+    attribute of a sibling module taken with ``from . import``.  The owner is
+    the top-level function or class the load sits in, else ``None``."""
+    siblings = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+        for alias in node.names
+    }
+    found = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add((node.id, owner))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings
+            ):
+                found.add((node.attr, owner))
+    return found
+
+
+def unused_public_names(sources):
+    """``(module, name)`` of each name in a module's ``__all__`` that no code
+    outside the name's own definition loads; ``sources`` maps module names to
+    source text."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    used = {
+        (name, module, owner)
+        for module, tree in trees.items()
+        for name, owner in loads(tree)
+    }
+    return [
+        (module, name)
+        for module, tree in sorted(trees.items())
+        for name in public_names(tree)
+        if not any(n == name and (m, o) != (module, name) for n, m, o in used)
+    ]
+
+
+def library_api():
+    """``(module, name)`` of each row of the README's "Library API" table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(\w+)\.(\w+)", section, re.MULTILINE))
+
+
+def library_sources():
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
+def test_checker_sees_loads_only_outside_the_definition():
+    sources = {
+        "a": (
+            '"""used_in_docstring is named here only."""\n'
+            '__all__ = ["used_in_docstring", "recursive", "called", "by_module"]\n'
+            "def used_in_docstring():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def called():\n    pass\n"
+            "def by_module():\n    pass\n"
+        ),
+        "b": "from . import a\nfrom .a import called\nx = called()\ny = a.by_module()\n",
+    }
+    assert unused_public_names(sources) == [("a", "used_in_docstring"), ("a", "recursive")]
+
+
+def test_every_public_name_is_used_or_listed():
+    unlisted = set(unused_public_names(library_sources())) - library_api()
+    assert sorted(unlisted) == []
+
+
+def test_the_list_names_public_functions():
+    public = {
+        (module, name)
+        for module, text in library_sources().items()
+        for name in public_names(ast.parse(text))
+    }
+    assert sorted(library_api() - public) == []

@@ -1,4 +1,3 @@
-import random
 from math import gcd
 
 import pytest
@@ -8,14 +7,11 @@ from hypothesis import strategies as st
 from dehnfill.slopes import (
     INFINITY,
     LONGITUDE,
-    BasisChange,
     ProjectiveSlope,
     SlopeInterval,
     SlopeParseError,
-    apply_basis_change,
     canonical_meridian,
     distance,
-    div_slope,
     format_slope,
     parse_slope,
     slope,
@@ -55,53 +51,6 @@ def test_distance_symmetric_zero_iff_equal():
             d = distance(x, y)
             assert d == distance(y, x)
             assert (d == 0) == (x == y)
-
-
-def random_basis_change(rng):
-    # Random determinant-+1 matrix with entries in [-9, 9], built by trial.
-    while True:
-        a, b, c = (rng.randint(-9, 9) for _ in range(3))
-        # a*d - b*c = 1  =>  d = (1 + b*c) / a
-        if a != 0 and (1 + b * c) % a == 0:
-            d = (1 + b * c) // a
-            if abs(d) <= 9:
-                return BasisChange(a, b, c, d)
-
-
-def test_distance_basis_invariance():
-    rng = random.Random(20240809)
-    slopes = all_slopes(30)
-    for _ in range(10**4):
-        x, y = rng.choice(slopes), rng.choice(slopes)
-        m = random_basis_change(rng)
-        assert distance(apply_basis_change(m, x), apply_basis_change(m, y)) == distance(
-            x, y
-        )
-
-
-def test_apply_basis_change_examples():
-    assert apply_basis_change(BasisChange.identity(), slope(5, 3)) == slope(5, 3)
-    shear = BasisChange(1, 1, 0, 1)
-    assert apply_basis_change(shear, INFINITY) == INFINITY
-    m = BasisChange(1, 0, -2, 1)
-    # Direct matrix-vector computation: (2,5) -> (2, 2*(-2)+5) = (2, 1).
-    assert apply_basis_change(m, slope(2, 5)) == slope(2, 1)
-
-
-def test_div_slope():
-    assert div_slope(48, slope(2)) == slope(24)
-    assert div_slope(4, slope(0)) == INFINITY
-    assert div_slope(8, slope(-4)) == slope(-2)
-    with pytest.raises(ValueError):
-        div_slope(0, slope(1))
-
-
-def test_div_slope_involution():
-    for p in (2, 4, 6, 48):
-        for s in all_slopes(9):
-            if s == LONGITUDE:
-                continue
-            assert div_slope(p, div_slope(p, s)) == s
 
 
 def test_interval_contains_examples():
