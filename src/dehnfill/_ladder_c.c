@@ -1,18 +1,9 @@
-/* Compiled ladder kernel.  It has the same two entry points as
+/* Compiled ladder kernel.  It has one entry point, the bulk scan of
  * dehnfill._ladder_py, with the same state encoding and outputs, and one job:
- * counting the maximal carried paths of a track, and the violating ones, by
- * the path DP of dehnfill._ladder_py (_suffix_counts).  Every other case goes
- * to dehnfill._ladder_py, which is the only enumerator of paths and the only
- * witness search:
- *
- *   scan_track(offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi,
- *              lo_idx, hi_idx, forward_dir, step_bound, collect)
- *       checks a track given in the plain-int encoding of dehnfill._ladder_py
- *       and counts its paths.  It returns dehnfill._ladder_py.scan_track of
- *       its own arguments when `collect` is true, when the DP meets a cycle or
- *       a path of step_bound states (where the enumeration truncates), when a
- *       count leaves 64 bits, and when some path violates, as the witness is
- *       needed;
+ * counting the maximal carried paths of seeded ladders, and the violating
+ * ones, by the path DP of dehnfill._ladder_py (_suffix_counts).  Every other
+ * case goes to dehnfill._ladder_py, which is the only enumerator of paths, the
+ * only witness search and the only scanner of a single given track:
  *
  *   scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating,
  *               step_bound)
@@ -248,14 +239,15 @@ stopping(Scratch *sc)
 /* The path DP of dehnfill._ladder_py._suffix_counts: fill sc->dp for every
  * state that the sources reach, by one memoised search in postorder, and sum
  * over the sources the directed maximal paths into `*total` and the violating
- * ones into `*bad`, with the most states on one of them in `*longest`.
- * Returns 0; 1 when the DP cannot give the counts of the enumeration in
- * dehnfill._ladder_py, because the states that the sources reach hold a cycle
- * or a path of step_bound states (where the enumeration truncates), or a
- * count leaves uint64; or -1 when out of memory, stopped or interrupted. */
+ * ones into `*bad`, with the most states on one of them in `*longest`.  The
+ * forward direction is +1: both kinds of seeded ladder orient level 0 by +1,
+ * whether or not they are of leaf-trace type.  Returns 0; 1 when the DP cannot
+ * give the counts of the enumeration in dehnfill._ladder_py, because the
+ * states that the sources reach hold a cycle or a path of step_bound states
+ * (where the enumeration truncates), or a count leaves uint64; or -1 when out
+ * of memory, stopped or interrupted. */
 static int
-count_paths(const Track *t, int forward_dir, long step_bound, Scratch *sc, uint64_t *total, uint64_t *bad,
-            int *longest)
+count_paths(const Track *t, long step_bound, Scratch *sc, uint64_t *total, uint64_t *bad, int *longest)
 {
     size_t n_states = (size_t)t->n_states;
     if (step_bound <= 1) {
@@ -319,12 +311,11 @@ count_paths(const Track *t, int forward_dir, long step_bound, Scratch *sc, uint6
                 Suffix *d = &dp[f->state];
                 if (f->n == 0) {
                     /* A sink, where a path that crossed one rung is judged:
-                     * it holds when, read along forward_dir, it runs from an
-                     * odd line to an even one. */
-                    int along = (f->state & 1) == (forward_dir > 0);
+                     * it holds when, read forward, it runs from an odd line
+                     * to an even one. */
                     d->total = 1;
                     d->bad[0] = 0;
-                    d->bad[1] = along != (t->seg_level[f->state >> 1] % 2 == 0);
+                    d->bad[1] = (f->state & 1) != (t->seg_level[f->state >> 1] % 2 == 0);
                     d->longest = 1;
                 }
                 else {
@@ -398,7 +389,7 @@ tally_add(Tally *tally, uint64_t total, uint64_t bad, int longest)
 }
 
 /* ------------------------------------------------------------------------
- * scan_track: a track given in the plain-int encoding
+ * scan_ladder: the ladders that random.Random(seed), Random(seed + 1), ... draw
  * ------------------------------------------------------------------------ */
 
 static int
@@ -406,99 +397,6 @@ as_long(PyObject *obj, long *out)
 {
     *out = PyLong_AsLong(obj);
     return *out == -1 && PyErr_Occurred() ? -1 : 0;
-}
-
-static int
-as_int(PyObject *obj, int *out)
-{
-    long v;
-    if (as_long(obj, &v) < 0) {
-        return -1;
-    }
-    if (v < INT_MIN || v > INT_MAX) {
-        PyErr_SetString(PyExc_OverflowError, "track encoding value does not fit in a C int");
-        return -1;
-    }
-    *out = (int)v;
-    return 0;
-}
-
-/* Copy the n ints of sequence `seq` into `out`. */
-static int
-read_ints(PyObject *seq, int *out, Py_ssize_t n)
-{
-    PyObject *fast = PySequence_Fast(seq, "track encoding entries must be sequences of ints");
-    if (fast == NULL) {
-        return -1;
-    }
-    int ok = PySequence_Fast_GET_SIZE(fast) == n;
-    if (!ok) {
-        PyErr_SetString(PyExc_ValueError, "track encoding lists have inconsistent lengths");
-    }
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; ok && i < n; i++) {
-        ok = as_int(items[i], &out[i]) == 0;
-    }
-    Py_DECREF(fast);
-    return ok ? 0 : -1;
-}
-
-/* Every index of the encoding in range, so the scan reads no memory outside
- * the arrays. */
-static int
-track_consistent(const Track *t)
-{
-    if (t->offsets[0] != 0 || t->offsets[t->n_levels] != t->n_sw) {
-        return 0;
-    }
-    for (int k = 0; k < t->n_levels; k++) {
-        if (t->offsets[k + 1] < t->offsets[k]) {
-            return 0;
-        }
-    }
-    for (int s = 0; s < t->n_sw; s++) {
-        if (t->sw_rung[s] < 0 || t->sw_rung[s] >= t->n_rungs) {
-            return 0;
-        }
-    }
-    for (int r = 0; r < t->n_rungs; r++) {
-        int g = t->rung_level[r];
-        if (g < 0 || g > t->n_levels - 2 || t->lo_idx[r] < 0 || t->hi_idx[r] < 0
-            || t->lo_idx[r] >= t->offsets[g + 1] - t->offsets[g]
-            || t->hi_idx[r] >= t->offsets[g + 2] - t->offsets[g + 1]) {
-            return 0;
-        }
-    }
-    return 1;
-}
-
-/* Every switch an end of its rung that the rung's level and index name, and
- * every cusp sign and forward_dir +1 or -1, as dehnfill._ladder_py's
- * _check_encoding requires: then the reverse of a maximal path is one, and
- * the halved counts of the path DP are exact.  Returns 0, or -1 with
- * ValueError set. */
-static int
-check_ends(const Track *t, int forward_dir)
-{
-    for (int level = 0; level < t->n_levels; level++) {
-        for (int sw = t->offsets[level]; sw < t->offsets[level + 1]; sw++) {
-            int r = t->sw_rung[sw], end = t->sw_end[sw];
-            if ((end != 0 && end != 1) || t->rung_level[r] + end != level
-                || (end ? t->hi_idx : t->lo_idx)[r] != sw - t->offsets[level]) {
-                PyErr_Format(PyExc_ValueError, "track encoding switch %d is not an end of its rung", sw);
-                return -1;
-            }
-        }
-    }
-    int ok = forward_dir == 1 || forward_dir == -1;
-    for (int r = 0; ok && r < t->n_rungs; r++) {
-        ok = (t->cusp_lo[r] == 1 || t->cusp_lo[r] == -1) && (t->cusp_hi[r] == 1 || t->cusp_hi[r] == -1);
-    }
-    if (!ok) {
-        PyErr_SetString(PyExc_ValueError, "track encoding cusp signs and forward_dir must be +1 or -1");
-        return -1;
-    }
-    return 0;
 }
 
 /* The function `name` of dehnfill._ladder_py. */
@@ -526,76 +424,6 @@ hand_over(const char *name, PyObject *const *args, Py_ssize_t nargs)
     }
     return result;
 }
-
-static PyObject *
-scan_track(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 11) {
-        PyErr_Format(PyExc_TypeError, "scan_track takes 11 positional arguments (%zd given)", nargs);
-        return NULL;
-    }
-    int forward_dir, collect;
-    long step_bound;
-    if (as_int(args[8], &forward_dir) < 0 || as_long(args[9], &step_bound) < 0
-        || (collect = PyObject_IsTrue(args[10])) < 0) {
-        return NULL;
-    }
-    Py_ssize_t n_offsets = PySequence_Length(args[0]);
-    Py_ssize_t n_sw = PySequence_Length(args[1]), n_rungs = PySequence_Length(args[3]);
-    if (n_offsets < 0 || n_sw < 0 || n_rungs < 0) {
-        return NULL;
-    }
-    /* Every state number below 2**31. */
-    if (n_offsets < 1 || n_offsets + n_sw + n_rungs > INT_MAX / 8) {
-        PyErr_SetString(PyExc_ValueError, "track encoding empty or too large");
-        return NULL;
-    }
-    atomic_int stop = 0;
-    Scratch sc = {.stop = &stop, .caller = 1};
-    Track t;
-    if ((sc.ints = reserve(NULL, &sc.n_ints, track_size((int)n_offsets - 1, (int)n_sw, (int)n_rungs),
-                           sizeof(int))) == NULL) {
-        return PyErr_NoMemory();
-    }
-    track_layout(&t, sc.ints, (int)n_offsets - 1, (int)n_sw, (int)n_rungs);
-    int *dest[8] = {t.offsets, t.sw_rung, t.sw_end, t.rung_level, t.cusp_lo, t.cusp_hi, t.lo_idx, t.hi_idx};
-    Py_ssize_t size[8] = {n_offsets, n_sw, n_sw, n_rungs, n_rungs, n_rungs, n_rungs, n_rungs};
-    PyObject *result = NULL;
-    for (int i = 0; i < 8; i++) {
-        if (read_ints(args[i], dest[i], size[i]) < 0) {
-            goto done;
-        }
-    }
-    if (!track_consistent(&t)) {
-        PyErr_SetString(PyExc_ValueError, "track encoding indices out of range");
-        goto done;
-    }
-    if (check_ends(&t, forward_dir) < 0) {
-        goto done;
-    }
-    track_index_segments(&t);
-    uint64_t total = 0, bad = 0;
-    int longest = 0, status = collect ? 1 : count_paths(&t, forward_dir, step_bound, &sc, &total, &bad, &longest);
-    if (status < 0) {
-        if (!PyErr_Occurred()) {
-            PyErr_NoMemory();
-        }
-        goto done;
-    }
-    /* The paths to list, the paths that the DP cannot count, and the witness
-     * of a violation come from the pure-Python kernel.  Halving is exact as
-     * in tally_add. */
-    result = status == 1 || bad > 0 ? hand_over("scan_track", args, nargs)
-                                    : Py_BuildValue("(OLiiiO)", Py_None, (long long)(total / 2), 0, 0, longest,
-                                                    Py_None);
-done:
-    scratch_free(&sc);
-    return result;
-}
-
-/* ------------------------------------------------------------------------
- * scan_ladder: the ladders that random.Random(seed), Random(seed + 1), ... draw
- * ------------------------------------------------------------------------ */
 
 /* MT19937 (Matsumoto and Nishimura, ACM TOMACS 8, 1998), seeded as
  * random.Random(int) seeds it in CPython 3.11 to 3.13: init_by_array on the
@@ -945,10 +773,7 @@ scan_block(Worker *w, long long block)
         int longest, status;
         if (stopping(&w->sc)
             || draw_track(&w->g[l], job->max_levels, job->max_rungs, job->alternating, &t, &w->sc) < 0
-            /* Orientation +1 on level 0 in both kinds of seeded ladder, so
-             * the forward direction is +1 whether or not it is of leaf-trace
-             * type. */
-            || (status = count_paths(&t, 1, job->step_bound, &w->sc, &total, &bad, &longest)) < 0) {
+            || (status = count_paths(&t, job->step_bound, &w->sc, &total, &bad, &longest)) < 0) {
             return -1;
         }
         /* A thread takes its blocks in order, so its first violating ladder
@@ -1252,10 +1077,6 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"scan_track", (PyCFunction)(void (*)(void))scan_track, METH_FASTCALL,
-     "scan_track(offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx,\n"
-     "           forward_dir, step_bound, collect)\n\n"
-     "Same contract as dehnfill._ladder_py.scan_track."},
     {"scan_ladder", (PyCFunction)(void (*)(void))scan_ladder, METH_FASTCALL,
      "scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bound)\n\n"
      "Same contract as dehnfill._ladder_py.scan_ladder."},

@@ -1,16 +1,17 @@
 """Pure-Python ladder kernel: maximal carried-path counts and the two-line
-check.  dehnfill._ladder selects this module when the compiled extension is
-unavailable; both expose the same ``scan_track`` and ``scan_ladder``, and
-this module is the oracle the compiled one is tested against.  Its
-``scan_ladder`` scans a run of consecutive seeds in one call, one ladder
-after another, each drawn from ``random.Random(seed + i)``; the compiled
-kernel runs its own MT19937s seeded from the same ints, eight seedings at a
-time, so this module is also the oracle for that seeding and for the sums
-over the run.  The compiled kernel only counts, by the path DP below: this
-module is the only enumerator of paths and the only witness search, and the
-compiled kernel hands it every call that lists paths, every track that the DP
-cannot count or whose counts leave 64 bits, every track that violates (for
-its witness), and every run whose seeds leave a C ``long long``.
+check.  Its ``scan_track`` scans one given track: ``dehnfill.ladders`` calls
+it for the paths and the witness of a single ladder, whichever kernel is in
+use, and imports this module only then.  Its ``scan_ladder`` scans a run of
+consecutive seeds in one call, one ladder after another, each drawn from
+``random.Random(seed + i)``; ``dehnfill._ladder`` selects it when the compiled
+extension is unavailable.  The compiled kernel has only ``scan_ladder``: it
+runs its own MT19937s seeded from the same ints, eight seedings at a time, so
+this module is the oracle for that seeding, for each ladder's counts and for
+the sums over the run.  The compiled kernel only counts, by the path DP below:
+this module is the only enumerator of paths and the only witness search, and
+the compiled kernel hands it every ladder that the DP cannot count or whose
+counts leave 64 bits, every ladder that violates (for its witness), and every
+run whose seeds leave a C ``long long``.
 
 Track encoding (all plain ints):
   offsets    -- per-level CSR offsets into the switch arrays, length n+1
@@ -20,9 +21,11 @@ Track encoding (all plain ints):
   cusp_lo/hi -- geometric cusp signs (+1/-1 along the lines) at each end
   lo_idx/hi_idx -- per-level switch index of each rung end
 
-States are numbered as ``dehnfill._ladder_states`` describes.  The reverse of
-a maximal path is again one, so each undirected path is emitted once, from its
-lexicographically smaller direction.
+States: for level k with S_k switches there are S_k + 1 line segments; a line
+state is ``2*(offsets[k] + k + seg) + (dir > 0)`` and a rung state is
+``line_state_count + 2*r + (dir > 0)`` where ``dir = +1`` heads to the upper
+end.  The reverse of a maximal path is again one, so each undirected path is
+emitted once, from its lexicographically smaller direction.
 
 Counting by dynamic programming.  A maximal path runs from a line end heading
 in (a source) to a line end heading out (a sink).  Line steps keep the level
@@ -47,10 +50,27 @@ ladder, of which it keeps the witness of the lowest seed.
 """
 
 import random as _random
-
-from ._ladder_states import state_decoder
+from bisect import bisect_right
 
 BACKEND = "python"
+
+
+def state_decoder(offsets):
+    """The decoder of the states of a track with these ``offsets``: it maps a
+    state to ``("line", level, segment, dir)`` or ``("rung", index, dir)``."""
+    # First segment index of each level; strictly increasing.
+    starts = [offset + level for level, offset in enumerate(offsets[:-1])]
+    n_line_states = 2 * (offsets[-1] + len(starts))
+
+    def decode(state):
+        if state < n_line_states:
+            idx, fwd = divmod(state, 2)
+            level = bisect_right(starts, idx) - 1
+            return ("line", level, idx - starts[level], 1 if fwd else -1)
+        idx, up = divmod(state - n_line_states, 2)
+        return ("rung", idx, 1 if up else -1)
+
+    return decode
 
 
 def _build_tables(offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx):

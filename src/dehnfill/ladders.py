@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from numbers import Integral, Rational
 
 from . import _ladder
-from ._ladder_states import state_decoder
 
 __all__ = [
     "Rung",
@@ -307,22 +306,22 @@ class CarriedPath:
         return tuple(s[1] for s in self.steps if s[0] == "rung")
 
 
-def _carried_paths(enc, raw_paths):
-    """Kernel paths, given as states of the encoding ``enc``, as CarriedPaths."""
-    decode = state_decoder(enc[0])
-    return [
-        CarriedPath(steps=tuple(map(decode, states)), truncated=truncated)
-        for states, truncated in raw_paths
-    ]
+def _scan_track(track, step_bound, collect):
+    """``_ladder_py.scan_track`` of the track and the decoder of its states.
+    Only the pure-Python kernel scans one given track; it is imported here, so
+    that ``verify_ladders`` on the compiled kernel never loads it."""
+    from ._ladder_py import scan_track, state_decoder
+
+    _check_step_bound(step_bound)
+    enc = _encode(track)
+    return scan_track(*enc, step_bound, collect), state_decoder(enc[0])
 
 
 def enumerate_carried_paths(track: LadderTrack, step_bound: int = 10**4):
     """All maximal carried paths, one per undirected trace, in a
     deterministic order; truncation at the step bound is flagged."""
-    _check_step_bound(step_bound)
-    enc = _encode(track)
-    raw, *_ = _ladder.scan_track(*enc, step_bound, True)
-    return _carried_paths(enc, raw)
+    (raw, *_), decode = _scan_track(track, step_bound, True)
+    return [CarriedPath(tuple(map(decode, states)), truncated) for states, truncated in raw]
 
 
 def check_two_line_property(track: LadderTrack, step_bound: int = 10**4):
@@ -331,12 +330,10 @@ def check_two_line_property(track: LadderTrack, step_bound: int = 10**4):
 
     Returns ``(ok, witnesses)`` with the offending paths, if any.
     """
-    _check_step_bound(step_bound)
-    enc = _encode(track)
-    _, n_paths, n_viol, _, _, witness = _ladder.scan_track(*enc, step_bound, False)
+    (_, _, n_viol, _, _, witness), decode = _scan_track(track, step_bound, False)
     if n_viol == 0:
         return True, []
-    return False, _carried_paths(enc, [(witness, False)])
+    return False, [CarriedPath(tuple(map(decode, witness)), False)]
 
 
 def separation_check(track: LadderTrack, path: CarriedPath) -> bool:

@@ -1,8 +1,10 @@
 """Golden digests of the ladder pipeline, pinned before rung positions became
 integers and before each ladder was encoded only once.
 
-Both kernels must reproduce them: the pure-Python one and the compiled one
-built from the committed C.  A change to ladder generation, encoding, path
+Both kernels must reproduce the summaries: the pure-Python one and the
+compiled one built from the committed C.  The paths and verdicts of given
+ladders come from the pure-Python kernel alone, whichever kernel is in use, so
+their digest is checked once.  A change to ladder generation, encoding, path
 decoding, the scan or the separation check that alters any output breaks a
 digest here.
 """
@@ -38,13 +40,12 @@ SMALL_LADDERS = [
 
 @pytest.fixture(params=["python", "compiled"])
 def kernel(request, monkeypatch):
-    """Route every ladder scan, seeded or not, through one backend."""
+    """Route every seeded ladder scan through one backend."""
     if request.param == "python":
         module = _ladder_py
     else:
         module = request.getfixturevalue("compiled_kernel")
     monkeypatch.setattr(_ladder, "scan_ladder", module.scan_ladder)
-    monkeypatch.setattr(_ladder, "scan_track", module.scan_track)
 
 
 def summaries_digest():
@@ -75,5 +76,5 @@ def test_verify_summaries_match_golden(kernel):
     assert summaries_digest() == SUMMARIES_DIGEST
 
 
-def test_paths_and_verdicts_match_golden(kernel):
+def test_paths_and_verdicts_match_golden():
     assert paths_digest() == PATHS_DIGEST

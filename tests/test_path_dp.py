@@ -1,14 +1,14 @@
 """The path DP of both ladder kernels against the full search.
 
-``scan_track(..., collect=True)`` always runs the pure-Python search that
-enumerates every maximal carried path (the compiled kernel hands such calls
-over), so it is the oracle: ``collect=False``, which counts by dynamic
-programming wherever the DP applies and falls back to the search elsewhere,
-must give the same counts, longest path and first witness.  The compiled
-kernel only counts: it hands to the pure-Python kernel every track that the DP
-cannot count, whose counts leave 64 bits, or that violates, and every call
-whose seeds leave a long long.  The tests here reach that hand-over on one
-track, in runs split across threads and on one CPU, and at the size cap.
+``_ladder_py.scan_track(..., collect=True)`` always runs the search that
+enumerates every maximal carried path, so it is the oracle: ``collect=False``,
+which counts by dynamic programming wherever the DP applies and falls back to
+the search elsewhere, must give the same counts, longest path and first
+witness.  The compiled kernel has only the seeded ``scan_ladder``, and only
+counts: it hands to the pure-Python kernel every ladder that the DP cannot
+count, whose counts leave 64 bits, or that violates, and every call whose
+seeds leave a long long.  The tests here reach that hand-over in runs split
+across threads and on one CPU, and at the size cap.
 """
 
 import json
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from test_cli import capture
 
 from dehnfill import _ladder, _ladder_py
-from dehnfill._ladder_states import state_decoder
+from dehnfill._ladder_py import scan_track, state_decoder
 from dehnfill.ladders import (
     SIZE_CAP,
     LadderTrack,
@@ -32,13 +32,6 @@ from dehnfill.ladders import (
     check_two_line_property,
     random_ladder,
 )
-
-
-@pytest.fixture(params=["python", "compiled"], scope="module")
-def kernel(request):
-    if request.param == "python":
-        return _ladder_py
-    return request.getfixturevalue("compiled_kernel")
 
 
 SIGNS = st.sampled_from([1, -1])
@@ -66,10 +59,10 @@ seeded_ladders = st.tuples(
 
 @settings(deadline=None, max_examples=300)
 @given(seeded_ladders | any_ladders(), st.sampled_from([1, 2, 3, 5, 8, 10**4]))
-def test_the_dp_gives_what_the_search_gives(kernel, track, step_bound):
+def test_the_dp_gives_what_the_search_gives(track, step_bound):
     enc = _encode(track)
-    searched = kernel.scan_track(*enc, step_bound, True)
-    assert kernel.scan_track(*enc, step_bound, False) == (None,) + searched[1:]
+    searched = scan_track(*enc, step_bound, True)
+    assert scan_track(*enc, step_bound, False) == (None,) + searched[1:]
 
 
 # Two rungs with equal cusps: right along level 0, up the right rung, left
@@ -77,27 +70,24 @@ def test_the_dp_gives_what_the_search_gives(kernel, track, step_bound):
 CYCLIC = LadderTrack(2, (1, -1), (Rung(0, 1, 1, 1, 1), Rung(0, 3, 3, -1, -1)))
 
 
-def test_a_cycle_falls_back_to_the_search(kernel):
+def test_a_cycle_falls_back_to_the_search():
     enc = _encode(CYCLIC)
     tables = _ladder_py._build_tables(*enc[:8])
     assert _ladder_py._suffix_counts(tables, enc[4], enc[5], enc[8], 10**4) is None
-    got = kernel.scan_track(*enc, 10**4, False)
-    listed = kernel.scan_track(*enc, 10**4, True)
+    got = scan_track(*enc, 10**4, False)
+    listed = scan_track(*enc, 10**4, True)
     assert got == (None,) + listed[1:]
     # Only the search truncates, at the first repeated state.
     assert got[3] > 0 and got[2] > 0
-    # The compiled kernel hands the cycle over, listed and counted.
-    assert (listed, got) == tuple(_ladder_py.scan_track(*enc, 10**4, c) for c in (True, False))
 
 
-def test_the_first_witness_is_the_searchs(kernel, monkeypatch):
-    monkeypatch.setattr(_ladder, "scan_track", kernel.scan_track)
+def test_the_first_witness_is_the_searchs():
     found = 0
     for sizes, count in [((8, 6), 300), ((12, 9), 30), ((2, 30), 100)]:
         for seed in range(count):
             track = random_ladder(seed, *sizes, alternating=False)
             enc = _encode(track)
-            _, _, violations, _, _, witness = kernel.scan_track(*enc, 10**4, True)
+            _, _, violations, _, _, witness = scan_track(*enc, 10**4, True)
             ok, witnesses = check_two_line_property(track)
             assert ok == (violations == 0), (sizes, seed)
             if not ok:
@@ -115,11 +105,11 @@ def test_the_first_witness_is_the_searchs(kernel, monkeypatch):
         (8, lambda v: 0, "cusp signs and forward_dir must be"),
     ],
 )
-def test_encodings_the_dp_cannot_count_are_rejected(kernel, index, value, message):
+def test_encodings_the_dp_cannot_count_are_rejected(index, value, message):
     enc = list(_encode(random_ladder(3)))
     enc[index] = value(enc[index])
     with pytest.raises(ValueError, match=message):
-        kernel.scan_track(*enc, 10**4, False)
+        scan_track(*enc, 10**4, False)
 
 
 # Control ladders at (100, 100) from seed 0: seeds 6, 19, 24, 29, 33, 34, 36
@@ -131,9 +121,8 @@ BIG = (100, 100, False, 10**4)
 
 
 def test_counts_past_64_bits_go_to_the_python_dp(compiled_kernel):
-    enc = _encode(random_ladder(6, *BIG[:3]))
-    got = compiled_kernel.scan_track(*enc, 10**4, False)
-    assert got == _ladder_py.scan_track(*enc, 10**4, False)
+    got = compiled_kernel.scan_ladder(6, 1, *BIG)[:6]
+    assert got == scan_track(*_encode(random_ladder(6, *BIG[:3])), 10**4, False)
     assert got[1] >= 2**63 and got[2] > 0
     for start in (0, 6):
         got = compiled_kernel.scan_ladder(start, 42, *BIG)
