@@ -29,6 +29,7 @@ __all__ = [
     "census_verify",
     "rp3_family_rows",
     "census_to_json",
+    "entry_to_json",
 ]
 
 
@@ -280,30 +281,30 @@ def census_verify():
     return [verify_entry(entry) for entry in CENSUS]
 
 
+def entry_to_json(e: CensusEntry) -> dict:
+    """The ``census_v1`` row of one census entry."""
+    return {
+        "name": e.name,
+        "genus": e.genus,
+        "degeneracy_slope": e.degeneracy_slope,
+        "locus": {"p": e.locus.p, "q": e.locus.q},
+        "orbit_length": e.c,
+        "i_nls": {
+            "end_a": e.i_nls.end_a,
+            "end_b": e.i_nls.end_b,
+            "closed_a": e.i_nls.closed_a,
+            "closed_b": e.i_nls.closed_b,
+            "through": e.i_nls.through,
+        },
+        "endpoint_prior_work": e.endpoint_prior_work,
+        "notes": e.notes,
+        "source": e.source,
+    }
+
+
 def census_to_json():
-    rows = []
-    for e in CENSUS:
-        rows.append(
-            {
-                "name": e.name,
-                "genus": e.genus,
-                "degeneracy_slope": e.degeneracy_slope,
-                "locus": {"p": e.locus.p, "q": e.locus.q},
-                "orbit_length": e.c,
-                "i_nls": {
-                    "end_a": e.i_nls.end_a,
-                    "end_b": e.i_nls.end_b,
-                    "closed_a": e.i_nls.closed_a,
-                    "closed_b": e.i_nls.closed_b,
-                    "through": e.i_nls.through,
-                },
-                "endpoint_prior_work": e.endpoint_prior_work,
-                "notes": e.notes,
-                "source": e.source,
-            }
-        )
     return {
         "schema": "census_v1",
-        "entries": rows,
+        "entries": [entry_to_json(e) for e in CENSUS],
         "symbolic_families": list(SYMBOLIC_FAMILIES),
     }

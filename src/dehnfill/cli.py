@@ -14,7 +14,7 @@ import os
 import sys
 
 from .arcs import refined_matching, system_from_json, system_to_json, validate_system
-from .census import census_entry, census_to_json, census_verify
+from .census import census_entry, census_to_json, census_verify, entry_to_json
 from .filling import _interval_json, _locus_json
 from .filling import analyze_multislope, guaranteed_interval, report_to_json
 from .ladders import kernel_backend, verify_ladders
@@ -186,12 +186,8 @@ def _cmd_census(args):
         _emit(census_to_json(), args)
         return 0
     if args.census_cmd == "show":
-        doc = census_to_json()
-        entry = census_entry(args.name)  # KeyError -> handled by main
-        for row in doc["entries"]:
-            if row["name"] == entry.name:
-                _emit(row, args)
-                return 0
+        _emit(entry_to_json(census_entry(args.name)), args)  # KeyError -> handled by main
+        return 0
     # verify
     records = census_verify()
     rows = [
