@@ -152,7 +152,7 @@ def _cmd_analyze(args):
             doc = report_to_json(report)
             entries.extend(doc["orbits"])
             verdicts.add(doc["verdict"])
-            notes.extend(doc["notes"])
+            notes.extend(note for note in doc["notes"] if note not in notes)
         verdict = verdicts.pop() if len(verdicts) == 1 else "partial"
         out = {
             "schema": "filling_report_v1",
