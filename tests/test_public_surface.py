@@ -2,7 +2,9 @@
 code uses, and the functions that the README's "Library API" section lists.
 Every module under ``src/dehnfill`` is parsed, and each name in its
 ``__all__`` must be loaded by some other code there or be on that list, so
-that no public function lives on for its own tests alone."""
+that no public function lives on for its own tests alone.  Every JSON schema
+that the library writes is part of that surface too, and the README must name
+it."""
 
 import ast
 import pathlib
@@ -103,3 +105,29 @@ def test_the_list_names_public_functions():
         for name in public_names(ast.parse(text))
     }
     assert sorted(library_api() - public) == []
+
+
+def schemas(tree):
+    """The string values of the ``"schema"`` keys of a module's dict displays."""
+    return {
+        value.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant)
+        and key.value == "schema"
+        and isinstance(value, ast.Constant)
+        and isinstance(value.value, str)
+    }
+
+
+def test_checker_sees_schema_values():
+    text = 'a = {"schema": "x_v1", "n": 1}\nb = {**a, "schema": "y_v1"}\nc = {"k": "schema"}\n'
+    assert schemas(ast.parse(text)) == {"x_v1", "y_v1"}
+
+
+def test_the_readme_names_every_schema():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    written = set().union(*(schemas(ast.parse(text)) for text in library_sources().values()))
+    assert len(written) >= 9
+    assert sorted(name for name in written if "`%s`" % name not in readme) == []
