@@ -2,9 +2,9 @@
 counts, same witnesses, and for a seeded ladder the same draw.  The compiled
 kernel has only the seeded ``scan_ladder``, and only counts: it hands the
 witness search to the pure-Python one, so the tests that compare witnesses
-hold that hand-over.  The compiled kernel seeds
-its own MT19937 from the int seed, the pure-Python one seeds
-``random.Random``, so the seeded tests also hold the C seeding to CPython's.
+hold that hand-over.  The compiled kernel seeds its own MT19937 from the int
+seed, the pure-Python one seeds ``random.Random``, so the seeded tests also
+hold the C seeding to CPython's.
 
 The compiled kernel is the one built from the committed C by the
 ``compiled_kernel`` fixture; the tests skip only when no C compiler is found.
