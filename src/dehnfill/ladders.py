@@ -337,107 +337,58 @@ def check_two_line_property(track: LadderTrack, step_bound: int = 10**4):
 
 
 def separation_check(track: LadderTrack, path: CarriedPath) -> bool:
-    """Does deleting the path's trace split the ladder band across its level?
+    """Does deleting the path's trace split the ladder band across its levels?
 
-    For each interior line the path meets, removing the path must disconnect
-    the strip cells touching levels two or more below from those two or more
-    above.  Truncation levels are skipped to avoid edge artifacts.
+    The strip between lines ``g`` and ``g + 1`` (gap ``g``) is cut by its rungs
+    into cells, between sentinels left and right of every foot.  Two cells of a
+    gap are joined across a rung the path does not use; cells of gaps ``g`` and
+    ``g + 1`` are joined where their spans overlap on a stretch of line
+    ``g + 1`` that the path leaves free.  The check passes unless a component
+    reaches both a gap ``<= j - 2`` and a gap ``>= j + 1`` for a line ``j`` the
+    path meets, so lines 0, 1, ``n - 2`` and ``n - 1`` pass vacuously.
     """
     if not path.levels_met:
         raise ValueError("path meets no line")
-    segments_on = {}
-    for step in path.steps:
-        if step[0] == "line":
-            segments_on.setdefault(step[1], set()).add(step[2])
+    covered = {(s[1], s[2]) for s in path.steps if s[0] == "line"}
     rungs_on = set(path.rungs_used)
-
-    # Geometry: cells of the strip between level g and g+1, split by rungs,
-    # between sentinels left and right of every foot.
-    positions = [r.low_pos for r in track.rungs] + [r.high_pos for r in track.rungs]
-    left_end = min(positions, default=0) - 1
-    right_end = max(positions, default=0) + 1
-    feet_by_level = _sorted_feet(track.n_levels, *_rung_lists(track.rungs)[:3])
-    gap_rungs = {
-        g: sorted(
-            (i for i, r in enumerate(track.rungs) if r.lower_level == g),
-            key=lambda i: track.rungs[i].low_pos,
-        )
-        for g in range(track.n_levels - 1)
-    }
-
-    def cell_span(g, c):
-        """Horizontal extent of cell c in gap g (open interval)."""
-        rs = gap_rungs[g]
-        left = left_end if c == 0 else max(
-            track.rungs[rs[c - 1]].low_pos, track.rungs[rs[c - 1]].high_pos
-        )
-        right = right_end if c == len(rs) else min(
-            track.rungs[rs[c]].low_pos, track.rungs[rs[c]].high_pos
-        )
-        return left, right
-
-    def free_intervals(level):
-        """Sub-intervals of the level line not covered by the path."""
-        feet = [pos for pos, _, _ in feet_by_level[level]]
-        cuts = [left_end] + feet + [right_end]
-        covered = segments_on.get(level, set())
-        return [
-            (cuts[i], cuts[i + 1])
-            for i in range(len(cuts) - 1)
-            if i not in covered
-        ]
-
-    def cells_connected(g, c, g2, c2):
-        """Adjacent-gap cells joined through an uncovered part of the line."""
-        (l1, r1), (l2, r2) = cell_span(g, c), cell_span(g2, c2)
-        lo, hi = max(l1, l2), min(r1, r2)
-        if lo >= hi:
-            return False
-        level = max(g, g2)
-        return any(max(lo, a) < min(hi, b) for a, b in free_intervals(level))
-
-    ok = True
-    interior = [
-        j
-        for j in path.levels_met
-        if j not in (0, track.n_levels - 1)
-    ]
-    for j in interior:
-        below = set()
-        above = set()
-        nodes = []
-        for g in range(track.n_levels - 1):
-            for c in range(len(gap_rungs[g]) + 1):
-                nodes.append((g, c))
-                if g <= j - 2:
-                    below.add((g, c))
-                if g + 1 >= j + 2:
-                    above.add((g, c))
-        if not below or not above:
-            continue  # vacuous near the boundary
-        adj = {node: [] for node in nodes}
-        for g in range(track.n_levels - 1):
-            rs = gap_rungs[g]
-            for c in range(len(rs)):
-                if rs[c] not in rungs_on:
-                    adj[(g, c)].append((g, c + 1))
-                    adj[(g, c + 1)].append((g, c))
-            if g + 1 <= track.n_levels - 2:
-                for c in range(len(rs) + 1):
-                    for c2 in range(len(gap_rungs[g + 1]) + 1):
-                        if cells_connected(g, c, g + 1, c2):
-                            adj[(g, c)].append((g + 1, c2))
-                            adj[(g + 1, c2)].append((g, c))
-        seen = set(below)
-        stack = list(below)
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen & above:
-            ok = False
-    return ok
+    level, low, high = _rung_lists(track.rungs)[:3]
+    left_end = min(low + high, default=0) - 1
+    right_end = max(low + high, default=0) + 1
+    free = []  # per line, the stretches between feet that the path leaves free
+    spans = []  # per gap, the open span of each cell
+    adj = {}
+    for k, feet in enumerate(_sorted_feet(track.n_levels, level, low, high)[:-1]):
+        cuts = [left_end] + [pos for pos, _, _ in feet] + [right_end]
+        free.append([(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1) if (k, i) not in covered])
+        rs = [r for _, r, end in feet if end == 0]
+        lefts = [left_end] + [max(low[r], high[r]) for r in rs]
+        spans.append(list(zip(lefts, [min(low[r], high[r]) for r in rs] + [right_end])))
+        adj.update(((k, c), []) for c in range(len(rs) + 1))
+        for c, r in enumerate(rs):
+            if r not in rungs_on:
+                adj[k, c].append((k, c + 1))
+                adj[k, c + 1].append((k, c))
+    for g in range(track.n_levels - 2):
+        for c, (l1, r1) in enumerate(spans[g]):
+            for c2, (l2, r2) in enumerate(spans[g + 1]):
+                if any(max(l1, l2, a) < min(r1, r2, b) for a, b in free[g + 1]):
+                    adj[g, c].append((g + 1, c2))
+                    adj[g + 1, c2].append((g, c))
+    reach = []  # the lowest and highest gap of each component
+    seen = set()
+    for start in adj:
+        if start not in seen:
+            seen.add(start)
+            stack, gaps = [start], []
+            while stack:
+                node = stack.pop()
+                gaps.append(node[0])
+                for nxt in adj[node]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            reach.append((min(gaps), max(gaps)))
+    return not any(lo <= j - 2 and hi >= j + 1 for j in path.levels_met for lo, hi in reach)
 
 
 def verify_ladders(

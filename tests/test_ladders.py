@@ -1,7 +1,11 @@
 import hashlib
 from fractions import Fraction
 
+import ladder_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_path_dp import any_ladders
 
 from dehnfill import _ladder_py
 from dehnfill.ladders import (
@@ -138,26 +142,32 @@ def test_random_positions_are_sixteenths_as_ints():
         assert r.low_pos % 4 == 0 and abs(r.high_pos - r.low_pos) <= 1
 
 
+def negative_fractions(ladder):
+    """The ladder with each position ``x`` moved to ``x / 48 - 100``: the
+    same order, every position a negative ``Fraction`` on the ladders here."""
+    return LadderTrack(
+        ladder.n_levels,
+        ladder.orientations,
+        tuple(
+            Rung(
+                r.lower_level,
+                Fraction(r.low_pos, 48) - 100,
+                Fraction(r.high_pos, 48) - 100,
+                r.cusp_low,
+                r.cusp_high,
+            )
+            for r in ladder.rungs
+        ),
+    )
+
+
 @pytest.mark.parametrize("alternating", [True, False])
 def test_only_the_order_of_positions_matters(alternating):
     # Scaling and shifting positions, even to negative Fractions, keeps every
     # path, truncation flag and separation verdict.
     for seed in range(20):
         ladder = random_ladder(seed, max_levels=5, max_rungs_per_gap=3, alternating=alternating)
-        moved = LadderTrack(
-            ladder.n_levels,
-            ladder.orientations,
-            tuple(
-                Rung(
-                    r.lower_level,
-                    Fraction(r.low_pos, 48) - 100,
-                    Fraction(r.high_pos, 48) - 100,
-                    r.cusp_low,
-                    r.cusp_high,
-                )
-                for r in ladder.rungs
-            ),
-        )
+        moved = negative_fractions(ladder)
         paths = enumerate_carried_paths(ladder, step_bound=50)
         assert enumerate_carried_paths(moved, step_bound=50) == paths
         verdicts = [separation_check(ladder, p) for p in paths]
@@ -221,6 +231,18 @@ def test_separation_requires_line():
     path = CarriedPath(steps=(), truncated=False)
     with pytest.raises(ValueError):
         separation_check(ladder, path)
+
+
+seeded_ladders = st.tuples(
+    st.integers(0, 10**6), st.sampled_from([(5, 3), (8, 6), (12, 6)]), st.booleans()
+).map(lambda args: random_ladder(args[0], *args[1], alternating=args[2]))
+
+
+@settings(deadline=None)
+@given(any_ladders() | any_ladders().map(negative_fractions) | seeded_ladders)
+def test_separation_matches_the_per_level_oracle(ladder):
+    for path in enumerate_carried_paths(ladder):
+        assert separation_check(ladder, path) == ladder_oracle.separation_check(ladder, path)
 
 
 def test_ladder_validation():
