@@ -266,9 +266,10 @@ def _cycle_sums(track: TorusTrainTrack, labels):
 class RayClasses:
     """The homology classes of a track's extreme rays, without the rays.
 
-    ``least`` maps each class ``(a, b)`` to the least mask (as in
-    ``weight_cone(track, masks=True)``) among the rays of that class, in
-    the order of those masks, and ``len()`` is the number of rays.
+    ``least`` maps each class ``(a, b)`` to the least mask among the rays of
+    that class, in the order of those masks, and ``len()`` is the number of
+    rays.  A ray's mask is an int whose bit ``n - 1 - b`` is its weight on
+    branch ``b``.
     """
 
     least: dict
@@ -278,25 +279,16 @@ class RayClasses:
         return self.rays
 
 
-def weight_cone(track: TorusTrainTrack, *, masks: bool = False, by_class: bool = False):
-    """Extreme rays of ``{w >= 0 : switch conditions}``.
+def weight_cone(track: TorusTrainTrack) -> RayClasses:
+    """The extreme rays of ``{w >= 0 : switch conditions}``, by class.
 
     Each switch condition is flow conservation at a vertex of the switch
     graph, so the cone is a circulation cone and its extreme rays are the
     0/1 vectors of the simple directed cycles (Penner–Harer, *Combinatorics
-    of Train Tracks*, 1992).  Rays come in lexicographic order; an empty
-    list means the track carries nothing.  With ``masks=True`` each ray is
-    an int whose bit ``n - 1 - b`` is its weight on branch ``b``, in the
-    same order.  With ``by_class=True`` the result is a ``RayClasses``: the
-    rays are counted and summed to their classes as the search finds them,
-    and never listed.
+    of Train Tracks*, 1992).  The rays are counted and summed to their
+    classes as the search finds them, and never listed.
     """
     n = len(track.branches)
-    if not by_class:
-        rays = sorted(_cycle_sums(track, [1 << (n - 1 - b) for b in range(n)]))
-        if masks:
-            return rays
-        return [tuple((m >> (n - 1 - b)) & 1 for b in range(n)) for m in rays]
     # A cycle's label packs its mask below bit n and its class (a, b) above
     # it as a + b * 2**width, where |a| < 2**(width - 1).  The masks of the
     # branches of a simple cycle are disjoint, so summing labels sums both.
@@ -354,7 +346,7 @@ class CarriedSlopes:
 
 def carried_slopes(track: TorusTrainTrack) -> CarriedSlopes:
     """The arc of slopes realizable by curves carried with positive weights."""
-    cone = weight_cone(track, by_class=True)
+    cone = weight_cone(track)
     rays = len(cone)
     # Each class once, in the order of its first ray (its least mask).
     nonzero = [c for c in cone.least if c != (0, 0)]

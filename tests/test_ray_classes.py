@@ -6,7 +6,7 @@ the masks would break."""
 
 import tracemalloc
 
-from cone_oracle import mask_carried_slopes
+from cone_oracle import cycle_masks, mask_carried_slopes
 from hypothesis import given
 from hypothesis import strategies as st
 from test_cone_kernel import SWEEP, built
@@ -63,7 +63,7 @@ def least_masks(track):
     masks, from the list of every mask."""
     n = track.n_branches
     least = {}
-    for m in weight_cone(track, masks=True):  # ascending
+    for m in cycle_masks(track):  # ascending
         on = [br for b, br in enumerate(track.branches) if m >> (n - 1 - b) & 1]
         least.setdefault((sum(br.a for br in on), sum(br.b for br in on)), m)
     return least
@@ -72,8 +72,8 @@ def least_masks(track):
 def test_ray_classes_keep_the_least_mask_of_each_class():
     tracks = [random_track(seed) for seed in range(200)] + built(6, 1, 3) + built(4, 1, 5)
     for track in tracks:
-        cone = weight_cone(track, by_class=True)
-        assert len(cone) == len(weight_cone(track, masks=True))
+        cone = weight_cone(track)
+        assert len(cone) == len(cycle_masks(track))
         assert list(cone.least.items()) == list(least_masks(track).items())
 
 

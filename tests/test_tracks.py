@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from cone_oracle import cycle_rays
+
 from dehnfill.monodromy import DegeneracyLocus
 from dehnfill.slopes import INFINITY, ProjectiveSlope, slope
 from dehnfill.tracks import (
@@ -9,6 +11,7 @@ from dehnfill.tracks import (
     TAIL,
     Branch,
     EndpointConfig,
+    RayClasses,
     Switch,
     TorusTrainTrack,
     build_boundary_track,
@@ -41,12 +44,14 @@ def rung_on_circle(cls_s1=(0, 1), cls_s2=(0, 0), cls_r=(1, 0)):
 
 
 def test_weight_cone_single_loop():
-    assert weight_cone(loop_track()) == [(1,)]
+    assert cycle_rays(loop_track()) == [(1,)]
+    assert weight_cone(loop_track()) == RayClasses({(0, 1): 1}, 1)
 
 
 def test_weight_cone_rung_on_circle_by_hand():
     # Hand solution of w1 = w2 + w3: extreme rays (1,1,0) and (1,0,1).
-    assert weight_cone(rung_on_circle()) == [(1, 0, 1), (1, 1, 0)]
+    assert cycle_rays(rung_on_circle()) == [(1, 0, 1), (1, 1, 0)]
+    assert weight_cone(rung_on_circle()) == RayClasses({(1, 1): 0b101, (0, 1): 0b110}, 2)
 
 
 def test_validate_errors():
@@ -202,7 +207,7 @@ def test_kernel_dimension_matches_rank():
 
     for p, q, c in [(2, 1, 1), (4, 1, 1), (4, 1, 2)]:
         track = build_boundary_track(DegeneracyLocus(p, q), c)
-        rays = weight_cone(track)
+        rays = cycle_rays(track)
         span = rank([list(r) for r in rays])
         expected = len(track.branches) - rank(_switch_equations(track))
         assert span == expected
@@ -271,7 +276,7 @@ def test_weight_cone_rays_are_feasible_and_extreme():
     for track in tracks:
         n = len(track.branches)
         eqs = _switch_equations(track)
-        rays = weight_cone(track)
+        rays = cycle_rays(track)
         assert len(set(rays)) == len(rays)
         for ray in rays:
             assert all(x >= 0 for x in ray) and any(x > 0 for x in ray)
