@@ -44,11 +44,6 @@ class PrintedInterval:
     closed_b: bool
     through: str
 
-    def as_open_arc(self, excluded) -> SlopeInterval:
-        a, _ = parse_slope(self.end_a)
-        b, _ = parse_slope(self.end_b)
-        return SlopeInterval(a, b, excluded=excluded)
-
     def __str__(self):
         la = "[" if self.closed_a else "("
         rb = "]" if self.closed_b else ")"
@@ -255,7 +250,7 @@ def verify_entry(entry: CensusEntry) -> VerificationRecord:
             "endpoints %s differ from tabulated {%s, %s}"
             % (computed, entry.i_nls.end_a, entry.i_nls.end_b),
         )
-    printed_open = entry.i_nls.as_open_arc(excluded=computed.excluded)
+    printed_open = SlopeInterval(printed_a, printed_b, excluded=computed.excluded)
     through, _ = parse_slope(entry.i_nls.through)
     if not printed_open.contains(through) or not printed_open.contains(
         computed.interior_witness()
