@@ -1,9 +1,8 @@
 /* Compiled ladder kernel.  It has one entry point, the bulk scan of
  * dehnfill._ladder_py, with the same state encoding and outputs, and one job:
  * counting the maximal carried paths of seeded ladders, and the violating
- * ones, by the path DP of dehnfill._ladder_py (_suffix_counts).  Every other
- * case goes to dehnfill._ladder_py, which is the only enumerator of paths, the
- * only witness search and the only scanner of a single given track:
+ * ones, by the path DP of dehnfill._ladder_py (_suffix_counts), with no
+ * witness path:
  *
  *   scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating,
  *               step_bound)
@@ -24,13 +23,12 @@
  * CPU of its own (see start_workers).  The threads take blocks in turn from a
  * shared counter, each with its own generators, buffers and counts; the
  * calling thread keeps the GIL, runs the signal handlers, and merges the
- * counts once every block is done.  Each thread leaves out of its counts, by
- * index, every ladder that the DP cannot count and its own first violating
- * ladder; the calling thread then has dehnfill._ladder_py.fold_in scan those,
- * in Python ints.  A thread takes its blocks in order, so the violating
- * ladder of lowest index is among them, and fold_in keeps its witness.  Sums
- * and maxima do not depend on which thread counted which ladder, so the result
- * is the same on any number of threads.
+ * counts once every block is done.  Each thread keeps the lowest index of the
+ * violating ladders it counted, and leaves out of its counts, by index, every
+ * ladder that the DP cannot count or whose counts leave 64 bits; the calling
+ * thread then has dehnfill._ladder_py.fold_in scan those, in Python ints.
+ * Sums, maxima and minima do not depend on which thread counted which ladder,
+ * so the result is the same on any number of threads.
  *
  * Arguments are positional.  The DP checks for signals every 2**16 steps, and
  * scan_ladder between ladders, so Ctrl-C stops a long call; the other threads
@@ -359,10 +357,12 @@ done:
 }
 
 /* The summed counts of the ladders that the threads of a call counted, the
- * longest path and the most paths of one ladder. */
+ * longest path, the most paths of one ladder and the lowest index of a
+ * violating one (the call's case count when none violates). */
 typedef struct {
     long long paths, violations, max_paths;
     int max_len;
+    Py_ssize_t first_bad;
 } Tally;
 
 /* Add to `tally` a ladder of the directed counts `total` and `bad` that
@@ -410,19 +410,6 @@ python_kernel(const char *name)
     PyObject *func = PyObject_GetAttrString(module, name);
     Py_DECREF(module);
     return func;
-}
-
-/* The function `name` of dehnfill._ladder_py called with the arguments of the
- * call that hands over to it. */
-static PyObject *
-hand_over(const char *name, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *func = python_kernel(name), *result = NULL;
-    if (func != NULL) {
-        result = PyObject_Vectorcall(func, args, (size_t)nargs, NULL);
-        Py_DECREF(func);
-    }
-    return result;
 }
 
 /* MT19937 (Matsumoto and Nishimura, ACM TOMACS 8, 1998), seeded as
@@ -567,11 +554,9 @@ typedef struct {
     Tally tally;
     /* The indices of the ladders left out of the tally, which the calling
      * thread has dehnfill._ladder_py.fold_in scan: those that count_paths
-     * cannot count or that would take the tally past TALLY_CAP, and the
-     * thread's first violating ladder, whose witness is needed. */
+     * cannot count or that would take the tally past TALLY_CAP. */
     Py_ssize_t *deferred;
     size_t n_deferred, deferred_cap;
-    int violated; /* 1 once the first violating ladder is deferred */
 } Worker;
 
 /* One scan_ladder call, shared by its threads.  It is freed by the last
@@ -776,12 +761,10 @@ scan_block(Worker *w, long long block)
             || (status = count_paths(&t, job->step_bound, &w->sc, &total, &bad, &longest)) < 0) {
             return -1;
         }
-        /* A thread takes its blocks in order, so its first violating ladder
-         * is its lowest-index one, and the lowest of the call is deferred. */
-        if (status == 0 && bad > 0 && !w->violated) {
-            w->violated = status = 1;
-        }
         if (status == 0 && tally_add(&w->tally, total, bad, longest) == 0) {
+            if (bad > 0 && base + l < w->tally.first_bad) {
+                w->tally.first_bad = base + l;
+            }
             continue;
         }
         if (w->n_deferred == w->deferred_cap) {
@@ -967,13 +950,16 @@ merge(Tally *into, const Tally *from)
     if (from->max_len > into->max_len) {
         into->max_len = from->max_len;
     }
+    if (from->first_bad < into->first_bad) {
+        into->first_bad = from->first_bad;
+    }
 }
 
 /* `result`, the result of the ladders that the threads of `job` counted, with
  * those they deferred folded in by dehnfill._ladder_py.fold_in, which scans
- * them on the calling thread, counts in Python ints and keeps the witness of
- * the lowest violating seed.  Steals `result`; returns the whole result, or
- * NULL with an exception set. */
+ * them on the calling thread, counts in Python ints and keeps the lowest
+ * violating seed.  Steals `result`; returns the whole result, or NULL with an
+ * exception set. */
 static PyObject *
 fold_deferred(const Job *job, PyObject *result)
 {
@@ -1028,7 +1014,13 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     int overflow;
     long long first = PyLong_AsLongLongAndOverflow(seed, &overflow);
     if (overflow || (cases > 0 && first > LLONG_MAX - (cases - 1))) {
-        return hand_over("scan_ladder", args, nargs);
+        /* dehnfill._ladder_py.scan_ladder takes the whole call. */
+        PyObject *func = python_kernel("scan_ladder"), *whole = NULL;
+        if (func != NULL) {
+            whole = PyObject_Vectorcall(func, args, (size_t)nargs, NULL);
+            Py_DECREF(func);
+        }
+        return whole;
     }
     int n_threads = thread_count(cases);
     Job *job = calloc(1, sizeof(Job) + (size_t)n_threads * sizeof(Worker));
@@ -1048,6 +1040,7 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         job->w[k].job = job;
         job->w[k].sc.stop = &job->stop;
         job->w[k].sc.caller = k == 0;
+        job->w[k].tally.first_bad = cases;
     }
     start_workers(job, n_threads);
     run_blocks(job->w);
@@ -1065,9 +1058,10 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         merge(all, &job->w[k].tally);
         n_deferred += job->w[k].n_deferred;
     }
-    /* The C counts no truncated path and keeps no witness. */
-    result = Py_BuildValue("(OLLiiOLO)", Py_None, all->paths, all->violations, 0, all->max_len, Py_None,
-                           all->max_paths, Py_None);
+    /* The C counts no truncated path. */
+    PyObject *first_bad = all->first_bad < cases ? PyLong_FromLongLong(job->first + all->first_bad)
+                                                 : Py_NewRef(Py_None);
+    result = Py_BuildValue("(NLLiiL)", first_bad, all->paths, all->violations, 0, all->max_len, all->max_paths);
     if (result != NULL && n_deferred > 0) {
         result = fold_deferred(job, result);
     }

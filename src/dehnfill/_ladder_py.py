@@ -10,8 +10,7 @@ this module is the oracle for that seeding, for each ladder's counts and for
 the sums over the run.  The compiled kernel only counts, by the path DP below:
 this module is the only enumerator of paths and the only witness search, and
 the compiled kernel hands it every ladder that the DP cannot count or whose
-counts leave 64 bits, every ladder that violates (for its witness), and every
-run whose seeds leave a C ``long long``.
+counts leave 64 bits, and every run whose seeds leave a C ``long long``.
 
 Track encoding (all plain ints):
   offsets    -- per-level CSR offsets into the switch arrays, length n+1
@@ -44,9 +43,10 @@ emitting search.  That search stays for ``collect``, for graphs where the DP
 does not apply (a cycle, where the search truncates at a repeated state, or a
 path of ``step_bound`` states or more), and as the oracle; the witness comes
 from the same search, entering only states through which some path violates.
-``fold_in`` adds to a compiled ``scan_ladder`` result the ladders that its
-threads left out: those the DP cannot count and each thread's first violating
-ladder, of which it keeps the witness of the lowest seed.
+``scan_ladder`` is ``fold_in`` over its seeds from a zero result, and the
+compiled kernel has ``fold_in`` add the ladders that it cannot count.  Neither
+searches for a witness: a bulk scan reports the lowest violating seed, and
+``scan_track`` of that seed's ladder gives the path.
 """
 
 import random as _random
@@ -318,20 +318,20 @@ def _search(tables, forward_dir, step_bound, collect):
     return paths, n_paths, n_violations, n_truncated, max_len, witness
 
 
-def _scan(enc, forward_dir, step_bound, collect):
-    """``scan_track`` on the eight lists ``enc`` of an encoding that
-    ``_check_encoding`` accepts."""
-    tables = _build_tables(*enc)
-    sources, cusp_lo, cusp_hi = tables[2], enc[4], enc[5]
-    counts = None if collect else _suffix_counts(tables, cusp_lo, cusp_hi, forward_dir, step_bound)
+def _scan(tables, cusp_lo, cusp_hi, forward_dir, step_bound):
+    """``scan_track`` without ``collect``, with a witness only where the
+    search ran, and the DP's counts, from which ``_first_witness`` finds the
+    witness (None where the search ran)."""
+    counts = _suffix_counts(tables, cusp_lo, cusp_hi, forward_dir, step_bound)
     if counts is not None:
+        sources = tables[2]
         total, bad0, _, longest = counts
         max_len = max((longest[src] for src in sources), default=0)
-    if counts is None or max_len >= step_bound:
-        return _search(tables, forward_dir, step_bound, collect)
-    n_violations = sum(bad0[src] for src in sources) // 2
-    witness = _first_witness(tables, counts, cusp_lo, cusp_hi) if n_violations else None
-    return None, sum(total[src] for src in sources) // 2, n_violations, 0, max_len, witness
+        if max_len < step_bound:
+            n_paths = sum(total[src] for src in sources) // 2
+            n_violations = sum(bad0[src] for src in sources) // 2
+            return (None, n_paths, n_violations, 0, max_len, None), counts
+    return _search(tables, forward_dir, step_bound, False), None
 
 
 def scan_track(
@@ -357,61 +357,53 @@ def scan_track(
     """
     enc = (offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx)
     _check_encoding(*enc, forward_dir)
-    return _scan(enc, forward_dir, step_bound, collect)
+    tables = _build_tables(*enc)
+    if collect:
+        return _search(tables, forward_dir, step_bound, True)
+    result, counts = _scan(tables, cusp_lo, cusp_hi, forward_dir, step_bound)
+    if counts is not None and result[2]:
+        result = result[:5] + (_first_witness(tables, counts, cusp_lo, cusp_hi),)
+    return result
 
 
 def scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bound):
-    """``scan_track`` of each ladder that ``random.Random(seed)``, ...,
-    ``Random(seed + cases - 1)`` draw, without their paths:
+    """The counts of ``scan_track`` over the ladders that
+    ``random.Random(seed)``, ..., ``Random(seed + cases - 1)`` draw, each by
     ``dehnfill.ladders._draw``, then ``_encode_lists``, then the scan.
 
-    Returns ``(None, n_paths, n_violations, n_truncated, max_len, witness,
-    max_paths, first_violation_seed)``: the counts summed over the ladders,
-    the longest path, the first violating path of the first violating ladder,
-    the most paths of one ladder and that ladder's seed.  ``seed`` must be an
-    int; Random would seed a float or a str from its hash."""
-    from .ladders import _draw, _encode_lists  # ladders imports this module
-
+    Returns ``(first_violation_seed, n_paths, n_violations, n_truncated,
+    max_len, max_paths)``: the lowest seed whose ladder violates, or None;
+    the counts summed over the ladders; the longest path; and the most paths
+    of one ladder.  No witness is searched for: ``check_two_line_property``
+    of ``random_ladder(first_violation_seed, ...)`` gives one.  ``seed`` must
+    be an int; Random would seed a float or a str from its hash."""
     if not isinstance(seed, int):
         raise TypeError("seed must be an int, not %s" % type(seed).__name__)
     if cases < 0:
         raise ValueError("cases must be a count >= 0, not %d" % cases)
-    n_paths = n_violations = n_truncated = max_len = max_paths = 0
-    witness = first_violation_seed = None
-    for case in range(seed, seed + cases):
-        *enc, forward_dir = _encode_lists(
-            *_draw(_random.Random(case), max_levels, max_rungs_per_gap, alternating)
-        )
-        _, paths, violations, truncated, longest, first = _scan(enc, forward_dir, step_bound, False)
-        n_paths += paths
-        n_violations += violations
-        n_truncated += truncated
-        max_len = max(max_len, longest)
-        max_paths = max(max_paths, paths)
-        if violations and first_violation_seed is None:
-            witness, first_violation_seed = first, case
-    return (
-        None,
-        n_paths,
-        n_violations,
-        n_truncated,
-        max_len,
-        witness,
-        max_paths,
-        first_violation_seed,
+    return fold_in(
+        (None, 0, 0, 0, 0, 0),
+        range(seed, seed + cases),
+        max_levels,
+        max_rungs_per_gap,
+        alternating,
+        step_bound,
     )
 
 
 def fold_in(result, seeds, max_levels, max_rungs_per_gap, alternating, step_bound):
     """``result``, a ``scan_ladder`` result that leaves out the ladders of
-    ``seeds``, with those ladders scanned and added, and the witness of the
-    lowest violating seed kept.  The compiled kernel hands over this way the
-    ladders that it does not count and each thread's first violating
-    ladder."""
-    _, n_paths, n_violations, n_truncated, max_len, witness, max_paths, first = result
+    ``seeds``, with those ladders scanned and added.  The compiled kernel
+    hands over this way the ladders that it cannot count."""
+    from .ladders import _draw, _encode_lists  # ladders imports this module
+
+    first, n_paths, n_violations, n_truncated, max_len, max_paths = result
     for seed in seeds:
-        _, paths, violations, truncated, longest, path, _, _ = scan_ladder(
-            seed, 1, max_levels, max_rungs_per_gap, alternating, step_bound
+        *enc, forward_dir = _encode_lists(
+            *_draw(_random.Random(seed), max_levels, max_rungs_per_gap, alternating)
+        )
+        (_, paths, violations, truncated, longest, _), _ = _scan(
+            _build_tables(*enc), enc[4], enc[5], forward_dir, step_bound
         )
         n_paths += paths
         n_violations += violations
@@ -419,5 +411,5 @@ def fold_in(result, seeds, max_levels, max_rungs_per_gap, alternating, step_boun
         max_len = max(max_len, longest)
         max_paths = max(max_paths, paths)
         if violations and (first is None or seed < first):
-            witness, first = path, seed
-    return None, n_paths, n_violations, n_truncated, max_len, witness, max_paths, first
+            first = seed
+    return first, n_paths, n_violations, n_truncated, max_len, max_paths

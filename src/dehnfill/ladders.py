@@ -123,7 +123,16 @@ def standard_orientations(n_levels):
 SIZE_CAP = 1000
 
 
+def _check_integers(**values):
+    # Random would accept a float or a str and seed from its hash, and a
+    # float size or bound would reach only the pure-Python kernel's loops.
+    for name, value in values.items():
+        if not isinstance(value, Integral):
+            raise TypeError("%s must be an integer, not %r" % (name, value))
+
+
 def _check_sizes(max_levels, max_rungs_per_gap):
+    _check_integers(max_levels=max_levels, max_rungs_per_gap=max_rungs_per_gap)
     if max_levels < 2:
         raise ValueError(
             "max_levels must be >= 2 (a ladder has two lines or more), not %d" % max_levels
@@ -137,13 +146,8 @@ def _check_sizes(max_levels, max_rungs_per_gap):
         )
 
 
-def _check_seed(seed):
-    # Random would accept a float or a str and seed from its hash.
-    if not isinstance(seed, Integral):
-        raise TypeError("seed must be an integer, not %r" % (seed,))
-
-
 def _check_step_bound(step_bound):
+    _check_integers(step_bound=step_bound)
     if not 1 <= step_bound <= 10**4:
         raise ValueError("step_bound must lie in 1..10**4, not %d" % step_bound)
 
@@ -252,7 +256,7 @@ def random_ladder(
     lower ends, opposing at upper ends); carried paths there may cascade
     through many lines.
     """
-    _check_seed(seed)
+    _check_integers(seed=seed)
     _check_sizes(max_levels, max_rungs_per_gap)
     n_levels, orientations, *rung_lists = _draw(
         _random.Random(seed), max_levels, max_rungs_per_gap, alternating
@@ -405,12 +409,12 @@ def verify_ladders(
     """
     if cases < 0:
         raise ValueError("cases must be a count >= 0, not %r" % (cases,))
-    _check_seed(seed)
+    _check_integers(seed=seed)
     _check_sizes(max_levels, max_rungs_per_gap)
     _check_step_bound(step_bound)
     # Case i is the ladder that Random(seed + i) draws; one kernel call scans
     # them all.
-    _, total_paths, violations, truncated, max_len, _, max_paths, first_violation_seed = (
+    first_violation_seed, total_paths, violations, truncated, max_len, max_paths = (
         _ladder.scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bound)
     )
     return {

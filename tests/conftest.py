@@ -5,6 +5,8 @@ import importlib.util
 import pytest
 from kernel_build import built_kernels, c_compiler, run_setup
 
+from dehnfill import _ladder, _ladder_py
+
 
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
@@ -19,3 +21,13 @@ def compiled_kernel(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=["python", "compiled"])
+def kernel(request, monkeypatch):
+    """Route every seeded ladder scan through one backend."""
+    if request.param == "python":
+        module = _ladder_py
+    else:
+        module = request.getfixturevalue("compiled_kernel")
+    monkeypatch.setattr(_ladder, "scan_ladder", module.scan_ladder)

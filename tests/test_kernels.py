@@ -1,10 +1,11 @@
 """The compiled ladder kernel and the pure-Python one must agree: same
-counts, same witnesses, and for a seeded ladder the same draw.  The compiled
-kernel has only the seeded ``scan_ladder``, and only counts: it hands the
-witness search to the pure-Python one, so the tests that compare witnesses
-hold that hand-over.  The compiled kernel seeds its own MT19937 from the int
-seed, the pure-Python one seeds ``random.Random``, so the seeded tests also
-hold the C seeding to CPython's.
+counts, same lowest violating seed, and for a seeded ladder the same draw.
+The compiled kernel has only the seeded ``scan_ladder``, and neither kernel's
+bulk scan keeps a witness path: ``check_two_line_property`` of the ladder of
+the lowest violating seed gives one, and the tests hold that seed to it.  The
+compiled kernel seeds its own MT19937 from the int seed, the pure-Python one
+seeds ``random.Random``, so the seeded tests also hold the C seeding to
+CPython's.
 
 The compiled kernel is the one built from the committed C by the
 ``compiled_kernel`` fixture; the tests skip only when no C compiler is found.
@@ -25,7 +26,14 @@ from kernel_build import built_kernels, run_setup
 from test_ladder_draw import SEEDS, SIZES
 
 from dehnfill import _ladder_py
-from dehnfill.ladders import SIZE_CAP, _draw, _encode_lists, kernel_backend
+from dehnfill.ladders import (
+    SIZE_CAP,
+    _draw,
+    _encode_lists,
+    check_two_line_property,
+    kernel_backend,
+    random_ladder,
+)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dehnfill"
 # The CPUs that a scan_ladder call may spread over.
@@ -53,13 +61,16 @@ class WordCounter(random.Random):
 def test_seeded_scans_agree(compiled_kernel, sizes, alternating):
     """Every seed of the draw tests, both step bounds.  The compiled
     ``scan_ladder`` must give the pure-Python scan of the Python draw from
-    ``Random(seed)`` and its encoding: the same counts, longest path and
+    ``Random(seed)`` and its encoding: the same counts and longest path, and
+    the seed as its first violating seed exactly when that scan finds a
     witness, where step bound 3 truncates paths and 10**4 does not."""
     for seed in SEEDS:
         enc = _encode_lists(*_draw(random.Random(seed), *sizes, alternating))
         for step_bound in (3, 10**4):
-            got = compiled_kernel.scan_ladder(seed, 1, *sizes, alternating, step_bound)[:6]
-            assert got == _ladder_py.scan_track(*enc, step_bound, False), seed
+            got = compiled_kernel.scan_ladder(seed, 1, *sizes, alternating, step_bound)
+            _, *counts, witness = _ladder_py.scan_track(*enc, step_bound, False)
+            first = None if witness is None else seed
+            assert got == (first, *counts, counts[0]), seed
 
 
 # The edges of the compiled kernel's int conversion: one and two key words,
@@ -94,15 +105,15 @@ BATCH_CASES = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17]
 def combined(seed, singles):
     """The result of one call over the run of seeds from ``seed`` whose
     single-call results are ``singles``, in order."""
-    out = [None, 0, 0, 0, 0, None, 0, None]
-    for case, (_, paths, violations, truncated, longest, witness, _, _) in enumerate(singles):
+    out = [None, 0, 0, 0, 0, 0]
+    for case, (_, paths, violations, truncated, longest, _) in enumerate(singles):
         out[1] += paths
         out[2] += violations
         out[3] += truncated
         out[4] = max(out[4], longest)
-        out[6] = max(out[6], paths)
-        if violations and out[7] is None:
-            out[5], out[7] = witness, seed + case
+        out[5] = max(out[5], paths)
+        if violations and out[0] is None:
+            out[0] = seed + case
     return tuple(out)
 
 
@@ -145,33 +156,54 @@ def test_threaded_runs_are_the_sum_of_single_calls(compiled_kernel, alternating)
 def test_first_violation_is_the_first_violating_ladders(compiled_kernel):
     # The control ladder of seed 4 breaks no two-line property; seed 5's does.
     for kernel in (compiled_kernel, _ladder_py):
-        assert kernel.scan_ladder(4, 1, 8, 6, False, 10**4)[2] == 0
-        single = kernel.scan_ladder(5, 1, 8, 6, False, 10**4)
-        got = kernel.scan_ladder(4, 3, 8, 6, False, 10**4)
-        assert single[2] > 0 and got[7] == 5 and got[5] == single[5]
+        first, _, violations, *_ = kernel.scan_ladder(4, 1, 8, 6, False, 10**4)
+        assert first is None and violations == 0
+        assert kernel.scan_ladder(5, 1, 8, 6, False, 10**4)[0] == 5
+        assert kernel.scan_ladder(4, 3, 8, 6, False, 10**4)[0] == 5
 
 
 # Control ladders at (3, 150), 32 to a call, so two threads where two CPUs
-# are free, and each thread defers its first violating ladder to the
-# pure-Python kernel.  From seed 5 the ladder of index 0 violates, and the
-# other thread meets violations from index 8 on.  From seed 1149 the first
-# block's ladders have two levels, which never violate, and the first
-# violation is at index 8, in a block the other thread may take while the
-# calling thread is still in the first one.
+# are free, and each thread keeps the lowest index of the violating ladders
+# it counts.  From seed 5 the ladder of index 0 violates, and the other
+# thread meets violations from index 8 on.  From seed 1149 the first block's
+# ladders have two levels, which never violate, and the first violation is
+# at index 8, in a block the other thread may take while the calling thread
+# is still in the first one.
 @pytest.mark.parametrize("start, first", [(5, 5), (1149, 1157)])
 def test_the_lowest_violating_ladder_wins_across_threads(compiled_kernel, start, first):
     args = (3, 150, False, 10**4)
     singles = [compiled_kernel.scan_ladder(seed, 1, *args) for seed in range(start, start + 32)]
     expected = combined(start, singles)
-    assert expected[7] == first
+    assert expected[0] == first
     assert sum(single[2] > 0 for single in singles[8:]) > 8
     for _ in range(10):
         assert compiled_kernel.scan_ladder(start, 32, *args) == expected
 
 
+# The control runs of the tests above: (8, 6) from seed 0, where the first
+# ladder violates, and the two (3, 150) runs split across threads.
+SEED_ROUTE_RUNS = [(0, 200, 8, 6), (5, 32, 3, 150), (1149, 32, 3, 150)]
+
+
+@pytest.mark.parametrize("start, cases, max_levels, max_rungs", SEED_ROUTE_RUNS)
+def test_the_first_violating_seed_leads_to_a_witness(
+    compiled_kernel, start, cases, max_levels, max_rungs
+):
+    """The bulk scan reports a seed, not a path: the path comes from
+    ``check_two_line_property`` of that seed's ladder, which must fail, while
+    the ladder of every lower seed of the run passes."""
+    sizes = (max_levels, max_rungs)
+    for kernel in (compiled_kernel, _ladder_py):
+        first = kernel.scan_ladder(start, cases, *sizes, False, 10**4)[0]
+        ok, witnesses = check_two_line_property(random_ladder(first, *sizes, False))
+        assert not ok and len(witnesses) == 1, (kernel.BACKEND, first)
+        for seed in range(start, first):
+            assert check_two_line_property(random_ladder(seed, *sizes, False)) == (True, []), seed
+
+
 def test_case_count(compiled_kernel):
     for kernel in (compiled_kernel, _ladder_py):
-        assert kernel.scan_ladder(7, 0, 8, 6, True, 3) == (None, 0, 0, 0, 0, None, 0, None)
+        assert kernel.scan_ladder(7, 0, 8, 6, True, 3) == (None, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="cases must be a count >= 0"):
             kernel.scan_ladder(7, -1, 8, 6, True, 3)
 

@@ -12,9 +12,6 @@ digest here.
 import hashlib
 import json
 
-import pytest
-
-from dehnfill import _ladder, _ladder_py
 from dehnfill.ladders import (
     check_two_line_property,
     enumerate_carried_paths,
@@ -36,16 +33,6 @@ SMALL_LADDERS = [
     for alternating in (True, False)
     for step_bound in (10**4, 5)
 ]
-
-
-@pytest.fixture(params=["python", "compiled"])
-def kernel(request, monkeypatch):
-    """Route every seeded ladder scan through one backend."""
-    if request.param == "python":
-        module = _ladder_py
-    else:
-        module = request.getfixturevalue("compiled_kernel")
-    monkeypatch.setattr(_ladder, "scan_ladder", module.scan_ladder)
 
 
 def summaries_digest():

@@ -333,3 +333,33 @@ def test_non_integer_seed_rejected(seed):
         verify_ladders(2, seed=seed)
     with pytest.raises(TypeError, match="seed must be an integer"):
         random_ladder(seed)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: verify_ladders(3, step_bound=2.5), "step_bound", id="verify-bound"),
+        pytest.param(lambda: verify_ladders(3, max_levels=8.0), "max_levels", id="verify-levels"),
+        pytest.param(
+            lambda: verify_ladders(3, max_rungs_per_gap=Fraction(6)),
+            "max_rungs_per_gap",
+            id="verify-rungs",
+        ),
+        pytest.param(lambda: random_ladder(0, max_levels=8.0), "max_levels", id="random-levels"),
+        pytest.param(
+            lambda: enumerate_carried_paths(random_ladder(0), step_bound=2.5),
+            "step_bound",
+            id="enumerate-bound",
+        ),
+        pytest.param(
+            lambda: check_two_line_property(random_ladder(0), step_bound=10.0**4),
+            "step_bound",
+            id="check-bound",
+        ),
+    ],
+)
+def test_non_integer_sizes_and_bounds_rejected(kernel, call, name):
+    # Both kernels raise the same error: the pure-Python loops would run on
+    # a float bound, and the compiled kernel takes only ints.
+    with pytest.raises(TypeError, match="%s must be an integer" % name):
+        call()

@@ -6,9 +6,10 @@ which counts by dynamic programming wherever the DP applies and falls back to
 the search elsewhere, must give the same counts, longest path and first
 witness.  The compiled kernel has only the seeded ``scan_ladder``, and only
 counts: it hands to the pure-Python kernel every ladder that the DP cannot
-count, whose counts leave 64 bits, or that violates, and every call whose
-seeds leave a long long.  The tests here reach that hand-over in runs split
-across threads and on one CPU, and at the size cap.
+count or whose counts leave 64 bits, and every call whose seeds leave a long
+long.  The tests here reach that hand-over in runs split across threads and
+on one CPU, and at the size cap.  No bulk scan, on either kernel, searches
+for a witness.
 """
 
 import json
@@ -31,6 +32,7 @@ from dehnfill.ladders import (
     _encode,
     check_two_line_property,
     random_ladder,
+    verify_ladders,
 )
 
 
@@ -116,23 +118,44 @@ def test_encodings_the_dp_cannot_count_are_rejected(index, value, message):
 # and 38 have 2**63 paths or more, so their directed counts leave uint64, and
 # many others have more than a thread's tally may hold.  The tallies of two
 # threads once summed past 2**63 here, and the call lost 2**64 paths.  Seed 6
-# violates, so from it the first witness comes from the pure-Python DP.
+# violates, so from it the lowest violating seed comes from the pure-Python DP.
 BIG = (100, 100, False, 10**4)
 
 
 def test_counts_past_64_bits_go_to_the_python_dp(compiled_kernel):
-    got = compiled_kernel.scan_ladder(6, 1, *BIG)[:6]
-    assert got == scan_track(*_encode(random_ladder(6, *BIG[:3])), 10**4, False)
+    got = compiled_kernel.scan_ladder(6, 1, *BIG)
+    _, *counts, witness = scan_track(*_encode(random_ladder(6, *BIG[:3])), 10**4, False)
+    assert got == (6, *counts, counts[0]) and witness is not None
     assert got[1] >= 2**63 and got[2] > 0
     for start in (0, 6):
         got = compiled_kernel.scan_ladder(start, 42, *BIG)
         assert got == _ladder_py.scan_ladder(start, 42, *BIG), start
-        assert got[1] >= 2**64 and got[7] == start
+        assert got[1] >= 2**64 and got[0] == start
+
+
+def test_no_bulk_scan_searches_for_a_witness(kernel, monkeypatch):
+    # Control ladders that violate, and a ladder whose counts pass 64 bits,
+    # which the compiled kernel hands to fold_in: each summary gives the
+    # first violating seed, and no path is searched for.
+    calls = [
+        {"cases": 200, "alternating": False},
+        {"cases": 1, "seed": 6, "max_levels": 100, "max_rungs_per_gap": 100, "alternating": False},
+    ]
+    expected = [verify_ladders(**call) for call in calls]
+    assert [summary["first_violation_seed"] for summary in expected] == [0, 6]
+
+    def no_witness(*args):
+        raise AssertionError("a bulk scan searched for a witness")
+
+    monkeypatch.setattr(_ladder_py, "_first_witness", no_witness)
+    assert [verify_ladders(**call) for call in calls] == expected
+    with pytest.raises(AssertionError, match="searched for a witness"):
+        check_two_line_property(random_ladder(0, alternating=False))
 
 
 # Calls at the compiled kernel's hand-over, besides the control run from seed
 # 0 below, in which every block of eight seeds holds a violating ladder, so
-# every thread defers its first violating ladder to fold_in: the same run at
+# every thread keeps a lowest violating index for the merge: the same run at
 # step bounds where the DP gives up on some ladders (it counts no path that
 # the search truncates) or on all of them; runs that end at 2**63 - 1 or
 # start at -2**63, which the C counts; and runs that leave the long long
@@ -204,4 +227,4 @@ def test_the_control_ladder_at_the_cap_is_counted(compiled_kernel, monkeypatch):
     got = _ladder_py.scan_ladder(1, 1, SIZE_CAP, SIZE_CAP, False, 10**4)
     fields = ["total_paths", "violations", "truncated_paths", "max_path_length"]
     assert list(got[1:5]) == [summary[field] for field in fields]
-    assert got[6:] == (CAP_PATHS, 1)
+    assert (got[0], got[5]) == (1, CAP_PATHS)
