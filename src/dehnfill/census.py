@@ -250,11 +250,8 @@ def verify_entry(entry: CensusEntry) -> VerificationRecord:
             "endpoints %s differ from tabulated {%s, %s}"
             % (computed, entry.i_nls.end_a, entry.i_nls.end_b),
         )
-    printed_open = SlopeInterval(printed_a, printed_b, excluded=computed.excluded)
     through, _ = parse_slope(entry.i_nls.through)
-    if not printed_open.contains(through) or not printed_open.contains(
-        computed.interior_witness()
-    ):
+    if not computed.contains(through):
         return VerificationRecord(
             entry.name,
             computed,

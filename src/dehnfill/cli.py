@@ -15,8 +15,8 @@ import sys
 
 from .arcs import refined_matching, system_from_json, system_to_json, validate_system
 from .census import census_entry, census_to_json, census_verify, entry_to_json
-from .filling import _interval_json, _locus_json
-from .filling import analyze_multislope, guaranteed_interval, report_to_json
+from .filling import _interval_json, guaranteed_interval
+from .filling import analyze_multislope, merge_reports, report_to_json
 from .ladders import kernel_backend, verify_ladders
 from .monodromy import ORBIT_LENGTH_CAP, BoundaryOrbit, DegeneracyLocus, action_from_json
 from .slopes import SlopeParseError, canonical_meridian, format_slope, parse_slope
@@ -140,44 +140,10 @@ def _cmd_interval(args):
 
 
 def _cmd_analyze(args):
-    locus = _parse_locus(args.locus)
-    orbit = _single_orbit(locus, args.orbit_length)
+    orbit = _single_orbit(_parse_locus(args.locus), args.orbit_length)
     slopes = [_parse_slope_arg(text) for text in args.slope or []]
-    if slopes:
-        entries = []
-        verdicts = set()
-        notes = []
-        for s in slopes:
-            report = analyze_multislope([orbit], [s])
-            doc = report_to_json(report)
-            entries.extend(doc["orbits"])
-            verdicts.add(doc["verdict"])
-            notes.extend(note for note in doc["notes"] if note not in notes)
-        verdict = verdicts.pop() if len(verdicts) == 1 else "partial"
-        out = {
-            "schema": "filling_report_v1",
-            "orbits": entries,
-            "verdict": verdict,
-            "notes": notes,
-        }
-    else:
-        interval = guaranteed_interval(locus, args.orbit_length)
-        out = {
-            "schema": "filling_report_v1",
-            "orbits": [
-                {
-                    "circles": list(orbit.circles),
-                    "orbit_length": orbit.c,
-                    "locus": _locus_json(locus),
-                    "interval": _interval_json(interval),
-                    "slope": None,
-                    "guarantees": [],
-                }
-            ],
-            "verdict": "none",
-            "notes": ["no filling slopes provided"],
-        }
-    _emit(out, args)
+    reports = [analyze_multislope([orbit], [s]) for s in slopes]
+    _emit(report_to_json(merge_reports(orbit, reports)), args)
     return 0
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "excluded_window",
     "check_fried",
     "analyze_multislope",
+    "merge_reports",
     "zung_sign_check",
     "report_to_json",
 ]
@@ -63,14 +64,6 @@ GUARANTEE_CITATIONS = {
     "RCoveredExists": "some admissible arc system induces an R-covered foliation",
     "AtMostOneSidedBranching": "every admissible arc system yields R-covered or one-sided branching",
 }
-
-ALL_GUARANTEES = (
-    "CTF",
-    "LO",
-    "NonLSpace",
-    "RCoveredExists",
-    "AtMostOneSidedBranching",
-)
 
 
 def guaranteed_interval(locus: DegeneracyLocus, c: int) -> SlopeInterval:
@@ -172,7 +165,7 @@ def analyze_multislope(orbits, slopes) -> MultislopeReport:
     guarantees: frozenset = frozenset()
     if parities == {Coorientation.REVERSING}:
         if all(inside):
-            guarantees = frozenset(ALL_GUARANTEES)
+            guarantees = frozenset(GUARANTEE_CITATIONS)
             verdict = "guaranteed"
         else:
             verdict = "none"
@@ -207,6 +200,26 @@ def analyze_multislope(orbits, slopes) -> MultislopeReport:
     return MultislopeReport(reports=reports, verdict=verdict, notes=tuple(notes))
 
 
+def merge_reports(orbit: BoundaryOrbit, reports) -> MultislopeReport:
+    """One report for one orbit, from the ``analyze_multislope`` reports of
+    its slopes in order.
+
+    The verdict is the one every slope shares, else ``partial``, and each
+    note is kept once, in the order first seen.  With no slopes the report
+    has one row: the orbit's guaranteed interval, with no slope.
+    """
+    if not reports:
+        interval = guaranteed_interval(orbit.locus, orbit.c)
+        row = FillingReport(orbit, interval, None, False, 0, False, False)
+        return MultislopeReport((row,), "none", ("no filling slopes provided",))
+    verdicts = {report.verdict for report in reports}
+    return MultislopeReport(
+        reports=tuple(row for report in reports for row in report.reports),
+        verdict=verdicts.pop() if len(verdicts) == 1 else "partial",
+        notes=tuple(dict.fromkeys(note for report in reports for note in report.notes)),
+    )
+
+
 def _interval_json(interval: SlopeInterval):
     return {
         "end_a": format_slope(interval.end_a),
@@ -225,30 +238,35 @@ def _locus_json(locus: DegeneracyLocus):
 
 
 def report_to_json(report: MultislopeReport):
-    """Serialize to the ``filling_report_v1`` schema with stable field order."""
+    """Serialize to the ``filling_report_v1`` schema with stable field order.
+
+    A row without a slope gives the orbit and its interval alone."""
     orbits = []
     for r in report.reports:
         locus = r.orbit.locus
-        orbits.append(
-            {
-                "circles": list(r.orbit.circles),
-                "orbit_length": r.orbit.c,
-                "locus": _locus_json(locus),
-                "coorientation": classify_coorientation(locus),
-                "interval": _interval_json(r.interval),
-                "slope": None if r.slope is None else format_slope(r.slope),
-                "in_interval": r.in_interval,
-                "distance": r.dist_to_locus,
-                "fried_ok": r.fried_ok,
+        row = {
+            "circles": list(r.orbit.circles),
+            "orbit_length": r.orbit.c,
+            "locus": _locus_json(locus),
+        }
+        if r.slope is None:
+            row.update(interval=_interval_json(r.interval), slope=None)
+        else:
+            row.update(
+                coorientation=classify_coorientation(locus),
+                interval=_interval_json(r.interval),
+                slope=format_slope(r.slope),
+                in_interval=r.in_interval,
+                distance=r.dist_to_locus,
+                fried_ok=r.fried_ok,
                 # The filled core orbit has one prong per unit of distance.
-                "prong_count": r.dist_to_locus,
-                "special_no_singular": r.special_no_singular,
-                "guarantees": [
-                    {"label": g, "citation": GUARANTEE_CITATIONS[g]}
-                    for g in sorted(r.guarantees)
-                ],
-            }
-        )
+                prong_count=r.dist_to_locus,
+                special_no_singular=r.special_no_singular,
+            )
+        row["guarantees"] = [
+            {"label": g, "citation": GUARANTEE_CITATIONS[g]} for g in sorted(r.guarantees)
+        ]
+        orbits.append(row)
     return {
         "schema": "filling_report_v1",
         "orbits": orbits,

@@ -126,8 +126,9 @@ SIZE_CAP = 1000
 def _check_integers(**values):
     # Random would accept a float or a str and seed from its hash, and a
     # float size or bound would reach only the pure-Python kernel's loops.
+    # A bool is an Integral, but the summary would echo it as true or false.
     for name, value in values.items():
-        if not isinstance(value, Integral):
+        if not isinstance(value, Integral) or isinstance(value, bool):
             raise TypeError("%s must be an integer, not %r" % (name, value))
 
 
@@ -407,9 +408,9 @@ def verify_ladders(
 
     Returns a summary dict (JSON-friendly); deterministic for fixed inputs.
     """
+    _check_integers(cases=cases, seed=seed)
     if cases < 0:
         raise ValueError("cases must be a count >= 0, not %r" % (cases,))
-    _check_integers(seed=seed)
     _check_sizes(max_levels, max_rungs_per_gap)
     _check_step_bound(step_bound)
     # Case i is the ladder that Random(seed + i) draws; one kernel call scans

@@ -103,39 +103,15 @@ class SlopeInterval:
         # two complementary arcs carry opposite signs.
         return _det(self.end_a, s) * _det(self.end_b, s)
 
-    def _interior(self, s: ProjectiveSlope) -> bool:
-        # The form vanishes at the endpoints, so they are never interior.
-        return self._side(s) * self._side(self.excluded) < 0
-
     def contains(self, s: ProjectiveSlope) -> bool:
         if s == self.end_a:
             return self.closed_a
         if s == self.end_b:
             return self.closed_b
-        return self._interior(s)
+        return self._side(s) * self._side(self.excluded) < 0
 
     def endpoints(self):
         return frozenset((self.end_a, self.end_b))
-
-    def interior_witness(self) -> ProjectiveSlope:
-        """Some slope inside the open arc (useful for arc comparisons)."""
-        a, b = self.end_a, self.end_b
-        # For distinct normalized endpoints neither the sum nor the difference
-        # of the coordinate pairs is (0, 0), and one of the two mediants lands
-        # in each complementary arc.
-        for cand in (
-            ProjectiveSlope.of(a.num + b.num, a.den + b.den),
-            ProjectiveSlope.of(a.num - b.num, a.den - b.den),
-        ):
-            if self._interior(cand):
-                return cand
-        # Mediants with an endpoint converge into the arc from that side.
-        cur = self.excluded
-        for _ in range(64):
-            cur = ProjectiveSlope.of(a.num + cur.num, a.den + cur.den)
-            if self._interior(cur):
-                return cur
-        raise RuntimeError("no interior witness found")  # pragma: no cover
 
     def __str__(self):
         return "arc(%s, %s; excluded %s)" % (self.end_a, self.end_b, self.excluded)

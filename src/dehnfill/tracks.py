@@ -443,7 +443,6 @@ class EndpointConfig:
     named presets.
     """
 
-    name: str = "default"
     phase: int = 0
     lower_out: Fraction = Fraction(1, 4)
     lower_in: Fraction = Fraction(3, 4)
@@ -477,9 +476,8 @@ class EndpointConfig:
 
 CONFIG_PRESETS = {
     "default": EndpointConfig(),
-    "phase-flipped": EndpointConfig(name="phase-flipped", phase=1),
+    "phase-flipped": EndpointConfig(phase=1),
     "wide": EndpointConfig(
-        name="wide",
         lower_out=Fraction(1, 8),
         lower_in=Fraction(7, 8),
         upper_nudge=Fraction(1, 16),
@@ -495,7 +493,6 @@ def config_from_json(doc) -> EndpointConfig:
     if type(phase) is not int:
         raise ValueError('"phase": expected an integer')
     return EndpointConfig(
-        name=doc.get("name", "custom"),
         phase=phase,
         lower_out=_exact(doc.get("lower_out", "1/4"), '"lower_out"'),
         lower_in=_exact(doc.get("lower_in", "3/4"), '"lower_in"'),

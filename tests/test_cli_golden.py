@@ -93,7 +93,8 @@ PARTIAL = ["analyze", "--locus", "6,1", "--orbit-length", "1", "--slope", "4", "
 REPORTS = {
     "analyze-partial": PARTIAL,
     "analyze-partial-text": PARTIAL + ["--output", "text"],
-    # No slope: the report that cli._cmd_analyze writes by hand.
+    # No slope: the one row that filling.merge_reports makes, with the
+    # interval and no per-slope fields.
     "analyze-no-slope": ["analyze", "--locus", "6,1", "--orbit-length", "3"],
     # Preserving parity: verdict "partial", the LO label from zung_sign_check,
     # and slope 2 equal to the degeneracy slope.  Both slopes give the

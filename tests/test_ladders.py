@@ -325,14 +325,23 @@ def test_verify_ladders_rejects_negative_cases():
         verify_ladders(-3)
 
 
-@pytest.mark.parametrize("seed", [0.5, 1.0, "3", None])
+@pytest.mark.parametrize("seed", [0.5, 1.0, "3", None, True])
 def test_non_integer_seed_rejected(seed):
     # Random would seed from the hash of a float or str, and from the clock
-    # for None.
+    # for None; the summary would echo a bool as true.
     with pytest.raises(TypeError, match="seed must be an integer"):
         verify_ladders(2, seed=seed)
     with pytest.raises(TypeError, match="seed must be an integer"):
         random_ladder(seed)
+
+
+@pytest.mark.parametrize("cases", [2.5, "3", True, False])
+def test_non_integer_cases_rejected(kernel, cases):
+    # Both kernels raise the same error.  Unchecked, a float count failed
+    # with a different message on each, a str one on its comparison with 0,
+    # and a bool one was echoed as true or false in the summary.
+    with pytest.raises(TypeError, match="cases must be an integer"):
+        verify_ladders(cases)
 
 
 @pytest.mark.parametrize(

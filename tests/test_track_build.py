@@ -109,7 +109,7 @@ def configs(draw):
     # A nudge that keeps both upper feet inside (0, 1) when the lower are.
     upper_nudge = draw(feet(max(0, min(1 - lower_out, lower_in))))
     try:
-        return EndpointConfig("drawn", draw(st.integers()), lower_out, lower_in, upper_nudge)
+        return EndpointConfig(draw(st.integers()), lower_out, lower_in, upper_nudge)
     except ValueError:  # not four distinct feet inside (0, 1)
         assume(False)
 

@@ -227,7 +227,7 @@ def test_random_tracks_validate_and_oracle():
 def test_config_presets_and_validation():
     with pytest.raises(ValueError):
         EndpointConfig(lower_out=Fraction(1, 4), lower_in=Fraction(1, 4))
-    cfg = EndpointConfig(name="alt", phase=1)
+    cfg = EndpointConfig(phase=1)
     track = build_boundary_track(DegeneracyLocus(4, 1), 1, cfg)
     cs = carried_slopes(track)
     # Phase flip relabels the feet; the carried arc is unchanged.
