@@ -1,5 +1,5 @@
 /* Compiled ladder kernel.  It has one entry point, the bulk scan of
- * dehnfill._ladder_py, with the same state encoding and outputs, and one job:
+ * dehnfill._ladder_py, with the same state numbering and outputs, and one job:
  * counting the maximal carried paths of seeded ladders, and the violating
  * ones, by the path DP of dehnfill._ladder_py (_suffix_counts), with no
  * witness path:
@@ -8,13 +8,14 @@
  *               step_bound)
  *       draws the ladders that random.Random(seed), ..., Random(seed +
  *       cases - 1) give, word for word as dehnfill.ladders._draw does,
- *       encodes each as _encode_lists does, counts its paths, and sums the
- *       counts.  Its own MT19937s, seeded from the ints as CPython seeds one,
- *       hand out the words, so it calls no random.Random.  The seeds come in
- *       blocks of eight, and the seedings of a block run in lock-step:
- *       init_by_array is one long chain of dependent steps, and independent
- *       chains keep the CPU busy.  A call whose seeds do not all fit in a
- *       long long goes to dehnfill._ladder_py.scan_ladder whole.
+ *       builds each one's state graph as dehnfill._ladder_py._build_tables
+ *       does, counts its paths, and sums the counts.  Its own MT19937s,
+ *       seeded from the ints as CPython seeds one, hand out the words, so it
+ *       calls no random.Random.  The seeds come in blocks of eight, and
+ *       the seedings of a block run in lock-step: init_by_array is one long
+ *       chain of dependent steps, and independent chains keep the CPU busy.
+ *       A call whose seeds do not all fit in a long long goes to
+ *       dehnfill._ladder_py.scan_ladder whole.
  *
  * A scan_ladder call of `cases` ladders runs on min(CPUs, cases / 16)
  * threads, where CPUs counts the CPUs in the process's affinity mask, less

@@ -12,19 +12,17 @@ this module is the only enumerator of paths and the only witness search, and
 the compiled kernel hands it every ladder that the DP cannot count or whose
 counts leave 64 bits, and every run whose seeds leave a C ``long long``.
 
-Track encoding (all plain ints):
-  offsets    -- per-level CSR offsets into the switch arrays, length n+1
-  sw_rung    -- rung id of each switch, in position order along its level
-  sw_end     -- 0 if the switch is the rung's lower end, 1 if upper
-  rung_level -- lower level of each rung
-  cusp_lo/hi -- geometric cusp signs (+1/-1 along the lines) at each end
-  lo_idx/hi_idx -- per-level switch index of each rung end
-
-States: for level k with S_k switches there are S_k + 1 line segments; a line
-state is ``2*(offsets[k] + k + seg) + (dir > 0)`` and a rung state is
-``line_state_count + 2*r + (dir > 0)`` where ``dir = +1`` heads to the upper
-end.  The reverse of a maximal path is again one, so each undirected path is
-emitted once, from its lexicographically smaller direction.
+The state graph.  ``_build_tables`` is its one owner: it builds the graph
+of a ladder given as ``dehnfill.ladders._draw`` returns it, ``(n_levels,
+orientations, level, low, high, cusp_lo, cusp_hi)``, sorting the rung feet
+of each level into its switches.  States: for level k with S_k switches,
+``offsets[k]`` of them on the levels below, there are S_k + 1 line
+segments; a line state is ``2*(offsets[k] + k + seg) + (dir > 0)`` and a
+rung state is ``line_state_count + 2*r + (dir > 0)`` where ``dir = +1``
+heads to the upper end.  The reverse of a maximal path is again one, so
+each undirected path is emitted once, from its lexicographically smaller
+direction.  ``forward_dir`` is the orientation of level 0 on a ladder of the
+leaf-trace type, else +1.
 
 Counting by dynamic programming.  A maximal path runs from a line end heading
 in (a source) to a line end heading out (a sink).  Line steps keep the level
@@ -51,16 +49,53 @@ searches for a witness: a bulk scan reports the lowest violating seed, and
 
 import random as _random
 from bisect import bisect_right
+from collections import namedtuple
 
 BACKEND = "python"
 
 
-def state_decoder(offsets):
-    """The decoder of the states of a track with these ``offsets``: it maps a
-    state to ``("line", level, segment, dir)`` or ``("rung", index, dir)``."""
+_Tables = namedtuple(
+    "_Tables", "decode successors sources n_states n_line_states cusp_lo cusp_hi forward_dir"
+)
+
+
+def _leaf_trace_type(orientations, level, cusp_low, cusp_high):
+    """The leaf-trace predicate on per-rung lists: orientations alternate, and
+    every rung's cusps agree with the orientations of its two lines."""
+    first = orientations[0]
+    if any(o != (first if k % 2 == 0 else -first) for k, o in enumerate(orientations)):
+        return False
+    return cusp_low == [orientations[g] for g in level] and cusp_high == [
+        orientations[g + 1] for g in level
+    ]
+
+
+def _build_tables(n_levels, orientations, rung_level, low, high, cusp_lo, cusp_hi):
+    """The state graph of a ladder given as ``ladders._draw`` returns it:
+    ``decode`` maps a state to ``("line", level, segment, dir)`` or
+    ``("rung", index, dir)``, ``successors`` to its 0, 1 or 2 follow-up
+    states, and ``sources`` lists each level's two line ends heading in."""
+    from .ladders import _sorted_feet  # ladders imports this module
+
+    offsets = [0]
+    sw_rung = []
+    sw_end = []  # 0 if the switch is its rung's lower end, 1 if upper
+    lo_idx = [0] * len(rung_level)  # per rung, the index of each end among its level's switches
+    hi_idx = [0] * len(rung_level)
+    for level_feet in _sorted_feet(n_levels, rung_level, low, high):
+        for k, (_, r, end) in enumerate(level_feet):
+            sw_rung.append(r)
+            sw_end.append(end)
+            if end == 0:
+                lo_idx[r] = k
+            else:
+                hi_idx[r] = k
+        offsets.append(len(sw_rung))
+    leaf_trace = _leaf_trace_type(orientations, rung_level, cusp_lo, cusp_hi)
+    forward_dir = orientations[0] if leaf_trace else 1
+    n_line_states = 2 * (offsets[-1] + n_levels)
     # First segment index of each level; strictly increasing.
     starts = [offset + level for level, offset in enumerate(offsets[:-1])]
-    n_line_states = 2 * (offsets[-1] + len(starts))
 
     def decode(state):
         if state < n_line_states:
@@ -69,15 +104,6 @@ def state_decoder(offsets):
             return ("line", level, idx - starts[level], 1 if fwd else -1)
         idx, up = divmod(state - n_line_states, 2)
         return ("rung", idx, 1 if up else -1)
-
-    return decode
-
-
-def _build_tables(offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx):
-    n_levels = len(offsets) - 1
-    n_sw = offsets[-1]
-    n_line_states = 2 * (n_sw + n_levels)
-    decode = state_decoder(offsets)
 
     def line_state(level, seg, forward):
         return 2 * (offsets[level] + level + seg) + (1 if forward else 0)
@@ -120,28 +146,12 @@ def _build_tables(offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx
 
     sources = []
     for level in range(n_levels):
-        n_here = offsets[level + 1] - offsets[level]
         sources.append(line_state(level, 0, True))
-        sources.append(line_state(level, n_here, False))
+        sources.append(line_state(level, offsets[level + 1] - offsets[level], False))
     n_states = n_line_states + 2 * len(rung_level)
-    return decode, successors, sources, n_states, n_line_states
-
-
-def _check_encoding(
-    offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx, forward_dir
-):
-    """Raise ``ValueError`` unless every switch is the end of its rung that
-    the rung's level and index name, and every cusp sign and ``forward_dir``
-    is +1 or -1: then the reverse of a maximal path is one, and the DP's
-    halved counts are exact."""
-    ends = (lo_idx, hi_idx)
-    for level in range(len(offsets) - 1):
-        for k, sw in enumerate(range(offsets[level], offsets[level + 1])):
-            r, end = sw_rung[sw], sw_end[sw]
-            if end not in (0, 1) or rung_level[r] + end != level or ends[end][r] != k:
-                raise ValueError("track encoding switch %d is not an end of its rung" % sw)
-    if {*cusp_lo, *cusp_hi, forward_dir} - {1, -1}:
-        raise ValueError("track encoding cusp signs and forward_dir must be +1 or -1")
+    return _Tables(
+        decode, successors, sources, n_states, n_line_states, cusp_lo, cusp_hi, forward_dir
+    )
 
 
 def _path_violates(path, decode, forward_dir):
@@ -183,7 +193,7 @@ def _emitted(path):
     return j > last or path[j] < path[last - j] ^ 1
 
 
-def _suffix_counts(tables, cusp_lo, cusp_hi, forward_dir, step_bound):
+def _suffix_counts(tables, step_bound):
     """The path DP, or None when the states that the sources reach hold a
     cycle or a path of ``step_bound`` states, where the search truncates.
     Returns lists indexed by state, filled for those states:
@@ -193,15 +203,13 @@ def _suffix_counts(tables, cusp_lo, cusp_hi, forward_dir, step_bound):
     of them."""
     if step_bound <= 1:
         return None
-    decode, successors, sources, n_states, n_line_states = tables
+    decode, successors, sources, n_states, n_line_states, cusp_lo, cusp_hi, forward_dir = tables
     total = [0] * n_states
     bad0 = [0] * n_states
     bad1 = [0] * n_states
     longest = [0] * n_states
     mark = bytearray(n_states)  # 1 while on the search path, 2 once counted
-    for src in sources:
-        if mark[src]:
-            continue
+    for src in sources:  # no source is a successor, so none is marked yet
         mark[src] = 1
         stack = [(src, successors(src))]
         while stack:
@@ -235,11 +243,11 @@ def _suffix_counts(tables, cusp_lo, cusp_hi, forward_dir, step_bound):
     return total, bad0, bad1, longest
 
 
-def _first_witness(tables, counts, cusp_lo, cusp_hi):
+def _first_witness(tables, counts):
     """The first violating path that ``_search`` emits, found by the same
     search entering a state only when, with the rungs crossed so far, some
     maximal path through it violates (``counts`` from ``_suffix_counts``)."""
-    _, successors, sources, _, n_line_states = tables
+    _, successors, sources, _, n_line_states, cusp_lo, cusp_hi, _ = tables
     _, bad0, bad1, _ = counts
     bad = (bad0, bad1)
     for src in sources:
@@ -268,11 +276,11 @@ def _first_witness(tables, counts, cusp_lo, cusp_hi):
     return None
 
 
-def _search(tables, forward_dir, step_bound, collect):
+def _search(tables, step_bound, collect):
     """Enumerate every maximal carried path and check each one; the oracle of
     the DP.  Deterministic: sources in level order, the straight-through
     continuation explored before the rung exit."""
-    decode, successors, sources, n_states, _ = tables
+    decode, successors, sources, n_states, _, _, _, forward_dir = tables
     paths = [] if collect else None
     n_paths = 0
     n_violations = 0
@@ -318,58 +326,51 @@ def _search(tables, forward_dir, step_bound, collect):
     return paths, n_paths, n_violations, n_truncated, max_len, witness
 
 
-def _scan(tables, cusp_lo, cusp_hi, forward_dir, step_bound):
+def _scan(tables, step_bound):
     """``scan_track`` without ``collect``, with a witness only where the
     search ran, and the DP's counts, from which ``_first_witness`` finds the
     witness (None where the search ran)."""
-    counts = _suffix_counts(tables, cusp_lo, cusp_hi, forward_dir, step_bound)
+    counts = _suffix_counts(tables, step_bound)
     if counts is not None:
-        sources = tables[2]
+        sources = tables.sources
         total, bad0, _, longest = counts
         max_len = max((longest[src] for src in sources), default=0)
         if max_len < step_bound:
             n_paths = sum(total[src] for src in sources) // 2
             n_violations = sum(bad0[src] for src in sources) // 2
             return (None, n_paths, n_violations, 0, max_len, None), counts
-    return _search(tables, forward_dir, step_bound, False), None
+    return _search(tables, step_bound, False), None
 
 
-def scan_track(
-    offsets,
-    sw_rung,
-    sw_end,
-    rung_level,
-    cusp_lo,
-    cusp_hi,
-    lo_idx,
-    hi_idx,
-    forward_dir,
-    step_bound,
-    collect,
-):
-    """Count every maximal carried path; check the two-line property.
+def scan_track(n_levels, orientations, level, low, high, cusp_lo, cusp_hi, step_bound, collect):
+    """Count every maximal carried path of the ladder that ``_draw`` would
+    return as ``(n_levels, orientations, level, low, high, cusp_lo,
+    cusp_hi)``; check the two-line property.
 
     Returns ``(paths, n_paths, n_violations, n_truncated, max_len, witness)``
-    with ``paths`` None unless ``collect``; ``witness`` is the first
-    violating path, if any.  Deterministic: sources in level order, the
-    straight-through continuation explored before the rung exit.  Raises
-    ``ValueError`` on an encoding that ``_check_encoding`` rejects.
+    with ``paths`` None unless ``collect``, else a list of ``(steps,
+    truncated)``; ``witness`` is the steps of the first violating path, if
+    any.  Steps are ``("line", level, segment, dir)`` and ``("rung", index,
+    dir)``.  Deterministic: sources in level order, the straight-through
+    continuation explored before the rung exit.
     """
-    enc = (offsets, sw_rung, sw_end, rung_level, cusp_lo, cusp_hi, lo_idx, hi_idx)
-    _check_encoding(*enc, forward_dir)
-    tables = _build_tables(*enc)
+    tables = _build_tables(n_levels, orientations, level, low, high, cusp_lo, cusp_hi)
     if collect:
-        return _search(tables, forward_dir, step_bound, True)
-    result, counts = _scan(tables, cusp_lo, cusp_hi, forward_dir, step_bound)
-    if counts is not None and result[2]:
-        result = result[:5] + (_first_witness(tables, counts, cusp_lo, cusp_hi),)
-    return result
+        paths, *counts, witness = _search(tables, step_bound, True)
+        paths = [(tuple(map(tables.decode, states)), truncated) for states, truncated in paths]
+    else:
+        (paths, *counts, witness), dp = _scan(tables, step_bound)
+        if dp is not None and counts[1]:
+            witness = _first_witness(tables, dp)
+    if witness is not None:
+        witness = tuple(map(tables.decode, witness))
+    return (paths, *counts, witness)
 
 
 def scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bound):
     """The counts of ``scan_track`` over the ladders that
     ``random.Random(seed)``, ..., ``Random(seed + cases - 1)`` draw, each by
-    ``dehnfill.ladders._draw``, then ``_encode_lists``, then the scan.
+    ``dehnfill.ladders._draw``, then the scan.
 
     Returns ``(first_violation_seed, n_paths, n_violations, n_truncated,
     max_len, max_paths)``: the lowest seed whose ladder violates, or None;
@@ -395,16 +396,12 @@ def fold_in(result, seeds, max_levels, max_rungs_per_gap, alternating, step_boun
     """``result``, a ``scan_ladder`` result that leaves out the ladders of
     ``seeds``, with those ladders scanned and added.  The compiled kernel
     hands over this way the ladders that it cannot count."""
-    from .ladders import _draw, _encode_lists  # ladders imports this module
+    from .ladders import _draw  # ladders imports this module
 
     first, n_paths, n_violations, n_truncated, max_len, max_paths = result
     for seed in seeds:
-        *enc, forward_dir = _encode_lists(
-            *_draw(_random.Random(seed), max_levels, max_rungs_per_gap, alternating)
-        )
-        (_, paths, violations, truncated, longest, _), _ = _scan(
-            _build_tables(*enc), enc[4], enc[5], forward_dir, step_bound
-        )
+        ladder = _draw(_random.Random(seed), max_levels, max_rungs_per_gap, alternating)
+        (_, paths, violations, truncated, longest, _), _ = _scan(_build_tables(*ladder), step_bound)
         n_paths += paths
         n_violations += violations
         n_truncated += truncated

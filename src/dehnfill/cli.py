@@ -94,8 +94,6 @@ def _emit_text(doc, indent=0):
                 print()
             else:
                 print("%s- %s" % (pad, _text_scalar(val)))
-    else:
-        print("%s%s" % (pad, _text_scalar(doc)))
 
 
 def _text_scalar(val):
@@ -115,11 +113,11 @@ def _parse_slope_arg(text):
 def _parse_locus(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise SlopeParseError(text, 0, "expected p,q")
+        raise ValueError("bad locus %r: expected p,q" % text)
     try:
         p, q = int(parts[0]), int(parts[1])
     except ValueError:
-        raise SlopeParseError(text, 0, "expected integers p,q") from None
+        raise ValueError("bad locus %r: expected integers p,q" % text) from None
     return DegeneracyLocus(p, q)
 
 

@@ -102,17 +102,6 @@ def _sorted_feet(n_levels, level, low, high):
     return feet
 
 
-def _leaf_trace_type(orientations, level, cusp_low, cusp_high):
-    """The leaf-trace predicate on per-rung lists: orientations alternate, and
-    every rung's cusps agree with the orientations of its two lines."""
-    first = orientations[0]
-    if any(o != (first if k % 2 == 0 else -first) for k, o in enumerate(orientations)):
-        return False
-    return cusp_low == [orientations[g] for g in level] and cusp_high == [
-        orientations[g + 1] for g in level
-    ]
-
-
 def standard_orientations(n_levels):
     return tuple(1 if k % 2 == 0 else -1 for k in range(n_levels))
 
@@ -145,6 +134,12 @@ def _check_sizes(max_levels, max_rungs_per_gap):
             "max_levels and max_rungs_per_gap must be <= %d, not %d and %d"
             % (SIZE_CAP, max_levels, max_rungs_per_gap)
         )
+
+
+def _check_alternating(alternating):
+    # Any other value would pick a kind by its truth and be echoed as given.
+    if not isinstance(alternating, bool):
+        raise TypeError("alternating must be a bool, not %r" % (alternating,))
 
 
 def _check_step_bound(step_bound):
@@ -259,40 +254,11 @@ def random_ladder(
     """
     _check_integers(seed=seed)
     _check_sizes(max_levels, max_rungs_per_gap)
+    _check_alternating(alternating)
     n_levels, orientations, *rung_lists = _draw(
         _random.Random(seed), max_levels, max_rungs_per_gap, alternating
     )
     return LadderTrack(n_levels, orientations, tuple(map(Rung, *rung_lists)))
-
-
-def _encode(track: LadderTrack):
-    """The kernel's plain-int encoding of a ladder (see ``_ladder_py``)."""
-    return _encode_lists(track.n_levels, track.orientations, *_rung_lists(track.rungs))
-
-
-def _encode_lists(n_levels, orientations, level, low, high, cusp_low, cusp_high):
-    """The kernel's encoding of a ladder given as ``_draw`` returns it.
-
-    Raises ``ValueError`` when two feet on one level share a position.
-    """
-    offsets = [0]
-    sw_rung = []
-    sw_end = []
-    lo_idx = [0] * len(level)
-    hi_idx = [0] * len(level)
-    for k, level_feet in enumerate(_sorted_feet(n_levels, level, low, high)):
-        for local, (pos, r, end) in enumerate(level_feet):
-            if local and pos == level_feet[local - 1][0]:
-                raise ValueError("rung feet on level %d collide" % k)
-            sw_rung.append(r)
-            sw_end.append(end)
-            if end == 0:
-                lo_idx[r] = local
-            else:
-                hi_idx[r] = local
-        offsets.append(len(sw_rung))
-    forward = orientations[0] if _leaf_trace_type(orientations, level, cusp_low, cusp_high) else 1
-    return offsets, sw_rung, sw_end, level, cusp_low, cusp_high, lo_idx, hi_idx, forward
 
 
 @dataclass(frozen=True)
@@ -312,21 +278,20 @@ class CarriedPath:
 
 
 def _scan_track(track, step_bound, collect):
-    """``_ladder_py.scan_track`` of the track and the decoder of its states.
-    Only the pure-Python kernel scans one given track; it is imported here, so
-    that ``verify_ladders`` on the compiled kernel never loads it."""
-    from ._ladder_py import scan_track, state_decoder
+    """``_ladder_py.scan_track`` of the track.  Only the pure-Python kernel
+    scans one given track; it is imported here, so that ``verify_ladders`` on
+    the compiled kernel never loads it."""
+    from ._ladder_py import scan_track
 
     _check_step_bound(step_bound)
-    enc = _encode(track)
-    return scan_track(*enc, step_bound, collect), state_decoder(enc[0])
+    rung_lists = _rung_lists(track.rungs)
+    return scan_track(track.n_levels, track.orientations, *rung_lists, step_bound, collect)
 
 
 def enumerate_carried_paths(track: LadderTrack, step_bound: int = 10**4):
     """All maximal carried paths, one per undirected trace, in a
     deterministic order; truncation at the step bound is flagged."""
-    (raw, *_), decode = _scan_track(track, step_bound, True)
-    return [CarriedPath(tuple(map(decode, states)), truncated) for states, truncated in raw]
+    return [CarriedPath(*path) for path in _scan_track(track, step_bound, True)[0]]
 
 
 def check_two_line_property(track: LadderTrack, step_bound: int = 10**4):
@@ -335,10 +300,10 @@ def check_two_line_property(track: LadderTrack, step_bound: int = 10**4):
 
     Returns ``(ok, witnesses)`` with the offending paths, if any.
     """
-    (_, _, n_viol, _, _, witness), decode = _scan_track(track, step_bound, False)
+    _, _, n_viol, _, _, witness = _scan_track(track, step_bound, False)
     if n_viol == 0:
         return True, []
-    return False, [CarriedPath(tuple(map(decode, witness)), False)]
+    return False, [CarriedPath(witness, False)]
 
 
 def separation_check(track: LadderTrack, path: CarriedPath) -> bool:
@@ -413,6 +378,7 @@ def verify_ladders(
         raise ValueError("cases must be a count >= 0, not %r" % (cases,))
     _check_sizes(max_levels, max_rungs_per_gap)
     _check_step_bound(step_bound)
+    _check_alternating(alternating)
     # Case i is the ladder that Random(seed + i) draws; one kernel call scans
     # them all.
     first_violation_seed, total_paths, violations, truncated, max_len, max_paths = (

@@ -65,10 +65,6 @@ class TorusTrainTrack:
     def __post_init__(self):
         validate_track(self)
 
-    @property
-    def n_branches(self):
-        return len(self.branches)
-
 
 def _switch_ends(sw: Switch):
     return (sw.single, sw.double[0], sw.double[1])

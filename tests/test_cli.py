@@ -234,8 +234,16 @@ def test_bad_slope_exits_two(capsys):
 
 
 def test_bad_locus_exits_two(capsys):
-    code, _, err = run(capsys, "interval", "--locus", "4;1", "--orbit-length", "1")
-    assert code == 2
+    for locus, reason in [("4;1", "expected p,q"), ("a,1", "expected integers p,q")]:
+        code, out, err = run(capsys, "interval", "--locus", locus, "--orbit-length", "1")
+        assert (code, out, err) == (2, "", "error: bad locus %r: %s\n" % (locus, reason))
+
+
+def test_a_normalized_slope_warns(capsys):
+    code, out, err = run(capsys, "coords", "canonical", "--delta=4/-6")
+    assert code == 0
+    assert err == "warning: slope '4/-6' normalized to -2/3\n"
+    assert run(capsys, "coords", "canonical", "--delta=-2/3") == (0, out, "")
 
 
 def test_missing_file_exits_two(capsys):

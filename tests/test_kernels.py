@@ -29,7 +29,6 @@ from dehnfill import _ladder_py
 from dehnfill.ladders import (
     SIZE_CAP,
     _draw,
-    _encode_lists,
     check_two_line_property,
     kernel_backend,
     random_ladder,
@@ -61,14 +60,14 @@ class WordCounter(random.Random):
 def test_seeded_scans_agree(compiled_kernel, sizes, alternating):
     """Every seed of the draw tests, both step bounds.  The compiled
     ``scan_ladder`` must give the pure-Python scan of the Python draw from
-    ``Random(seed)`` and its encoding: the same counts and longest path, and
+    ``Random(seed)``: the same counts and longest path, and
     the seed as its first violating seed exactly when that scan finds a
     witness, where step bound 3 truncates paths and 10**4 does not."""
     for seed in SEEDS:
-        enc = _encode_lists(*_draw(random.Random(seed), *sizes, alternating))
+        ladder = _draw(random.Random(seed), *sizes, alternating)
         for step_bound in (3, 10**4):
             got = compiled_kernel.scan_ladder(seed, 1, *sizes, alternating, step_bound)
-            _, *counts, witness = _ladder_py.scan_track(*enc, step_bound, False)
+            _, *counts, witness = _ladder_py.scan_track(*ladder, step_bound, False)
             first = None if witness is None else seed
             assert got == (first, *counts, counts[0]), seed
 

@@ -5,16 +5,13 @@ import ladder_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_path_dp import any_ladders
+from test_path_dp import any_ladders, scan
 
-from dehnfill import _ladder_py
 from dehnfill.ladders import (
     SIZE_CAP,
     CarriedPath,
     LadderTrack,
     Rung,
-    _encode,
-    _encode_lists,
     check_two_line_property,
     enumerate_carried_paths,
     kernel_backend,
@@ -268,13 +265,9 @@ def test_rung_rejects_float_positions():
 
 def rebuilt_summary(cases, seed, max_levels, max_rungs_per_gap, step_bound, alternating):
     """``verify_ladders`` rebuilt the old way: a ``Rung``/``LadderTrack`` per
-    case, its ``_encode``, and the pure-Python kernel."""
+    case, and the pure-Python kernel's ``scan_track`` of its rung lists."""
     scans = [
-        _ladder_py.scan_track(
-            *_encode(random_ladder(seed + i, max_levels, max_rungs_per_gap, alternating)),
-            step_bound,
-            False,
-        )
+        scan(random_ladder(seed + i, max_levels, max_rungs_per_gap, alternating), step_bound, False)
         for i in range(cases)
     ]
     return {
@@ -303,23 +296,6 @@ def test_verify_matches_per_rung_ladders(alternating, sizes, seed, step_bound):
     assert verify_ladders(*args) == rebuilt_summary(*args)
 
 
-@pytest.mark.parametrize(
-    "level, low, high, colliding_level",
-    [
-        ([0, 1], [4, 8], [8, 12], 1),  # an upper and a lower end on level 1
-        ([0, 0], [4, 4], [8, 12], 0),  # two lower ends
-        ([1, 1], [4, 8], [12, 12], 2),  # two upper ends
-    ],
-)
-def test_encoder_rejects_colliding_feet(level, low, high, colliding_level):
-    n_levels = 3
-    orientations = standard_orientations(n_levels)
-    cusp_low = [orientations[g] for g in level]
-    cusp_high = [orientations[g + 1] for g in level]
-    with pytest.raises(ValueError, match="rung feet on level %d collide" % colliding_level):
-        _encode_lists(n_levels, orientations, level, low, high, cusp_low, cusp_high)
-
-
 def test_verify_ladders_rejects_negative_cases():
     with pytest.raises(ValueError, match="cases must be a count >= 0, not -3"):
         verify_ladders(-3)
@@ -342,6 +318,16 @@ def test_non_integer_cases_rejected(kernel, cases):
     # and a bool one was echoed as true or false in the summary.
     with pytest.raises(TypeError, match="cases must be an integer"):
         verify_ladders(cases)
+
+
+@pytest.mark.parametrize("alternating", ["no", 0, 1, None])
+def test_non_bool_alternating_rejected(kernel, alternating):
+    # Unchecked, "no" drew geometric ladders by its truth and was echoed as
+    # given, and 0 was echoed as 0 rather than false.
+    with pytest.raises(TypeError, match="alternating must be a bool"):
+        verify_ladders(3, alternating=alternating)
+    with pytest.raises(TypeError, match="alternating must be a bool"):
+        random_ladder(0, alternating=alternating)
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,95 @@ def test_the_list_names_public_functions():
     assert sorted(library_api() - public) == []
 
 
+def definitions(tree):
+    """``(name, is_member, first_line, last_line)`` of each function, class,
+    method and property of a module, dunders aside; a member is a definition
+    in a class body."""
+    found = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found.append((child.name, in_class, child.lineno, child.end_lineno))
+                visit(child, isinstance(child, ast.ClassDef))
+            else:
+                visit(child, in_class)
+
+    visit(tree, False)
+    return found
+
+
+def names_used(tree):
+    """``(name, line, as_member)`` of each name that a module names: a bare
+    name or an imported one, and as a member an attribute or an identifier
+    string, which ``getattr`` may take."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno, False
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno, False) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno, True
+        elif isinstance(node, ast.Constant) and str(node.value).isidentifier():
+            yield node.value, node.lineno, True
+
+
+def dead_definitions(library, others):
+    """``(module, name)`` of each definition in ``library`` (module names to
+    source text) that is not in its module's ``__all__`` and that no code in
+    ``library`` or ``others`` names outside the definition itself.  A method
+    or property is named only as a member."""
+    library = {module: ast.parse(text) for module, text in library.items()}
+    trees = {**library, **{module: ast.parse(text) for module, text in others.items()}}
+    used = [
+        (name, module, line, as_member)
+        for module, tree in trees.items()
+        for name, line, as_member in names_used(tree)
+    ]
+    return [
+        (module, name)
+        for module, tree in sorted(library.items())
+        for name, is_member, first, last in definitions(tree)
+        if name not in public_names(tree)
+        and not any(
+            n == name and (as_member or not is_member) and not (m == module and first <= ln <= last)
+            for n, m, ln, as_member in used
+        )
+    ]
+
+
+def test_checker_finds_dead_definitions():
+    sources = {
+        "a": (
+            '__all__ = ["public"]\n'
+            "def public():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def called():\n    pass\n"
+            "def by_name():\n    pass\n"
+            "class A:\n"
+            "    def __init__(self):\n        self.used\n"
+            "    @property\n    def used(self):\n        pass\n"
+            "    @property\n    def by_bare_name(self):\n        pass\n"
+            "    def recursive_method(self):\n        self.recursive_method()\n"
+        ),
+        "b": "from .a import called\nby_bare_name = 1\nx = getattr(A(), 'by_name')\n",
+    }
+    assert dead_definitions({"a": sources["a"]}, {"b": sources["b"]}) == [
+        ("a", "recursive"),
+        ("a", "by_bare_name"),
+        ("a", "recursive_method"),
+    ]
+
+
+def test_every_definition_is_named_elsewhere():
+    others = {
+        "perfbench/" + path.stem: path.read_text(encoding="utf-8")
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+    }
+    assert dead_definitions(library_sources(), others) == []
+
+
 def schemas(tree):
     """The string values of the ``"schema"`` keys of a module's dict displays."""
     return {

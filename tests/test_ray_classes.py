@@ -61,7 +61,7 @@ def test_matches_mask_oracle_with_any_branch_classes(seed, classes):
 def least_masks(track):
     """Each class with the least mask among its rays, in the order of those
     masks, from the list of every mask."""
-    n = track.n_branches
+    n = len(track.branches)
     least = {}
     for m in cycle_masks(track):  # ascending
         on = [br for b, br in enumerate(track.branches) if m >> (n - 1 - b) & 1]
