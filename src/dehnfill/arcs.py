@@ -16,6 +16,7 @@ hold by construction.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from numbers import Rational
 
 from .monodromy import MonodromyBoundaryAction, _action_entries
 from .slopes import _exact
@@ -42,6 +43,11 @@ class ArcEndpoint:
     position: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.position, Rational):
+            raise ValueError(
+                "arc positions must be exact rationals (int or Fraction), not %r"
+                % (self.position,)
+            )
         object.__setattr__(self, "position", Fraction(self.position))
 
     @property
@@ -200,9 +206,10 @@ def refined_matching(
     """Build the refined arc system for a beta-to-gamma slot matching.
 
     Every arc runs from its beta slot (position ``m + 1/4``) to its gamma slot
-    (position ``m + 3/4``) with both transversality flags set.  If the plain
-    quarter offsets collide with their monodromy image, endpoints are nudged
-    by distinct small amounts until the image condition holds.
+    (position ``m + 3/4``) with both transversality flags set.  If these meet
+    their monodromy image, the endpoint of the ``k``-th slot moves by
+    ``k/(8 * slots)``: an image keeps its fractional part, so only a slot
+    mapped to itself could still collide, and that is rejected first.
     """
     if polarity is None:
         polarity = default_polarity(action)
@@ -221,34 +228,24 @@ def refined_matching(
                 "its image" % cid
             )
 
-    def build(eps: Fraction) -> AdmissibleArcSystem:
-        order = {}
-        for idx, (cid, m) in enumerate(betas + gammas):
-            order[(cid, m)] = idx
-        arcs = []
-        for (b_cid, b_m), (g_cid, g_m) in matching:
-            start = ArcEndpoint(b_cid, b_m + Fraction(1, 4) + order[(b_cid, b_m)] * eps)
-            end = ArcEndpoint(g_cid, g_m + Fraction(3, 4) + order[(g_cid, g_m)] * eps)
-            arcs.append(
+    order = {slot: idx for idx, slot in enumerate(betas + gammas)}
+    for eps in (Fraction(0), Fraction(1, 8 * sum(action.counts.values()))):
+        sys = AdmissibleArcSystem(
+            action,
+            tuple(
                 CombinatorialArc(
-                    start,
-                    end,
+                    ArcEndpoint(beta[0], beta[1] + Fraction(1, 4) + order[beta] * eps),
+                    ArcEndpoint(gamma[0], gamma[1] + Fraction(3, 4) + order[gamma] * eps),
                     pos_transverse_stable=True,
                     pos_transverse_unstable=True,
                 )
-            )
-        return AdmissibleArcSystem(action, tuple(arcs))
-
-    total = sum(action.counts.values())
-    eps = Fraction(0)
-    for _ in range(8):
-        sys = build(eps)
+                for beta, gamma in matching
+            ),
+        )
         if not validate_system(sys):
             return sys
-        # Distinct per-endpoint offsets; all image collisions then require a
-        # pointwise-fixed circle, excluded above.
-        eps = Fraction(1, 8 * total) if eps == 0 else eps / 2
-    raise RuntimeError("no refined system exists for this data")  # pragma: no cover
+    # Reached only by a polarity whose beta and gamma slots are not the action's.
+    raise RuntimeError("no refined system exists for this data")
 
 
 def system_to_json(sys: AdmissibleArcSystem):

@@ -19,7 +19,7 @@ from .filling import _interval_json, guaranteed_interval
 from .filling import analyze_multislope, merge_reports, report_to_json
 from .ladders import kernel_backend, verify_ladders
 from .monodromy import ORBIT_LENGTH_CAP, BoundaryOrbit, DegeneracyLocus, action_from_json
-from .slopes import SlopeParseError, canonical_meridian, format_slope, parse_slope
+from .slopes import canonical_meridian, format_slope, parse_slope
 from .tracks import (
     CONFIG_PRESETS,
     build_boundary_track,
@@ -350,9 +350,6 @@ def main(argv=None):
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except SlopeParseError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # The reader has gone, so there is no one to tell.  Output still
         # buffered would fail again when the interpreter flushes stdout at

@@ -50,6 +50,7 @@ class Rung:
     cusp_high: int
 
     def __post_init__(self):
+        _check_integers(lower_level=self.lower_level)
         if self.cusp_low not in (-1, 1) or self.cusp_high not in (-1, 1):
             raise ValueError("cusp signs must be +1 or -1")
         for pos in (self.low_pos, self.high_pos):
@@ -66,6 +67,7 @@ class LadderTrack:
     rungs: tuple
 
     def __post_init__(self):
+        _check_integers(n_levels=self.n_levels)
         if self.n_levels < 1 or len(self.orientations) != self.n_levels:
             raise ValueError("need one orientation sign per level")
         if any(o not in (-1, 1) for o in self.orientations):

@@ -7,6 +7,7 @@ line, stored as a coprime integer pair ``num/den`` with ``den >= 0`` and
 nothing here ever touches floating point.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -15,7 +16,6 @@ __all__ = [
     "ProjectiveSlope",
     "SlopeInterval",
     "SlopeParseError",
-    "slope",
     "INFINITY",
     "LONGITUDE",
     "distance",
@@ -56,11 +56,6 @@ class ProjectiveSlope:
 
     def __repr__(self):
         return "ProjectiveSlope(%d, %d)" % (self.num, self.den)
-
-
-def slope(num, den=1):
-    """Shorthand for ``ProjectiveSlope.of``."""
-    return ProjectiveSlope.of(num, den)
 
 
 INFINITY = ProjectiveSlope(1, 0)
@@ -142,6 +137,14 @@ def canonical_meridian(delta: ProjectiveSlope):
     return k, new_delta
 
 
+# Exact-number text has ASCII digits only, not the other digits, decimals,
+# exponents and separators that ``int`` and ``Fraction`` take.  A missing
+# integer leaves its group of _SLOPE empty; the spans give error positions.
+_INTEGER = "[+-]?[0-9]+"
+_SLOPE = re.compile("(%s)?(?:(/)(%s)?)?" % (_INTEGER, _INTEGER))
+_EXACT = re.compile("%s(?:/[0-9]+)?" % _INTEGER)
+
+
 class SlopeParseError(ValueError):
     """Raised on malformed slope text; carries the offending position."""
 
@@ -163,26 +166,14 @@ def parse_slope(text: str):
         return INFINITY, False
     if not s:
         raise SlopeParseError(text, 0, "empty")
-
-    def read_int(at):
-        j = at
-        if j < len(s) and s[j] in "+-":
-            j += 1
-        start_digits = j
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        if j == start_digits:
-            raise SlopeParseError(text, at, "expected integer")
-        return int(s[at:j]), j
-
-    num, i = read_int(0)
-    den = 1
-    if i < len(s):
-        if s[i] != "/":
-            raise SlopeParseError(text, i, "expected '/'")
-        den, i = read_int(i + 1)
-        if i != len(s):
-            raise SlopeParseError(text, i, "trailing characters")
+    m = _SLOPE.match(s)
+    if m[1] is None:
+        raise SlopeParseError(text, 0, "expected integer")
+    if m[2] and m[3] is None:
+        raise SlopeParseError(text, m.end(2), "expected integer")
+    if m.end() != len(s):
+        raise SlopeParseError(text, m.end(), "trailing characters" if m[2] else "expected '/'")
+    num, den = int(m[1]), int(m[3] or 1)
     if num == 0 and den == 0:
         raise SlopeParseError(text, 0, "0/0 is not a slope")
     normalized = gcd(abs(num), abs(den)) != 1 or den < 0 or (den == 0 and num != 1)
@@ -192,7 +183,7 @@ def parse_slope(text: str):
 def _exact(value, where):
     """A JSON int or ``"a/b"`` string as a ``Fraction``; ``where`` names the
     field in the error."""
-    if type(value) is int or isinstance(value, str):
+    if type(value) is int or isinstance(value, str) and _EXACT.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -485,15 +485,14 @@ def config_from_json(doc) -> EndpointConfig:
     """The ``EndpointConfig`` of a ``track build --config`` document: a JSON
     object whose fields default to the ``default`` preset's, with exact
     values only (an integer or an ``"a/b"`` string, and an integer phase)."""
-    phase = doc.get("phase", 0)
-    if type(phase) is not int:
+    if "phase" in doc and type(doc["phase"]) is not int:
         raise ValueError('"phase": expected an integer')
-    return EndpointConfig(
-        phase=phase,
-        lower_out=_exact(doc.get("lower_out", "1/4"), '"lower_out"'),
-        lower_in=_exact(doc.get("lower_in", "3/4"), '"lower_in"'),
-        upper_nudge=_exact(doc.get("upper_nudge", "1/8"), '"upper_nudge"'),
-    )
+    fields = {
+        key: doc[key] if key == "phase" else _exact(doc[key], '"%s"' % key)
+        for key in ("phase", "lower_out", "lower_in", "upper_nudge")
+        if key in doc
+    }
+    return EndpointConfig(**fields)
 
 
 # Largest boundary track ``build_boundary_track`` makes: ``3 * p * c``
@@ -620,7 +619,6 @@ def random_track(seed: int) -> TorusTrainTrack:
         rng.shuffle(tails)
         rng.shuffle(heads)
         switches = []
-        ok = True
         for k in range(n_switches):
             if k < n_switches // 2:
                 single = tails.pop()
@@ -628,12 +626,7 @@ def random_track(seed: int) -> TorusTrainTrack:
             else:
                 single = heads.pop()
                 double = (tails.pop(), tails.pop())
-            if len({single, *double}) != 3:
-                ok = False
-                break
             switches.append(Switch(single=single, double=double, label="s%d" % k))
-        if not ok:
-            continue
         try:
             return TorusTrainTrack(branches, tuple(switches))
         except ValueError:

@@ -17,7 +17,6 @@ from dehnfill.slopes import (
     INFINITY,
     ProjectiveSlope,
     canonical_meridian,
-    slope,
 )
 from dehnfill.tracks import (
     build_boundary_track,
@@ -134,7 +133,7 @@ def test_criterion_3_window_disjoint_from_interval(distance_sweep):
 def test_criterion_4_distance_two_classification(distance_sweep):
     _, _, dist2_in_J, elapsed = distance_sweep
     hits = {(p, q, s) for p, q, s in dist2_in_J}
-    ok = hits == {(2, 1, slope(0))}
+    ok = hits == {(2, 1, ProjectiveSlope.of(0))}
     _report("4 distance-two-hits", ok, elapsed, "hits=%s" % sorted(hits))
 
 
@@ -145,7 +144,7 @@ def test_criterion_5_canonical_meridian_exhaustive():
         for v in range(-80, 81):
             if gcd(u, abs(v)) != 1:
                 continue
-            _, new = canonical_meridian(slope(u, v))
+            _, new = canonical_meridian(ProjectiveSlope.of(u, v))
             uu, vv = (new.num, new.den) if new.num > 0 else (-new.num, -new.den)
             if uu != u or 2 * abs(vv) > u:
                 ok = False

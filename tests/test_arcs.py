@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import assume, given
@@ -67,6 +67,72 @@ def test_refined_matching_even_shift_needs_nudge():
 def test_refined_matching_rejects_fixed_circle():
     with pytest.raises(ValueError, match="no refined system"):
         refined_matching(rotation({"A": 2}, 0))
+
+
+def small_actions():
+    """Every action on one or two circles with 2, 4 or 6 singularities each:
+    every permutation that keeps the counts on an orbit, and every shift."""
+    for ids in ("A", "AB"):
+        for sizes in product((2, 4, 6), repeat=len(ids)):
+            counts = dict(zip(ids, sizes))
+            for images in permutations(ids):
+                permutation = dict(zip(ids, images))
+                if any(counts[cid] != counts[permutation[cid]] for cid in ids):
+                    continue
+                for shifts in product(*(range(p) for p in sizes)):
+                    yield boundary(counts, permutation, dict(zip(ids, shifts)))
+
+
+def test_refined_endpoints_take_one_of_two_offsets():
+    """The first six matchings of each small action and phase give admissible
+    systems whose endpoints sit at ``m + 1/4`` (beta) or ``m + 3/4`` (gamma)
+    plus ``order * eps``, one ``eps`` in ``{0, 1/(8 * slots)}`` per system,
+    where ``order`` ranks a slot among the beta slots and then the gamma ones."""
+    quarter = {"beta": Fraction(1, 4), "gamma": Fraction(3, 4)}
+    found = {"plain": 0, "nudged": 0}
+    for action in small_actions():
+        if any(
+            action.permutation[cid] == cid and action.shifts[cid] % p == 0
+            for cid, p in action.counts.items()
+        ):
+            continue
+        slots = sum(action.counts.values())
+        for phase in (0, 1):
+            polarity = default_polarity(action, phase)
+            ranked = sorted(polarity, key=lambda slot: (polarity[slot], slot))
+            order = {slot: k for k, slot in enumerate(ranked)}
+            grids = [
+                {(cid, m + quarter[polarity[cid, m]] + order[cid, m] * eps) for cid, m in order}
+                for eps in (Fraction(0), Fraction(1, 8 * slots))
+            ]
+            for matching in islice(enumerate_matchings(action, polarity), 6):
+                system = refined_matching(action, polarity, matching)
+                assert validate_system(system) == []
+                assert [
+                    ((a.start.circle_id, a.start.segment), (a.end.circle_id, a.end.segment))
+                    for a in system.arcs
+                ] == list(matching)
+                positions = {(e.circle_id, e.position) for e in system.endpoints}
+                assert positions in grids
+                found["plain" if positions == grids[0] else "nudged"] += 1
+    # Both offsets occur.
+    assert min(found.values()) > 100
+
+
+def test_refined_matching_raises_on_a_polarity_off_the_action():
+    # Slots on a circle the action lacks pass the polarity checks, but no
+    # offset can place their endpoints.
+    action = rotation({"A": 2}, 1)
+    polarity = {**default_polarity(action), ("Z", 0): "beta", ("Z", 1): "gamma"}
+    with pytest.raises(RuntimeError, match="no refined system exists"):
+        refined_matching(action, polarity)
+
+
+def test_endpoint_positions_are_exact():
+    for position in (0.1, "1/4", None):
+        with pytest.raises(ValueError, match="exact rationals"):
+            ArcEndpoint("A", position)
+    assert ArcEndpoint("A", 1).position == Fraction(1)
 
 
 def test_polarity_errors():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -720,6 +721,36 @@ def test_track_build_config_takes_exact_values_only(capsys, tmp_path, config, me
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: %s\n" % message
+
+
+# Text that ``Fraction`` reads but an exact field does not: a decimal, an
+# exponent (``1e100000000`` would build ``10**100000000``), a digit separator,
+# a non-ASCII digit, padding and a signed denominator.
+@pytest.mark.parametrize("text", ["0.25", "1e3", "1_0", "\u0663", "1e100000000", " 1/4 ", "1/-4"])
+def test_exact_fields_take_ascii_integers_and_ratios_only(capsys, tmp_path, text):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lower_out": text}))
+    system = tmp_path / "doc.json"
+    system.write_text(
+        json.dumps(
+            {
+                "schema": "arc_system_v1",
+                "circles": [{"id": "A", "stable_sings": 2}],
+                "monodromy": {"permutation": {"A": "A"}, "shifts": {"A": 1}},
+                "arcs": [_arc(end=text)],
+            }
+        )
+    )
+    track_build = ("track", "build", "--locus", "4,1", "--orbit-length", "1", "--config")
+    for argv, where in [
+        ((*track_build, config), '"lower_out"'),
+        (("arcs", "validate", "--input", system), "arcs[0].end.position"),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *map(str, argv))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == 'error: %s: expected an integer or an "a/b" string\n' % where
 
 
 @pytest.mark.parametrize("levels, rungs", [("1001", "6"), ("8", "1001")])

@@ -9,9 +9,7 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "dehnfill"
 
 # (module, source text) of each true division of a Fraction.
-FRACTION_DIVISIONS = [
-    ("arcs.py", "eps / 2"),
-]
+FRACTION_DIVISIONS = []
 
 
 def float_uses(text):

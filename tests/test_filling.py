@@ -14,7 +14,7 @@ from dehnfill.filling import (
     zung_sign_check,
 )
 from dehnfill.monodromy import BoundaryOrbit, DegeneracyLocus, locus_distance
-from dehnfill.slopes import INFINITY, ProjectiveSlope, slope
+from dehnfill.slopes import INFINITY, ProjectiveSlope
 
 
 def orbit(p, q, c):
@@ -34,37 +34,37 @@ def reduced_slopes(bound):
 
 def test_guaranteed_interval_examples():
     J = guaranteed_interval(DegeneracyLocus(4, 1), 1)
-    assert J.endpoints() == {slope(2), INFINITY}
-    assert J.excluded == slope(4)
+    assert J.endpoints() == {ProjectiveSlope.of(2), INFINITY}
+    assert J.excluded == ProjectiveSlope.of(4)
     # (-inf, 2): contains 0 and -100, misses 3 and inf.
-    assert J.contains(slope(0)) and J.contains(slope(-100))
-    assert not J.contains(slope(3)) and not J.contains(INFINITY)
+    assert J.contains(ProjectiveSlope.of(0)) and J.contains(ProjectiveSlope.of(-100))
+    assert not J.contains(ProjectiveSlope.of(3)) and not J.contains(INFINITY)
 
     J = guaranteed_interval(DegeneracyLocus(4, -1), 1)
-    assert J.endpoints() == {slope(-2), INFINITY}
-    assert J.contains(slope(0)) and J.contains(slope(100))
-    assert not J.contains(slope(-3))
+    assert J.endpoints() == {ProjectiveSlope.of(-2), INFINITY}
+    assert J.contains(ProjectiveSlope.of(0)) and J.contains(ProjectiveSlope.of(100))
+    assert not J.contains(ProjectiveSlope.of(-3))
 
     J = guaranteed_interval(DegeneracyLocus(8, -3), 1)
-    assert J.endpoints() == {slope(-4), slope(-2)}
+    assert J.endpoints() == {ProjectiveSlope.of(-4), ProjectiveSlope.of(-2)}
     # Complement of [-4, -2]: contains 0 and inf, misses -3 and -8/3.
-    assert J.contains(slope(0)) and J.contains(INFINITY)
-    assert not J.contains(slope(-3)) and not J.contains(slope(-8, 3))
+    assert J.contains(ProjectiveSlope.of(0)) and J.contains(INFINITY)
+    assert not J.contains(ProjectiveSlope.of(-3)) and not J.contains(ProjectiveSlope.of(-8, 3))
 
     J = guaranteed_interval(DegeneracyLocus(2, 1), 1)
-    assert J.endpoints() == {slope(1), INFINITY}
-    assert J.contains(slope(0)) and not J.contains(slope(2))
+    assert J.endpoints() == {ProjectiveSlope.of(1), INFINITY}
+    assert J.contains(ProjectiveSlope.of(0)) and not J.contains(ProjectiveSlope.of(2))
 
     J = guaranteed_interval(DegeneracyLocus(48, 1), 1)
-    assert J.endpoints() == {slope(24), INFINITY}
-    assert J.contains(slope(23)) and not J.contains(slope(24))
+    assert J.endpoints() == {ProjectiveSlope.of(24), INFINITY}
+    assert J.contains(ProjectiveSlope.of(23)) and not J.contains(ProjectiveSlope.of(24))
 
 
 def test_guaranteed_interval_longer_orbit():
     J = guaranteed_interval(DegeneracyLocus(6, 1), 3)
-    assert J.endpoints() == {slope(6, 4), slope(6, -2)}
-    assert not J.contains(slope(6))
-    assert J.contains(slope(0))
+    assert J.endpoints() == {ProjectiveSlope.of(6, 4), ProjectiveSlope.of(6, -2)}
+    assert not J.contains(ProjectiveSlope.of(6))
+    assert J.contains(ProjectiveSlope.of(0))
 
 
 def section_image_oracle(p, q):
@@ -81,25 +81,25 @@ def section_image_oracle(p, q):
 
 def test_excluded_window_examples():
     for p, q, ends in [
-        (48, 1, {slope(24), INFINITY}),
-        (4, 1, {slope(2), INFINITY}),
-        (2, 1, {slope(1), INFINITY}),
+        (48, 1, {ProjectiveSlope.of(24), INFINITY}),
+        (4, 1, {ProjectiveSlope.of(2), INFINITY}),
+        (2, 1, {ProjectiveSlope.of(1), INFINITY}),
     ]:
         E = excluded_window(DegeneracyLocus(p, q))
         assert {E.end_a, E.end_b} == ends
-        assert E.contains(slope(p, q))
+        assert E.contains(ProjectiveSlope.of(p, q))
         for s in section_image_oracle(p, q):
             assert E.contains(s)
 
 
 def test_check_fried_examples():
-    assert check_fried(DegeneracyLocus(4, 1), slope(0)) == (4, True, False)
-    assert check_fried(DegeneracyLocus(2, 1), slope(0)) == (2, True, True)
-    assert check_fried(DegeneracyLocus(4, 1), slope(3)) == (1, False, False)
+    assert check_fried(DegeneracyLocus(4, 1), ProjectiveSlope.of(0)) == (4, True, False)
+    assert check_fried(DegeneracyLocus(2, 1), ProjectiveSlope.of(0)) == (2, True, True)
+    assert check_fried(DegeneracyLocus(4, 1), ProjectiveSlope.of(3)) == (1, False, False)
 
 
 def test_analyze_multislope_guaranteed():
-    report = analyze_multislope([orbit(4, 1, 1)], [slope(0)])
+    report = analyze_multislope([orbit(4, 1, 1)], [ProjectiveSlope.of(0)])
     assert report.verdict == "guaranteed"
     (r,) = report.reports
     assert r.guarantees == {
@@ -113,7 +113,7 @@ def test_analyze_multislope_guaranteed():
 
 
 def test_analyze_multislope_outside():
-    report = analyze_multislope([orbit(4, 1, 1)], [slope(3)])
+    report = analyze_multislope([orbit(4, 1, 1)], [ProjectiveSlope.of(3)])
     assert report.verdict == "none"
     (r,) = report.reports
     assert r.guarantees == frozenset()
@@ -121,39 +121,45 @@ def test_analyze_multislope_outside():
 
 
 def test_analyze_multislope_preserving():
-    report = analyze_multislope([orbit(4, 2, 1)], [slope(5)])
+    report = analyze_multislope([orbit(4, 2, 1)], [ProjectiveSlope.of(5)])
     (r,) = report.reports
     assert "CTF" in r.guarantees
     assert "NonLSpace" not in r.guarantees
     assert report.verdict == "partial"
     # Filling along the degeneracy slope itself has no guarantee.
-    report = analyze_multislope([orbit(4, 2, 1)], [slope(2)])
+    report = analyze_multislope([orbit(4, 2, 1)], [ProjectiveSlope.of(2)])
     assert report.verdict == "none"
 
 
 def test_analyze_multislope_mixed_parity():
-    report = analyze_multislope([orbit(4, 1, 1), orbit(4, 2, 1)], [slope(0), slope(5)])
+    report = analyze_multislope(
+        [orbit(4, 1, 1), orbit(4, 2, 1)], [ProjectiveSlope.of(0), ProjectiveSlope.of(5)]
+    )
     assert report.verdict == "none"
     assert any("mixed" in note for note in report.notes)
 
 
 def test_analyze_multislope_errors():
     with pytest.raises(ValueError):
-        analyze_multislope([orbit(4, 1, 1)], [slope(0), slope(1)])
+        analyze_multislope([orbit(4, 1, 1)], [ProjectiveSlope.of(0), ProjectiveSlope.of(1)])
 
 
 def test_zung_sign_check():
-    assert zung_sign_check([orbit(4, 2, 1)], [slope(5)])
-    assert zung_sign_check([orbit(4, 2, 1), orbit(4, 2, 1)], [slope(5), slope(5)])
+    assert zung_sign_check([orbit(4, 2, 1)], [ProjectiveSlope.of(5)])
+    assert zung_sign_check(
+        [orbit(4, 2, 1), orbit(4, 2, 1)], [ProjectiveSlope.of(5), ProjectiveSlope.of(5)]
+    )
     # Slopes straddling the degeneracy slope in the (delta, longitude) basis:
     # 5 has negative sign there, 1 positive (delta = 2/1).
-    assert not zung_sign_check([orbit(4, 2, 1), orbit(4, 2, 1)], [slope(5), slope(1)])
+    assert not zung_sign_check(
+        [orbit(4, 2, 1), orbit(4, 2, 1)], [ProjectiveSlope.of(5), ProjectiveSlope.of(1)]
+    )
     with pytest.raises(ValueError):
-        zung_sign_check([orbit(4, 1, 1)], [slope(5)])
+        zung_sign_check([orbit(4, 1, 1)], [ProjectiveSlope.of(5)])
 
 
 def test_report_json_shape():
-    doc = report_to_json(analyze_multislope([orbit(2, 1, 1)], [slope(0)]))
+    doc = report_to_json(analyze_multislope([orbit(2, 1, 1)], [ProjectiveSlope.of(0)]))
     assert doc["schema"] == "filling_report_v1"
     (entry,) = doc["orbits"]
     assert entry["locus"] == {
@@ -213,7 +219,7 @@ def test_distance_two_inside_interval_classification_small():
             for s in slopes:
                 if locus_distance(locus, s) == 2 and J.contains(s):
                     hits.append((locus.p, locus.q, s))
-    assert set(hits) == {(2, 1, slope(0))}
+    assert set(hits) == {(2, 1, ProjectiveSlope.of(0))}
 
 
 @st.composite
@@ -256,7 +262,7 @@ def test_criteria_2_to_4_for_every_parameter(locus, c, a, b):
         assert not excluded_window(locus).contains(s)
         # Criterion 4: with q odd, distance two inside only at (2; 1), s = 0.
         if q % 2 and d == 2:
-            assert (p, q, s) == (2, 1, slope(0))
+            assert (p, q, s) == (2, 1, ProjectiveSlope.of(0))
 
 
 def test_interval_mirror_symmetry():

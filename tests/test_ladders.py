@@ -256,6 +256,15 @@ def test_ladder_validation():
         LadderTrack(2, standard_orientations(2), (Rung(1, Fraction(1), Fraction(1), 1, 1),))
 
 
+def test_levels_are_integers():
+    for level in (0.5, True, Fraction(0)):
+        with pytest.raises(TypeError, match="lower_level must be an integer"):
+            Rung(level, 4, 4, 1, -1)
+    for n_levels in (True, 1.0):
+        with pytest.raises(TypeError, match="n_levels must be an integer"):
+            LadderTrack(n_levels, (1,), ())
+
+
 def test_rung_rejects_float_positions():
     with pytest.raises(ValueError, match="exact rationals"):
         Rung(0, 0.5, 0.5, 1, -1)

@@ -14,7 +14,7 @@ from dehnfill.monodromy import (
     locus_distance,
     orbit_decomposition,
 )
-from dehnfill.slopes import canonical_meridian, distance, slope
+from dehnfill.slopes import ProjectiveSlope, canonical_meridian, distance
 
 
 def action(circle_sings, permutation, shifts):
@@ -127,7 +127,7 @@ def test_canonical_locus_matches_meridian_convention():
             if v % u == 0:
                 assert locus.q == 0
                 continue
-            _, new_delta = canonical_meridian(slope(u, v))
+            _, new_delta = canonical_meridian(ProjectiveSlope.of(u, v))
             uu, vv = (
                 (new_delta.num, new_delta.den)
                 if new_delta.num > 0
@@ -158,15 +158,15 @@ def test_classify_coorientation():
 
 
 def test_locus_distance_examples():
-    assert locus_distance(DegeneracyLocus(4, 1), slope(3)) == 1
-    assert locus_distance(DegeneracyLocus(8, -3), slope(-8, 3)) == 0
-    assert locus_distance(DegeneracyLocus(2, 1), slope(0)) == 2
+    assert locus_distance(DegeneracyLocus(4, 1), ProjectiveSlope.of(3)) == 1
+    assert locus_distance(DegeneracyLocus(8, -3), ProjectiveSlope.of(-8, 3)) == 0
+    assert locus_distance(DegeneracyLocus(2, 1), ProjectiveSlope.of(0)) == 2
 
 
 def test_locus_distance_is_multiplicity_times_slope_distance():
     loci = [canonical_locus(p, s) for p in range(2, 13, 2) for s in range(p)]
-    slopes = [slope(1, 0)] + [
-        slope(a, b)
+    slopes = [ProjectiveSlope.of(1, 0)] + [
+        ProjectiveSlope.of(a, b)
         for b in range(1, 31)
         for a in range(-30, 31)
         if gcd(abs(a), b) == 1

@@ -24,46 +24,55 @@ def public_names(tree):
 
 
 def loads(tree):
-    """(name, owner) of each load in a module's code: a bare name, or an
-    attribute of a sibling module taken with ``from . import``.  The owner is
-    the top-level function or class the load sits in, else ``None``."""
-    siblings = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
-        for alias in node.names
-    }
+    """(name, owner, source) of each load in a module's code: a bare name, or
+    an attribute of a sibling module taken with ``from . import``.  The owner
+    is the top-level function or class the load sits in, else ``None``.  The
+    source is the sibling module the name is bound from, by ``from .module
+    import name`` or as that module's attribute, else ``None`` for a name of
+    the module's own."""
+    bound = {}  # local name -> (sibling module, name there); None: the module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                bound[local] = None if node.module is None else (node.module, alias.name)
     found = set()
     for top in tree.body:
         owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
         for node in ast.walk(top):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                found.add((node.id, owner))
+                source, name = bound.get(node.id) or (None, node.id)
+                found.add((name, owner, source))
             elif (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.ctx, ast.Load)
                 and isinstance(node.value, ast.Name)
-                and node.value.id in siblings
+                and node.value.id in bound
+                and bound[node.value.id] is None
             ):
-                found.add((node.attr, owner))
+                found.add((node.attr, owner, node.value.id))
     return found
 
 
 def unused_public_names(sources):
     """``(module, name)`` of each name in a module's ``__all__`` that no code
     outside the name's own definition loads; ``sources`` maps module names to
-    source text."""
+    source text.  Another module's load counts only when it binds the name
+    from the defining module."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     used = {
-        (name, module, owner)
+        (name, module, owner, source)
         for module, tree in trees.items()
-        for name, owner in loads(tree)
+        for name, owner, source in loads(tree)
     }
     return [
         (module, name)
         for module, tree in sorted(trees.items())
         for name in public_names(tree)
-        if not any(n == name and (m, o) != (module, name) for n, m, o in used)
+        if not any(
+            n == name and (src == module if m != module else src is None and o != name)
+            for n, m, o, src in used
+        )
     ]
 
 
@@ -89,6 +98,11 @@ def test_checker_sees_loads_only_outside_the_definition():
             "def by_module():\n    pass\n"
         ),
         "b": "from . import a\nfrom .a import called\nx = called()\ny = a.by_module()\n",
+        # Same-named loads that are not bound from ``a`` do not count.
+        "c": (
+            "from . import b\n"
+            "def f(used_in_docstring):\n    return used_in_docstring, b.recursive\n"
+        ),
     }
     assert unused_public_names(sources) == [("a", "used_in_docstring"), ("a", "recursive")]
 

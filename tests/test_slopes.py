@@ -14,7 +14,6 @@ from dehnfill.slopes import (
     distance,
     format_slope,
     parse_slope,
-    slope,
 )
 
 
@@ -29,9 +28,9 @@ def all_slopes(bound):
 
 
 def test_normalization():
-    assert slope(4, -2) == slope(-2)
-    assert slope(-3, 0) == INFINITY
-    assert slope(0, -7) == LONGITUDE
+    assert ProjectiveSlope.of(4, -2) == ProjectiveSlope.of(-2)
+    assert ProjectiveSlope.of(-3, 0) == INFINITY
+    assert ProjectiveSlope.of(0, -7) == LONGITUDE
     with pytest.raises(ValueError):
         ProjectiveSlope.of(0, 0)
     with pytest.raises(ValueError):
@@ -39,9 +38,9 @@ def test_normalization():
 
 
 def test_distance_examples():
-    assert distance(INFINITY, slope(0)) == 1
-    assert distance(slope(4), slope(3)) == 1
-    assert distance(slope(48), slope(24)) == 24
+    assert distance(INFINITY, ProjectiveSlope.of(0)) == 1
+    assert distance(ProjectiveSlope.of(4), ProjectiveSlope.of(3)) == 1
+    assert distance(ProjectiveSlope.of(48), ProjectiveSlope.of(24)) == 24
 
 
 def test_distance_symmetric_zero_iff_equal():
@@ -54,21 +53,25 @@ def test_distance_symmetric_zero_iff_equal():
 
 
 def test_interval_contains_examples():
-    arc = SlopeInterval(slope(2), INFINITY, excluded=slope(4))
-    assert arc.contains(slope(0))
-    assert not arc.contains(slope(4))
-    assert not arc.contains(slope(2))
-    assert arc.contains(slope(-100))
-    assert arc.contains(slope(1))
-    assert not arc.contains(slope(3))
+    arc = SlopeInterval(ProjectiveSlope.of(2), INFINITY, excluded=ProjectiveSlope.of(4))
+    assert arc.contains(ProjectiveSlope.of(0))
+    assert not arc.contains(ProjectiveSlope.of(4))
+    assert not arc.contains(ProjectiveSlope.of(2))
+    assert arc.contains(ProjectiveSlope.of(-100))
+    assert arc.contains(ProjectiveSlope.of(1))
+    assert not arc.contains(ProjectiveSlope.of(3))
 
 
 def test_interval_complement_xor():
     intervals = [
-        SlopeInterval(slope(2), INFINITY, excluded=slope(4)),
-        SlopeInterval(slope(-2), INFINITY, excluded=slope(-4)),
-        SlopeInterval(slope(-4), slope(-2), excluded=slope(-8, 3)),
-        SlopeInterval(slope(1), slope(-1), excluded=slope(0)),
+        SlopeInterval(ProjectiveSlope.of(2), INFINITY, excluded=ProjectiveSlope.of(4)),
+        SlopeInterval(ProjectiveSlope.of(-2), INFINITY, excluded=ProjectiveSlope.of(-4)),
+        SlopeInterval(
+            ProjectiveSlope.of(-4), ProjectiveSlope.of(-2), excluded=ProjectiveSlope.of(-8, 3)
+        ),
+        SlopeInterval(
+            ProjectiveSlope.of(1), ProjectiveSlope.of(-1), excluded=ProjectiveSlope.of(0)
+        ),
     ]
     slopes = all_slopes(20)
     for arc in intervals:
@@ -82,11 +85,11 @@ def test_interval_complement_xor():
 
 
 def test_canonical_meridian_examples():
-    assert canonical_meridian(slope(2, 5)) == (2, slope(2, 1))
-    assert canonical_meridian(slope(4, 1)) == (0, slope(4, 1))
+    assert canonical_meridian(ProjectiveSlope.of(2, 5)) == (2, ProjectiveSlope.of(2, 1))
+    assert canonical_meridian(ProjectiveSlope.of(4, 1)) == (0, ProjectiveSlope.of(4, 1))
     # Brute-force minimization of |7 - 6k| over k in [-10, 10] picks k = 1.
     assert min(range(-10, 11), key=lambda k: (abs(7 - 6 * k), k)) == 1
-    assert canonical_meridian(slope(6, 7)) == (1, slope(6, 1))
+    assert canonical_meridian(ProjectiveSlope.of(6, 7)) == (1, ProjectiveSlope.of(6, 1))
 
 
 def test_canonical_meridian_errors():
@@ -101,7 +104,7 @@ def test_canonical_meridian_exhaustive():
         for v in range(-80, 81):
             if gcd(u, abs(v)) != 1:
                 continue
-            k, new = canonical_meridian(slope(u, v))
+            k, new = canonical_meridian(ProjectiveSlope.of(u, v))
             uu, vv = (new.num, new.den) if new.num > 0 else (-new.num, -new.den)
             assert uu == u
             assert abs(v - k * u) == abs(vv)
@@ -114,19 +117,46 @@ def test_canonical_meridian_exhaustive():
 
 
 def test_parse_and_format():
-    assert parse_slope("4/1") == (slope(4), False)
-    assert parse_slope("-3") == (slope(-3), False)
+    assert parse_slope("4/1") == (ProjectiveSlope.of(4), False)
+    assert parse_slope("-3") == (ProjectiveSlope.of(-3), False)
     assert parse_slope("inf") == (INFINITY, False)
     assert parse_slope("-inf") == (INFINITY, False)
-    assert parse_slope("6/4") == (slope(3, 2), True)
-    assert parse_slope("2/-4") == (slope(-1, 2), True)
+    assert parse_slope("6/4") == (ProjectiveSlope.of(3, 2), True)
+    assert parse_slope("2/-4") == (ProjectiveSlope.of(-1, 2), True)
     for text, pos in [("0/0", 0), ("x", 0), ("1/", 2), ("3/4x", 3), ("", 0)]:
         with pytest.raises(SlopeParseError) as err:
             parse_slope(text)
         assert err.value.pos == pos
     assert format_slope(INFINITY) == "inf"
-    assert format_slope(slope(-8, 3)) == "-8/3"
-    assert format_slope(slope(7)) == "7"
+    assert format_slope(ProjectiveSlope.of(-8, 3)) == "-8/3"
+    assert format_slope(ProjectiveSlope.of(7)) == "7"
+
+
+@pytest.mark.parametrize(
+    "text, pos, reason",
+    [
+        ("-", 0, "expected integer"),
+        ("+-1", 0, "expected integer"),
+        ("/2", 0, "expected integer"),
+        ("1/-", 2, "expected integer"),
+        ("1//2", 2, "expected integer"),
+        (" 12 3", 2, "expected '/'"),
+        ("1/2/3", 3, "trailing characters"),
+        ("1.5", 1, "expected '/'"),
+        ("1e3", 1, "expected '/'"),
+        ("1_0", 1, "expected '/'"),
+        # Digits are ASCII: int() would read the first as 3 and reject the
+        # second after str.isdigit took it.
+        ("\u0663", 0, "expected integer"),
+        ("\u00b2", 0, "expected integer"),
+        ("1\u0663", 1, "expected '/'"),
+    ],
+)
+def test_parse_errors_name_position_and_reason(text, pos, reason):
+    with pytest.raises(SlopeParseError) as err:
+        parse_slope(text)
+    assert (err.value.pos, err.value.reason) == (pos, reason)
+    assert str(err.value) == "bad slope %r at position %d: %s" % (text, pos, reason)
 
 
 @given(st.integers(-400, 400), st.integers(-400, 400))

@@ -5,7 +5,7 @@ import pytest
 from cone_oracle import cycle_rays
 
 from dehnfill.monodromy import DegeneracyLocus
-from dehnfill.slopes import INFINITY, ProjectiveSlope, slope
+from dehnfill.slopes import INFINITY, ProjectiveSlope
 from dehnfill.tracks import (
     HEAD,
     TAIL,
@@ -77,7 +77,7 @@ def test_validate_errors():
 
 def test_carried_slopes_single_loop():
     cs = carried_slopes(loop_track())
-    assert cs.kind == "single" and cs.slope == slope(0)
+    assert cs.kind == "single" and cs.slope == ProjectiveSlope.of(0)
 
 
 def test_carried_slopes_two_ray_arc():
@@ -85,7 +85,7 @@ def test_carried_slopes_two_ray_arc():
     track = rung_on_circle(cls_s1=(1, 0), cls_s2=(0, 2), cls_r=(0, 0))
     cs = carried_slopes(track)
     assert cs.kind == "arc"
-    assert cs.arc.endpoints() == {INFINITY, slope(1, 2)}
+    assert cs.arc.endpoints() == {INFINITY, ProjectiveSlope.of(1, 2)}
     assert cs.arc.closed_a and cs.arc.closed_b
     assert cs.contains_class((1, 1)) and cs.contains_class((2, 1))
     assert not cs.contains_class((0, 1)) and not cs.contains_class((-1, 1))
@@ -95,7 +95,7 @@ def test_carried_slopes_degenerate_single():
     # Both extreme rays map to the longitude class.
     track = rung_on_circle(cls_s1=(0, 1), cls_s2=(0, 0), cls_r=(0, 0))
     cs = carried_slopes(track)
-    assert cs.kind == "single" and cs.slope == slope(0)
+    assert cs.kind == "single" and cs.slope == ProjectiveSlope.of(0)
 
 
 def test_integral_classes_single_loop():
@@ -158,7 +158,7 @@ def test_build_even_orbit_length_documented_sizes():
     track = build_boundary_track(DegeneracyLocus(4, 1), 2)
     cs = carried_slopes(track)
     assert cs.kind == "arc"
-    assert cs.arc.endpoints() == {slope(1), slope(-2)}
+    assert cs.arc.endpoints() == {ProjectiveSlope.of(1), ProjectiveSlope.of(-2)}
 
 
 def test_build_mirror_symmetry():
@@ -231,7 +231,7 @@ def test_config_presets_and_validation():
     track = build_boundary_track(DegeneracyLocus(4, 1), 1, cfg)
     cs = carried_slopes(track)
     # Phase flip relabels the feet; the carried arc is unchanged.
-    assert cs.arc.endpoints() == {slope(2), INFINITY}
+    assert cs.arc.endpoints() == {ProjectiveSlope.of(2), INFINITY}
 
 
 def test_json_roundtrip_bit_exact():
