@@ -166,7 +166,17 @@ def validate_system(sys: AdmissibleArcSystem):
 
 
 def _alternating_polarity(action: MonodromyBoundaryAction, polarity: dict):
-    """Check the beta/gamma balance and per-circle alternation."""
+    """Check that the polarity gives each of the action's slots, and nothing
+    else, a beta or gamma kind; then the balance and per-circle alternation."""
+    slots = {(cid, m) for cid, p in action.counts.items() for m in range(p)}
+    for slot, kind in polarity.items():
+        if slot not in slots:
+            raise ValueError("polarity slot %r is not a slot of the action" % (slot,))
+        if kind not in (BETA, GAMMA):
+            raise ValueError("polarity kind %r of slot %r is not beta or gamma" % (kind, slot))
+    if len(polarity) != len(slots):
+        missing = min(slots - polarity.keys())
+        raise ValueError("polarity gives no kind for slot %r" % (missing,))
     betas = [slot for slot, kind in polarity.items() if kind == BETA]
     gammas = [slot for slot, kind in polarity.items() if kind == GAMMA]
     if len(betas) != len(gammas):
@@ -244,7 +254,8 @@ def refined_matching(
         )
         if not validate_system(sys):
             return sys
-    # Reached only by a polarity whose beta and gamma slots are not the action's.
+    # Reached only by an action made without build's checks, whose shifts
+    # are not integers and so move an endpoint's fractional part.
     raise RuntimeError("no refined system exists for this data")
 
 

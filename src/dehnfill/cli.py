@@ -51,16 +51,31 @@ def _dumps(doc, pad="\n"):
     if kind is int:
         return int.__repr__(doc)
     inner = pad + "  "
+    # Containers write their str and int leaves themselves, saving a call
+    # per leaf; anything else goes through the checks below.
     if kind is dict:
         if not doc:
             return "{}"
         # The escaper raises TypeError on a key that is not a str.
-        items = [_escape(key) + ": " + _dumps(val, inner) for key, val in doc.items()]
+        items = [
+            _escape(key) + ": " + (
+                _escape(val) if type(val) is str
+                else int.__repr__(val) if type(val) is int
+                else _dumps(val, inner)
+            )
+            for key, val in doc.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if kind is list or kind is tuple:
         if not doc:
             return "[]"
-        return "[" + inner + ("," + inner).join([_dumps(val, inner) for val in doc]) + pad + "]"
+        items = [
+            _escape(val) if type(val) is str
+            else int.__repr__(val) if type(val) is int
+            else _dumps(val, inner)
+            for val in doc
+        ]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     if kind is bool:
         return "true" if doc else "false"
     if doc is None:
@@ -286,6 +301,7 @@ def _build_parser():
         "--output", choices=("json", "text"), default=argparse.SUPPRESS
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    parser.commands = sub.choices  # name -> subcommand parser, for _parse_args
 
     p = sub.add_parser("interval", parents=[output_parent], help="guaranteed filling interval for a locus")
     p.add_argument("--locus", required=True, metavar="p,q")
@@ -343,9 +359,27 @@ def _build_parser():
     return parser
 
 
+def _parse_args(parser, argv):
+    """``parser.parse_args(argv)``, through the subcommand's parser alone
+    when ``argv`` starts with a subcommand name.
+
+    The top level's subcommand positional takes every token after the name
+    and hands them to that parser, so parsing them there directly gives the
+    same namespace, and the same errors and help, with one argparse level
+    less.  Tokens that parser leaves over, and an ``argv`` that starts with
+    anything else, go to the top level, which reports them itself.
+    """
+    if argv and argv[0] in parser.commands:
+        args = argparse.Namespace(output=parser.get_default("output"), cmd=argv[0])
+        args, extras = parser.commands[argv[0]].parse_known_args(argv[1:], args)
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -50,7 +50,9 @@ class Rung:
     cusp_high: int
 
     def __post_init__(self):
-        _check_integers(lower_level=self.lower_level)
+        _check_integers(
+            lower_level=self.lower_level, cusp_low=self.cusp_low, cusp_high=self.cusp_high
+        )
         if self.cusp_low not in (-1, 1) or self.cusp_high not in (-1, 1):
             raise ValueError("cusp signs must be +1 or -1")
         for pos in (self.low_pos, self.high_pos):
@@ -70,8 +72,10 @@ class LadderTrack:
         _check_integers(n_levels=self.n_levels)
         if self.n_levels < 1 or len(self.orientations) != self.n_levels:
             raise ValueError("need one orientation sign per level")
-        if any(o not in (-1, 1) for o in self.orientations):
-            raise ValueError("orientations must be +1 or -1")
+        for o in self.orientations:
+            _check_integers(orientation=o)
+            if o not in (-1, 1):
+                raise ValueError("orientations must be +1 or -1")
         feet = set()
         for r in self.rungs:
             if not 0 <= r.lower_level < self.n_levels - 1:

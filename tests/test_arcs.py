@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import islice, permutations, product
 
@@ -120,12 +121,44 @@ def test_refined_endpoints_take_one_of_two_offsets():
 
 
 def test_refined_matching_raises_on_a_polarity_off_the_action():
-    # Slots on a circle the action lacks pass the polarity checks, but no
-    # offset can place their endpoints.
+    # Slots on a circle the action lacks, balanced and alternating, are
+    # rejected before any build.
     action = rotation({"A": 2}, 1)
     polarity = {**default_polarity(action), ("Z", 0): "beta", ("Z", 1): "gamma"}
+    for call in (refined_matching, enumerate_matchings):
+        with pytest.raises(ValueError, match=r"slot \('Z', 0\) is not a slot of the action"):
+            call(action, polarity)
+
+
+@pytest.mark.parametrize("kinds", [("x", "y"), ("beta", "Gamma"), (None, "gamma")])
+def test_polarity_kinds_are_beta_or_gamma(kinds):
+    action = rotation({"A": 2}, 1)
+    polarity = {("A", 0): kinds[0], ("A", 1): kinds[1]}
+    bad = next(slot for slot, kind in polarity.items() if kind not in ("beta", "gamma"))
+    message = re.escape("kind %r of slot %r" % (polarity[bad], bad))
+    for call in (refined_matching, enumerate_matchings):
+        with pytest.raises(ValueError, match=message):
+            call(action, polarity)
+
+
+def test_polarity_gives_every_slot_a_kind():
+    action = rotation({"A": 2, "B": 2}, 1)
+    polarity = default_polarity(action)
+    del polarity["B", 1]
+    for call in (refined_matching, enumerate_matchings):
+        with pytest.raises(ValueError, match=r"no kind for slot \('B', 1\)"):
+            call(action, polarity)
+
+
+def test_refined_matching_raises_on_an_action_with_fractional_shifts():
+    # Built without MonodromyBoundaryAction.build, which takes integer shifts
+    # only: a shift of 7/16 moves the endpoints' fractional parts, and both
+    # offsets then meet their image.
+    action = MonodromyBoundaryAction(
+        {"A": 2, "B": 2}, {"A": "A", "B": "B"}, {"A": Fraction(7, 16), "B": Fraction(1, 2)}
+    )
     with pytest.raises(RuntimeError, match="no refined system exists"):
-        refined_matching(action, polarity)
+        refined_matching(action)
 
 
 def test_endpoint_positions_are_exact():

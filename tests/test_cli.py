@@ -8,6 +8,7 @@ import sys
 import time
 
 import pytest
+import test_cli_golden as golden
 
 from dehnfill import cli, monodromy, tracks
 from dehnfill.cli import main
@@ -401,6 +402,111 @@ def test_parser_built_once_per_process():
         capture(("interval", "--locus", "6,1", "--orbit-length", "x"))
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 9)
+
+
+# The malformed requests of the benchmark's ``queries`` workload.
+QUERIES_MALFORMED = [
+    ("analyze", "--locus", "4,1", "--orbit-length", "1", "--slope", "3/x"),
+    ("analyze", "--locus", "5,1", "--orbit-length", "1", "--slope", "1/2"),
+    ("interval", "--locus", "4;1", "--orbit-length", "1"),
+    ("interval", "--locus", "6,1", "--orbit-length", "x"),
+    ("coords", "canonical", "--delta", "1//2"),
+    ("census", "show", "no-such-manifold"),
+]
+
+# Where the two parse routes could part: ``--output`` on either level or on
+# both, abbreviated options, help on each level, tokens left over after a
+# command and after a nested one, a missing, unknown or option-like command,
+# a bare "--", and a slope that argparse reads as an option.
+PARSE_EDGES = [
+    (),
+    ("-h",),
+    ("--output", "text"),
+    ("-x", "interval"),
+    ("nope", "--locus", "4,1"),
+    ("--out", "text", "interval", "--locus", "4,1", "--orbit-length", "1"),
+    ("interval", "--out", "text", "--locus", "4,1", "--orbit-length", "1"),
+    ("--output", "text", "census", "show", "m003", "--output", "json"),
+    ("--output", "xml", "interval", "--locus", "4,1", "--orbit-length", "1"),
+    ("interval", "--output", "xml", "--locus", "4,1", "--orbit-length", "1"),
+    ("interval", "-h"),
+    ("interval", "--locus", "4,1", "--orbit-length", "1", "--bogus"),
+    ("interval", "--locus=4,1", "--orbit-length=1", "x"),
+    ("interval", "--", "--locus", "4,1", "--orbit-length", "1"),
+    ("census",),
+    ("census", "-h"),
+    ("census", "nope"),
+    ("census", "show", "-h"),
+    ("census", "show", "m003", "x"),
+    ("--output", "text", "census", "show", "m003", "x"),
+    ("coords", "canonical", "--delta", "6/7", "--output", "text", "y"),
+    ("analyze", "--lo", "4,1", "--orbit-length", "1", "--slope", "-3/5"),
+    ("analyze", "--locus", "4,1", "--orbit-length", "1", "--slope=-3/5", "--slope=inf"),
+    ("ladder", "verify", "--cases", "2", "--output", "text"),
+]
+
+
+def golden_argvs(tmp):
+    """Every command line of ``tests/test_cli_golden.py``, its input files
+    written to ``tmp``."""
+
+    def write(name, text):
+        (tmp / name).write_text(text)
+        return str(tmp / name)
+
+    def piped(name, argv):
+        return write(name, capture(argv)[1])
+
+    argvs = [*golden.CRITERION_9.values(), *golden.REPORTS.values(), *golden.MORE_TRACKS.values()]
+    for name, doc in golden.MONODROMY.items():
+        doc = json.dumps({"schema": "monodromy_boundary_v1", **doc})
+        refine = ["arcs", "refine", "--input", write("mono-%s.json" % name, doc)]
+        argvs += [refine, ["arcs", "validate", "--input", piped("arcs-%s.json" % name, refine)]]
+    bad = write("inadmissible.json", json.dumps(golden.INADMISSIBLE))
+    argvs.append(["arcs", "validate", "--input", bad])
+    for preset in golden.PRESETS:
+        for locus, c in golden.TRACKS:
+            build = ["track", "build", "--locus", locus, "--orbit-length", c, "--config", preset]
+            track = piped("track-%s-%s.json" % (preset, locus), build)
+            argvs += [build, ["track", "slopes", "--input", track]]
+    track = piped("track-c5.json", golden.MORE_TRACKS["track-build-c5"])
+    argvs.append(["track", "slopes", "--input", track])
+    for seed in golden.RANDOM_SEEDS:
+        doc = json.dumps(tracks.track_to_json(tracks.random_track(seed)))
+        argvs.append(["track", "slopes", "--input", write("random-%d.json" % seed, doc)])
+    config = write("odd-config.json", json.dumps(golden.ODD_CONFIG))
+    argvs.append(["track", "build", "--locus", "6,1", "--orbit-length", "3", "--config", config])
+    return argvs
+
+
+def parse_and_run(monkeypatch, parse, argv):
+    """``capture(argv)`` with ``parse`` in place of ``cli._parse_args``, and
+    the namespaces it returned: none when argparse exited."""
+    seen = []
+
+    def recording(parser, argv):
+        args = parse(parser, argv)
+        seen.append(dict(vars(args)))
+        return args
+
+    monkeypatch.setattr(cli, "_parse_args", recording)
+    return capture(argv), seen
+
+
+def test_one_level_parse_matches_the_top_level_parser(monkeypatch, tmp_path):
+    """``main`` parses a request that starts with a command name through that
+    command's parser alone.  The exit code, stdout, stderr and namespace must
+    be what the top-level parser gives."""
+    fast, plain = cli._parse_args, lambda parser, argv: parser.parse_args(argv)
+    argvs = [*golden_argvs(tmp_path), *INTERLEAVED, *QUERIES_MALFORMED, *PARSE_EDGES]
+    exits = 0
+    for argv in argvs:
+        got = parse_and_run(monkeypatch, fast, argv)
+        want = parse_and_run(monkeypatch, plain, argv)
+        assert got == want, argv
+        exits += not want[1]
+    # Both kinds occur: requests parsed and run, and argparse exits.
+    assert len(argvs) - exits > 40 and exits > 15
 
 
 def test_parser_not_built_at_import():

@@ -4,6 +4,9 @@ The CLI writes every JSON document with ``_dumps``; the stdlib is kept here
 as the oracle, byte for byte, on generated trees of every JSON type.
 """
 
+import contextlib
+import enum
+import io
 import json
 from fractions import Fraction
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dehnfill import cli
 from dehnfill.cli import _dumps
 
 # Quotes, backslashes, control characters, DEL, a line separator, non-ASCII
@@ -44,6 +48,33 @@ def test_dumps_is_json_dumps_with_indent_2(doc):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--locus", "6,1", "--orbit-length", "3"]
+        + ["--slope=2/3", "--slope=-5/7", "--slope=inf"],
+        ["census", "verify"],
+        ["track", "build", "--locus", "6,1", "--orbit-length", "3"],
+    ],
+)
+def test_dumps_writes_command_documents_as_json_dumps_does(monkeypatch, argv):
+    """The documents the commands hand to the emitter, with their own types."""
+    docs = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, args: docs.append(doc))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    (doc,) = docs
+    assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+class Kind(enum.StrEnum):
+    ARC = "arc"
+
+
+class Sign(enum.IntEnum):
+    PLUS = 1
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         1.0,
@@ -57,6 +88,15 @@ def test_dumps_is_json_dumps_with_indent_2(doc):
         Fraction(1, 3),
         {"x": Fraction(2)},
         b"bytes",
+        # A str or int subclass is not written as a str or an int, in a
+        # container or at the top.
+        Kind.ARC,
+        {"kind": Kind.ARC},
+        ["x", Kind.ARC],
+        (Kind.ARC,),
+        Sign.PLUS,
+        {"sign": Sign.PLUS},
+        [0, Sign.PLUS],
     ],
 )
 def test_dumps_refuses_what_json_would_coerce_or_reject(doc):

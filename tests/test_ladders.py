@@ -265,6 +265,21 @@ def test_levels_are_integers():
             LadderTrack(n_levels, (1,), ())
 
 
+@pytest.mark.parametrize("sign", [True, False, -1.0, 1.0, Fraction(1)])
+def test_signs_are_exact_integers(sign):
+    with pytest.raises(TypeError, match="cusp_low must be an integer"):
+        Rung(0, 1, 1, sign, -1)
+    with pytest.raises(TypeError, match="cusp_high must be an integer"):
+        Rung(0, 1, 1, 1, sign)
+    with pytest.raises(TypeError, match="orientation must be an integer"):
+        LadderTrack(2, (1, sign), ())
+    for bad in (0, 2, -2):
+        with pytest.raises(ValueError, match="cusp signs"):
+            Rung(0, 1, 1, bad, -1)
+        with pytest.raises(ValueError, match="orientations"):
+            LadderTrack(2, (bad, -1), ())
+
+
 def test_rung_rejects_float_positions():
     with pytest.raises(ValueError, match="exact rationals"):
         Rung(0, 0.5, 0.5, 1, -1)
