@@ -1,16 +1,18 @@
 """Pure-Python ladder kernel: maximal carried-path counts and the two-line
-check.  Its ``scan_track`` scans one given track: ``dehnfill.ladders`` calls
-it for the paths and the witness of a single ladder, whichever kernel is in
-use, and imports this module only then.  Its ``scan_ladder`` scans a run of
-consecutive seeds in one call, one ladder after another, each drawn from
-``random.Random(seed + i)``; ``dehnfill._ladder`` selects it when the compiled
-extension is unavailable.  The compiled kernel has only ``scan_ladder``: it
-runs its own MT19937s seeded from the same ints, eight seedings at a time, so
-this module is the oracle for that seeding, for each ladder's counts and for
-the sums over the run.  The compiled kernel only counts, by the path DP below:
-this module is the only enumerator of paths and the only witness search, and
-the compiled kernel hands it every ladder that the DP cannot count or whose
-counts leave 64 bits, and every run whose seeds leave a C ``long long``.
+check.  One function answers each question of one given ladder:
+``carried_paths`` lists its paths and ``first_violation`` finds the first
+violating one, for ``dehnfill.ladders``, which imports this module only for
+them, whichever kernel is in use; ``_counts`` counts them, for ``fold_in``.
+``scan_ladder`` scans a run of consecutive seeds in one call, one ladder
+after another, each drawn from ``random.Random(seed + i)``;
+``dehnfill._ladder`` selects it when the compiled extension is unavailable.
+The compiled kernel has only ``scan_ladder``: it runs its own MT19937s seeded
+from the same ints, eight seedings at a time, so this module is the oracle
+for that seeding, for each ladder's counts and for the sums over the run.
+The compiled kernel only counts, by the path DP below: this module is the
+only enumerator of paths and the only witness search, and the compiled kernel
+hands it every ladder that the DP cannot count or whose counts leave 64 bits,
+and every run whose seeds leave a C ``long long``.
 
 The state graph.  ``_build_tables`` is its one owner: it builds the graph
 of a ladder given as ``dehnfill.ladders._draw`` returns it, ``(n_levels,
@@ -37,14 +39,14 @@ violating ones among them for ``k`` = 0 and 1, by one memoised search in
 postorder.  Summed over the sources these count directed paths.  No successor
 of a state ``s`` is ``s ^ 1``, so no path is its own reverse, and a path and
 its reverse get the same verdict: halving gives exactly the counts of the
-emitting search.  That search stays for ``collect``, for graphs where the DP
-does not apply (a cycle, where the search truncates at a repeated state, or a
-path of ``step_bound`` states or more), and as the oracle; the witness comes
-from the same search, entering only states through which some path violates.
-``scan_ladder`` is ``fold_in`` over its seeds from a zero result, and the
-compiled kernel has ``fold_in`` add the ladders that it cannot count.  Neither
-searches for a witness: a bulk scan reports the lowest violating seed, and
-``scan_track`` of that seed's ladder gives the path.
+emitting search, ``_search``.  That search is the oracle, and runs where the
+DP does not apply: a cycle, where it truncates at a repeated state, or a path
+of ``step_bound`` states or more.  ``_first_witness`` goes straight down to
+the first violating path where the DP applies.  ``scan_ladder`` is
+``fold_in`` over its seeds from a zero result, and the compiled kernel has
+``fold_in`` add the ladders that it cannot count.  Neither searches for a
+witness: a bulk scan reports the lowest violating seed, and
+``first_violation`` of that seed's ladder gives the path.
 """
 
 import random as _random
@@ -201,8 +203,6 @@ def _suffix_counts(tables, step_bound):
     of them that make the whole path violate when the path up to and with the
     state has crossed 0 or 1 rungs; and ``longest``, the most states on one
     of them."""
-    if step_bound <= 1:
-        return None
     decode, successors, sources, n_states, n_line_states, cusp_lo, cusp_hi, forward_dir = tables
     total = [0] * n_states
     bad0 = [0] * n_states
@@ -240,54 +240,51 @@ def _suffix_counts(tables, step_bound):
                     bad0[s] += total[b] if cusp_lo[r] == cusp_hi[r] else bad1[b]
                     bad1[s] += total[b]
                     longest[s] = max(longest[s], longest[b] + 1)
+        # The stack stays below step_bound states, but a memoised state can
+        # end a longer path.
+        if longest[src] >= step_bound:
+            return None
     return total, bad0, bad1, longest
 
 
 def _first_witness(tables, counts):
-    """The first violating path that ``_search`` emits, found by the same
-    search entering a state only when, with the rungs crossed so far, some
-    maximal path through it violates (``counts`` from ``_suffix_counts``)."""
+    """The first violating path that ``_search`` emits, or None: from the
+    first source from which a path violates, at each state the first
+    successor through which, with the rungs crossed so far, some maximal path
+    violates (``counts`` from ``_suffix_counts``).  This never backtracks.
+    Successors come in increasing order, so the path is the least violating
+    one from its source; its reverse violates too, and starts at a source no
+    lower (sources of levels with switches, the only ones a rung is reached
+    from, are in increasing order), so the path is the one emitted."""
     _, successors, sources, _, n_line_states, cusp_lo, cusp_hi, _ = tables
     _, bad0, bad1, _ = counts
     bad = (bad0, bad1)
-    for src in sources:
-        if not bad0[src]:
-            continue
-        stack = [(src, 0)]
-        path = []
-        while stack:
-            item = stack.pop()
-            if item is None:
-                path.pop()
-                continue
-            state, crossed = item  # crossed == 2: the path already violates
-            path.append(state)
-            stack.append(None)
-            nxt = successors(state)
-            if not nxt and _emitted(path):
-                return tuple(path)
-            for t in reversed(nxt):
-                c = crossed
-                if t >= n_line_states:
-                    r = (t - n_line_states) >> 1
-                    c = 2 if crossed or cusp_lo[r] == cusp_hi[r] else 1
-                if c == 2 or bad[c][t]:
-                    stack.append((t, c))
-    return None
+    state = next((src for src in sources if bad0[src]), None)
+    if state is None:
+        return None
+    path = [state]
+    crossed = 0  # 2 once the path violates whatever follows
+    nxt = successors(state)
+    while nxt:
+        for state in nxt:
+            c = crossed
+            if state >= n_line_states:
+                r = (state - n_line_states) >> 1
+                c = 2 if crossed or cusp_lo[r] == cusp_hi[r] else 1
+            if c == 2 or bad[c][state]:
+                break
+        path.append(state)
+        crossed = c
+        nxt = successors(state)
+    return tuple(path)
 
 
-def _search(tables, step_bound, collect):
-    """Enumerate every maximal carried path and check each one; the oracle of
-    the DP.  Deterministic: sources in level order, the straight-through
-    continuation explored before the rung exit."""
-    decode, successors, sources, n_states, _, _, _, forward_dir = tables
-    paths = [] if collect else None
-    n_paths = 0
-    n_violations = 0
-    n_truncated = 0
-    max_len = 0
-    witness = None
-
+def _search(tables, step_bound):
+    """Every maximal carried path, as ``(states, truncated)``, once per
+    undirected path; the oracle of the DP.  A path is truncated at a repeated
+    state or at ``step_bound`` states.  Deterministic: sources in level order,
+    the straight-through continuation explored before the rung exit."""
+    successors, sources, n_states = tables.successors, tables.sources, tables.n_states
     # Iterative DFS over the choice tree from each source.  on_path counts
     # the occurrences of each state on the current path.
     on_path = bytearray(n_states)
@@ -307,68 +304,58 @@ def _search(tables, step_bound, collect):
             if nxt:
                 for s in reversed(nxt):
                     stack.append((s, False))
-                continue
-            # Maximal (or truncated) path; emit once per undirected path.
-            if not _emitted(path):
-                continue
-            fwd = tuple(path)
-            n_paths += 1
-            if truncated:
-                n_truncated += 1
-            if len(fwd) > max_len:
-                max_len = len(fwd)
-            if _path_violates(fwd, decode, forward_dir):
-                n_violations += 1
-                if witness is None:
-                    witness = fwd
-            if collect:
-                paths.append((fwd, truncated))
-    return paths, n_paths, n_violations, n_truncated, max_len, witness
+            elif _emitted(path):
+                yield tuple(path), truncated
 
 
-def _scan(tables, step_bound):
-    """``scan_track`` without ``collect``, with a witness only where the
-    search ran, and the DP's counts, from which ``_first_witness`` finds the
-    witness (None where the search ran)."""
+def _counts(tables, step_bound):
+    """``(n_paths, n_violations, n_truncated, max_len)`` of the ladder: by
+    the DP where it applies, else by checking each path of the search."""
     counts = _suffix_counts(tables, step_bound)
     if counts is not None:
-        sources = tables.sources
         total, bad0, _, longest = counts
-        max_len = max((longest[src] for src in sources), default=0)
-        if max_len < step_bound:
-            n_paths = sum(total[src] for src in sources) // 2
-            n_violations = sum(bad0[src] for src in sources) // 2
-            return (None, n_paths, n_violations, 0, max_len, None), counts
-    return _search(tables, step_bound, False), None
+        sources = tables.sources
+        n_paths = sum(total[src] for src in sources) // 2
+        n_violations = sum(bad0[src] for src in sources) // 2
+        return n_paths, n_violations, 0, max(longest[src] for src in sources)
+    decode, forward_dir = tables.decode, tables.forward_dir
+    n_paths = n_violations = n_truncated = max_len = 0
+    for path, truncated in _search(tables, step_bound):
+        n_paths += 1
+        if truncated:
+            n_truncated += 1
+        if len(path) > max_len:
+            max_len = len(path)
+        if _path_violates(path, decode, forward_dir):
+            n_violations += 1
+    return n_paths, n_violations, n_truncated, max_len
 
 
-def scan_track(n_levels, orientations, level, low, high, cusp_lo, cusp_hi, step_bound, collect):
-    """Count every maximal carried path of the ladder that ``_draw`` would
-    return as ``(n_levels, orientations, level, low, high, cusp_lo,
-    cusp_hi)``; check the two-line property.
+def carried_paths(ladder, step_bound):
+    """The ``(steps, truncated)`` of every maximal carried path of a ladder
+    given as ``_draw`` returns it, in the order of ``_search``.  Steps are
+    ``("line", level, segment, dir)`` and ``("rung", index, dir)``."""
+    tables = _build_tables(*ladder)
+    return [(tuple(map(tables.decode, p)), cut) for p, cut in _search(tables, step_bound)]
 
-    Returns ``(paths, n_paths, n_violations, n_truncated, max_len, witness)``
-    with ``paths`` None unless ``collect``, else a list of ``(steps,
-    truncated)``; ``witness`` is the steps of the first violating path, if
-    any.  Steps are ``("line", level, segment, dir)`` and ``("rung", index,
-    dir)``.  Deterministic: sources in level order, the straight-through
-    continuation explored before the rung exit.
-    """
-    tables = _build_tables(n_levels, orientations, level, low, high, cusp_lo, cusp_hi)
-    if collect:
-        paths, *counts, witness = _search(tables, step_bound, True)
-        paths = [(tuple(map(tables.decode, states)), truncated) for states, truncated in paths]
+
+def first_violation(ladder, step_bound):
+    """The steps of the first path of ``carried_paths`` that breaks the
+    two-line property, or None: by ``_first_witness`` where the DP applies,
+    else from the search, which stops at that path."""
+    tables = _build_tables(*ladder)
+    decode = tables.decode
+    counts = _suffix_counts(tables, step_bound)
+    if counts is None:
+        paths = (path for path, _ in _search(tables, step_bound))
+        witness = next((p for p in paths if _path_violates(p, decode, tables.forward_dir)), None)
     else:
-        (paths, *counts, witness), dp = _scan(tables, step_bound)
-        if dp is not None and counts[1]:
-            witness = _first_witness(tables, dp)
-    if witness is not None:
-        witness = tuple(map(tables.decode, witness))
-    return (paths, *counts, witness)
+        witness = _first_witness(tables, counts)
+    return None if witness is None else tuple(map(decode, witness))
 
 
 def scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bound):
-    """The counts of ``scan_track`` over the ladders that
+    """The counts of ``_counts`` over the ladders that
     ``random.Random(seed)``, ..., ``Random(seed + cases - 1)`` draw, each by
     ``dehnfill.ladders._draw``, then the scan.
 
@@ -401,7 +388,7 @@ def fold_in(result, seeds, max_levels, max_rungs_per_gap, alternating, step_boun
     first, n_paths, n_violations, n_truncated, max_len, max_paths = result
     for seed in seeds:
         ladder = _draw(_random.Random(seed), max_levels, max_rungs_per_gap, alternating)
-        (_, paths, violations, truncated, longest, _), _ = _scan(_build_tables(*ladder), step_bound)
+        paths, violations, truncated, longest = _counts(_build_tables(*ladder), step_bound)
         n_paths += paths
         n_violations += violations
         n_truncated += truncated

@@ -283,31 +283,31 @@ class CarriedPath:
         return tuple(s[1] for s in self.steps if s[0] == "rung")
 
 
-def _scan_track(track, step_bound, collect):
-    """``_ladder_py.scan_track`` of the track.  Only the pure-Python kernel
-    scans one given track; it is imported here, so that ``verify_ladders`` on
-    the compiled kernel never loads it."""
-    from ._ladder_py import scan_track
+def _scan_track(question, track, step_bound):
+    """``_ladder_py``'s function ``question`` of the track.  Only the
+    pure-Python kernel scans one given track; it is imported here, so that
+    ``verify_ladders`` on the compiled kernel never loads it."""
+    from . import _ladder_py
 
     _check_step_bound(step_bound)
-    rung_lists = _rung_lists(track.rungs)
-    return scan_track(track.n_levels, track.orientations, *rung_lists, step_bound, collect)
+    ladder = (track.n_levels, track.orientations, *_rung_lists(track.rungs))
+    return getattr(_ladder_py, question)(ladder, step_bound)
 
 
 def enumerate_carried_paths(track: LadderTrack, step_bound: int = 10**4):
     """All maximal carried paths, one per undirected trace, in a
     deterministic order; truncation at the step bound is flagged."""
-    return [CarriedPath(*path) for path in _scan_track(track, step_bound, True)[0]]
+    return [CarriedPath(*path) for path in _scan_track("carried_paths", track, step_bound)]
 
 
 def check_two_line_property(track: LadderTrack, step_bound: int = 10**4):
     """Every maximal carried path must meet at most one even and at most one
     odd line, entering even lines for good and leaving odd ones only once.
 
-    Returns ``(ok, witnesses)`` with the offending paths, if any.
+    Returns ``(ok, witnesses)`` with the first violating path, if any.
     """
-    _, _, n_viol, _, _, witness = _scan_track(track, step_bound, False)
-    if n_viol == 0:
+    witness = _scan_track("first_violation", track, step_bound)
+    if witness is None:
         return True, []
     return False, [CarriedPath(witness, False)]
 

@@ -35,44 +35,46 @@ class MonodromyBoundaryAction:
     """The monodromy on the boundary circles: circle ``j`` goes to
     ``permutation[j]``, and slot position ``x`` on it to ``x + shifts[j]``.
 
-    ``counts`` gives each circle's number of stable singularities.  All three
-    dicts are keyed by circle id, in sorted order.
+    ``counts`` gives each circle's number of stable singularities, an even
+    number >= 2, equal on the circles of an orbit.  All three dicts are keyed
+    by circle id; the constructor stores them in sorted order.
     """
 
     counts: dict
     permutation: dict
     shifts: dict
 
+    def __post_init__(self):
+        ids = sorted(self.counts)
+        for cid in ids:
+            if self.counts[cid] < 2 or self.counts[cid] % 2 != 0:
+                raise ValueError(
+                    "co-orientable boundary data needs an even count >= 2 of "
+                    "stable singularities, got %d on circle %s" % (self.counts[cid], cid)
+                )
+        id_set = set(ids)
+        if set(self.permutation) != id_set or set(self.permutation.values()) != id_set:
+            raise ValueError("permutation is not a bijection on the circle ids")
+        if set(self.shifts) != id_set or any(type(s) is not int for s in self.shifts.values()):
+            raise ValueError("need one integer shift per circle")
+        for field in ("counts", "permutation", "shifts"):
+            value = getattr(self, field)
+            object.__setattr__(self, field, {cid: value[cid] for cid in ids})
+        for cycle in self._orbit_cycles():
+            if len({self.counts[cid] for cid in cycle}) != 1:
+                raise ValueError(
+                    "circles %s in one orbit have differing singularity counts" % cycle
+                )
+
     @staticmethod
     def build(circles, permutation, shifts):
-        """Check and store ``(id, count)`` pairs, a permutation of the ids and
-        one integer shift per circle."""
+        """The action on ``(id, count)`` pairs with distinct ids, a
+        permutation of the ids and one integer shift per circle."""
         circles = sorted(circles)
         ids = [cid for cid, _ in circles]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate circle ids")
-        for cid, count in circles:
-            if count < 2 or count % 2 != 0:
-                raise ValueError(
-                    "co-orientable boundary data needs an even count >= 2 of "
-                    "stable singularities, got %d on circle %s" % (count, cid)
-                )
-        id_set = set(ids)
-        if set(permutation) != id_set or set(permutation.values()) != id_set:
-            raise ValueError("permutation is not a bijection on the circle ids")
-        if set(shifts) != id_set or any(type(s) is not int for s in shifts.values()):
-            raise ValueError("need one integer shift per circle")
-        action = MonodromyBoundaryAction(
-            dict(circles),
-            {cid: permutation[cid] for cid in ids},
-            {cid: shifts[cid] for cid in ids},
-        )
-        for cycle in action._orbit_cycles():
-            if len({action.counts[cid] for cid in cycle}) != 1:
-                raise ValueError(
-                    "circles %s in one orbit have differing singularity counts" % cycle
-                )
-        return action
+        return MonodromyBoundaryAction(dict(circles), permutation, shifts)
 
     def image(self, circle_id, position):
         """The ``(circle id, position)`` that ``position`` on ``circle_id``

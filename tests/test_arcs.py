@@ -150,15 +150,13 @@ def test_polarity_gives_every_slot_a_kind():
             call(action, polarity)
 
 
-def test_refined_matching_raises_on_an_action_with_fractional_shifts():
-    # Built without MonodromyBoundaryAction.build, which takes integer shifts
-    # only: a shift of 7/16 moves the endpoints' fractional parts, and both
-    # offsets then meet their image.
-    action = MonodromyBoundaryAction(
-        {"A": 2, "B": 2}, {"A": "A", "B": "B"}, {"A": Fraction(7, 16), "B": Fraction(1, 2)}
-    )
-    with pytest.raises(RuntimeError, match="no refined system exists"):
-        refined_matching(action)
+def test_the_constructor_rejects_fractional_shifts():
+    # A shift of 7/16 would move the endpoints' fractional parts, and both
+    # offsets of refined_matching would meet their image.
+    with pytest.raises(ValueError, match="one integer shift per circle"):
+        MonodromyBoundaryAction(
+            {"A": 2, "B": 2}, {"A": "A", "B": "B"}, {"A": Fraction(7, 16), "B": Fraction(1, 2)}
+        )
 
 
 def test_endpoint_positions_are_exact():

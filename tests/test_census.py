@@ -103,6 +103,20 @@ def test_mismatch_detection():
     assert verify_entry(wrong_side).status == "Mismatch"
 
 
+def test_an_entry_whose_locus_misses_its_slope_is_rejected():
+    from dehnfill.census import CensusEntry, PrintedInterval
+
+    with pytest.raises(ValueError, match=r"entry bogus: locus \(4;2\) does not reduce to slope 4"):
+        CensusEntry(
+            name="bogus",
+            genus=2,
+            degeneracy_slope="4",
+            locus=DegeneracyLocus(4, 2),
+            c=1,
+            i_nls=PrintedInterval("3", "5", False, False, "4"),
+        )
+
+
 def test_json_roundtrip_bit_exact():
     doc = census_to_json()
     text = json.dumps(doc, indent=2)

@@ -229,6 +229,32 @@ def test_arcs_validate_inadmissible_exits_one(capsys, tmp_path):
     assert json.loads(out)["admissible"] is False
 
 
+def test_arcs_validate_names_unknown_circles_and_positions_out_of_range(capsys, tmp_path):
+    doc = {
+        "schema": "arc_system_v1",
+        "circles": [{"id": "A", "stable_sings": 2}],
+        "monodromy": {"permutation": {"A": "A"}, "shifts": {"A": 1}},
+        "arcs": [
+            {
+                "start": {"circle": "Z", "position": "1/4"},
+                "end": {"circle": "A", "position": "5/2"},
+                "pos_transverse_stable": True,
+                "pos_transverse_unstable": True,
+            }
+        ],
+    }
+    path = tmp_path / "arcs.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "arcs", "validate", "--input", str(path))
+    assert code == 1
+    assert [v["detail"] for v in json.loads(out)["violations"]] == [
+        "unknown circle 'Z'",
+        "position 5/2 out of range on circle A",
+        "segment (0, 1) of circle A holds 0 endpoints",
+        "segment (1, 2) of circle A holds 0 endpoints",
+    ]
+
+
 def test_bad_slope_exits_two(capsys):
     code, _, err = run(capsys, "coords", "canonical", "--delta", "4/x")
     assert code == 2
@@ -584,6 +610,14 @@ BAD_SWITCH = (
         ([], [{"single": [0, 1], "double": [[1, 0]]}], "switches[0]: " + BAD_SWITCH),
         ([], [{"single": [0, 1], "double": [[1, 0], [2, None]]}], "switches[0]: " + BAD_SWITCH),
         ([], {}, '"switches": expected a list'),
+        (
+            [{"class": [1, 0]}, {"class": [0, 1]}, {"class": [1, 1]}],
+            [
+                {"single": [0, 1], "double": [[1, 0], [2, 0]]},
+                {"single": [0, 1], "double": [[1, 1], [2, 1]]},
+            ],
+            "branch end (0, 1) attached to two switches",
+        ),
     ],
 )
 def test_track_slopes_malformed_entry_exits_two(capsys, tmp_path, branches, switches, message):

@@ -5,7 +5,7 @@ import ladder_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_path_dp import any_ladders, scan
+from test_path_dp import any_ladders, counts
 
 from dehnfill.ladders import (
     SIZE_CAP,
@@ -289,9 +289,9 @@ def test_rung_rejects_float_positions():
 
 def rebuilt_summary(cases, seed, max_levels, max_rungs_per_gap, step_bound, alternating):
     """``verify_ladders`` rebuilt the old way: a ``Rung``/``LadderTrack`` per
-    case, and the pure-Python kernel's ``scan_track`` of its rung lists."""
+    case, and the pure-Python kernel's counts of its rung lists."""
     scans = [
-        scan(random_ladder(seed + i, max_levels, max_rungs_per_gap, alternating), step_bound, False)
+        counts(random_ladder(seed + i, max_levels, max_rungs_per_gap, alternating), step_bound)
         for i in range(cases)
     ]
     return {
@@ -301,13 +301,13 @@ def rebuilt_summary(cases, seed, max_levels, max_rungs_per_gap, step_bound, alte
         "max_rungs_per_gap": max_rungs_per_gap,
         "alternating": alternating,
         "backend": kernel_backend(),
-        "total_paths": sum(scan[1] for scan in scans),
-        "max_paths_per_ladder": max((scan[1] for scan in scans), default=0),
-        "max_path_length": max((scan[4] for scan in scans), default=0),
-        "truncated_paths": sum(scan[3] for scan in scans),
-        "violations": sum(scan[2] for scan in scans),
+        "total_paths": sum(scan[0] for scan in scans),
+        "max_paths_per_ladder": max((scan[0] for scan in scans), default=0),
+        "max_path_length": max((scan[3] for scan in scans), default=0),
+        "truncated_paths": sum(scan[2] for scan in scans),
+        "violations": sum(scan[1] for scan in scans),
         "first_violation_seed": next(
-            (seed + i for i, scan in enumerate(scans) if scan[2]), None
+            (seed + i for i, scan in enumerate(scans) if scan[1]), None
         ),
     }
 

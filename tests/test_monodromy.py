@@ -97,6 +97,22 @@ def test_build_keeps_one_shift_per_circle():
 def test_build_rejects(circles, permutation, shifts, message):
     with pytest.raises(ValueError, match=message):
         MonodromyBoundaryAction.build(circles, permutation, shifts)
+    # The constructor runs the same checks; only a list of pairs can repeat an id.
+    if message != "duplicate circle ids":
+        with pytest.raises(ValueError, match=message):
+            MonodromyBoundaryAction(dict(circles), permutation, shifts)
+
+
+def test_the_constructor_stores_the_circles_in_sorted_order():
+    action = MonodromyBoundaryAction(
+        {"B": 2, "A": 2, "C": 4}, {"C": "C", "B": "A", "A": "B"}, {"B": 0, "C": 1, "A": 1}
+    )
+    assert action == MonodromyBoundaryAction.build(
+        [("A", 2), ("B", 2), ("C", 4)], {"A": "B", "B": "A", "C": "C"}, {"A": 1, "B": 0, "C": 1}
+    )
+    for field in (action.counts, action.permutation, action.shifts):
+        assert list(field) == ["A", "B", "C"]
+    assert [o.circles for o in orbit_decomposition(action)] == [("A", "B"), ("C",)]
 
 
 def test_canonical_locus_examples():

@@ -1,15 +1,15 @@
 """The path DP of both ladder kernels against the full search.
 
-``_ladder_py.scan_track(..., collect=True)`` always runs the search that
-enumerates every maximal carried path, so it is the oracle: ``collect=False``,
-which counts by dynamic programming wherever the DP applies and falls back to
-the search elsewhere, must give the same counts, longest path and first
-witness.  The compiled kernel has only the seeded ``scan_ladder``, and only
-counts: it hands to the pure-Python kernel every ladder that the DP cannot
-count or whose counts leave 64 bits, and every call whose seeds leave a long
-long.  The tests here reach that hand-over in runs split across threads and
-on one CPU, and at the size cap.  No bulk scan, on either kernel, searches
-for a witness.
+``_ladder_py._search`` enumerates every maximal carried path, so a tally of
+its paths is the oracle: ``_ladder_py._counts``, which counts by dynamic
+programming wherever the DP applies and falls back to that tally elsewhere,
+must give the same counts and longest path, and ``first_violation`` and
+``check_two_line_property`` the search's first violating path.  The compiled
+kernel has only the seeded ``scan_ladder``, and only counts: it hands to the
+pure-Python kernel every ladder that the DP cannot count or whose counts
+leave 64 bits, and every call whose seeds leave a long long.  The tests here
+reach that hand-over in runs split across threads and on one CPU, and at the
+size cap.  No bulk scan, on either kernel, searches for a witness.
 """
 
 import json
@@ -24,13 +24,13 @@ from hypothesis import strategies as st
 from test_cli import capture
 
 from dehnfill import _ladder, _ladder_py
-from dehnfill._ladder_py import scan_track
 from dehnfill.ladders import (
     SIZE_CAP,
     LadderTrack,
     Rung,
     _rung_lists,
     check_two_line_property,
+    enumerate_carried_paths,
     random_ladder,
     verify_ladders,
 )
@@ -44,8 +44,19 @@ def ladder_lists(track):
     return (track.n_levels, track.orientations, *_rung_lists(track.rungs))
 
 
-def scan(track, step_bound, collect):
-    return scan_track(*ladder_lists(track), step_bound, collect)
+def counts(track, step_bound):
+    """``(n_paths, n_violations, n_truncated, max_len)`` of the track."""
+    return _ladder_py._counts(_ladder_py._build_tables(*ladder_lists(track)), step_bound)
+
+
+def searched(track, step_bound):
+    """The counts of the track by a tally of the search, and the steps of
+    its first violating path or None."""
+    tables = _ladder_py._build_tables(*ladder_lists(track))
+    paths = list(_ladder_py._search(tables, step_bound))
+    bad = [p for p, _ in paths if _ladder_py._path_violates(p, tables.decode, tables.forward_dir)]
+    tally = (len(paths), len(bad), sum(t for _, t in paths), max(len(p) for p, _ in paths))
+    return tally, tuple(map(tables.decode, bad[0])) if bad else None
 
 
 @st.composite
@@ -68,11 +79,15 @@ seeded_ladders = st.tuples(
 ).map(lambda args: random_ladder(args[0], *args[1], alternating=args[2]))
 
 
+STEP_BOUNDS = st.sampled_from([*range(1, 9), 10**4])
+
+
 @settings(deadline=None, max_examples=300)
-@given(seeded_ladders | any_ladders(), st.sampled_from([1, 2, 3, 5, 8, 10**4]))
+@given(seeded_ladders | any_ladders(), STEP_BOUNDS)
 def test_the_dp_gives_what_the_search_gives(track, step_bound):
-    searched = scan(track, step_bound, True)
-    assert scan(track, step_bound, False) == (None,) + searched[1:]
+    tally, witness = searched(track, step_bound)
+    assert counts(track, step_bound) == tally
+    assert _ladder_py.first_violation(ladder_lists(track), step_bound) == witness
 
 
 # Two rungs with equal cusps: right along level 0, up the right rung, left
@@ -93,14 +108,25 @@ def test_the_state_graph_is_closed_under_reversal(track):
             assert t not in tables.sources, (s, t)
 
 
+@settings(deadline=None, max_examples=300)
+@given(seeded_ladders | any_ladders() | st.just(CYCLIC), STEP_BOUNDS)
+def test_the_witness_is_the_first_violating_path(track, step_bound):
+    forward_dir = _ladder_py._build_tables(*ladder_lists(track)).forward_dir
+    paths = enumerate_carried_paths(track, step_bound)
+    bad = [p for p in paths if _ladder_py._path_violates(p.steps, lambda step: step, forward_dir)]
+    ok, witnesses = check_two_line_property(track, step_bound)
+    assert ok == (not bad)
+    assert [w.steps for w in witnesses] == [p.steps for p in bad[:1]]
+
+
 def test_a_cycle_falls_back_to_the_search():
     tables = _ladder_py._build_tables(*ladder_lists(CYCLIC))
     assert _ladder_py._suffix_counts(tables, 10**4) is None
-    got = scan(CYCLIC, 10**4, False)
-    listed = scan(CYCLIC, 10**4, True)
-    assert got == (None,) + listed[1:]
+    tally, witness = searched(CYCLIC, 10**4)
+    assert counts(CYCLIC, 10**4) == tally
     # Only the search truncates, at the first repeated state.
-    assert got[3] > 0 and got[2] > 0
+    assert tally[2] > 0 and tally[1] > 0 and witness is not None
+    assert check_two_line_property(CYCLIC)[1][0].steps == witness
 
 
 def test_the_first_witness_is_the_searchs():
@@ -108,13 +134,26 @@ def test_the_first_witness_is_the_searchs():
     for sizes, count in [((8, 6), 300), ((12, 9), 30), ((2, 30), 100)]:
         for seed in range(count):
             track = random_ladder(seed, *sizes, alternating=False)
-            _, _, violations, _, _, witness = scan(track, 10**4, True)
+            tally, witness = searched(track, 10**4)
             ok, witnesses = check_two_line_property(track)
-            assert ok == (violations == 0), (sizes, seed)
+            assert ok == (tally[1] == 0) == (witness is None), (sizes, seed)
             if not ok:
                 assert witnesses[0].steps == witness
                 found += 1
     assert found > 100
+
+
+def test_the_witness_search_stops_at_the_first_violation():
+    # At the size cap with a step bound below the longest path, where the
+    # DP does not apply: the search must stop at the first violating path,
+    # since listing every path takes about 14 s.
+    track = random_ladder(1, SIZE_CAP, SIZE_CAP, alternating=False)
+    start = time.perf_counter()
+    ok, witnesses = check_two_line_property(track, 30)
+    elapsed = time.perf_counter() - start
+    assert not ok and len(witnesses[0].steps) <= 30
+    # About 0.1 s on a 2-vCPU Xeon VM with CPython 3.11.
+    assert elapsed < 5, elapsed
 
 
 # Control ladders at (100, 100) from seed 0: seeds 6, 19, 24, 29, 33, 34, 36
@@ -127,8 +166,8 @@ BIG = (100, 100, False, 10**4)
 
 def test_counts_past_64_bits_go_to_the_python_dp(compiled_kernel):
     got = compiled_kernel.scan_ladder(6, 1, *BIG)
-    _, *counts, witness = scan(random_ladder(6, *BIG[:3]), 10**4, False)
-    assert got == (6, *counts, counts[0]) and witness is not None
+    expected = counts(random_ladder(6, *BIG[:3]), 10**4)
+    assert got == (6, *expected, expected[0])
     assert got[1] >= 2**63 and got[2] > 0
     for start in (0, 6):
         got = compiled_kernel.scan_ladder(start, 42, *BIG)

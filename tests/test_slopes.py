@@ -33,8 +33,11 @@ def test_normalization():
     assert ProjectiveSlope.of(0, -7) == LONGITUDE
     with pytest.raises(ValueError):
         ProjectiveSlope.of(0, 0)
-    with pytest.raises(ValueError):
-        ProjectiveSlope(2, 4)
+    for pair, message in [((0, 0), "0/0"), ((2, 4), "coprime"), ((1, -2), "not normalized")]:
+        with pytest.raises(ValueError, match=message):
+            ProjectiveSlope(*pair)
+    with pytest.raises(ValueError, match="not normalized"):
+        ProjectiveSlope(-1, 0)
 
 
 def test_distance_examples():
@@ -60,6 +63,15 @@ def test_interval_contains_examples():
     assert arc.contains(ProjectiveSlope.of(-100))
     assert arc.contains(ProjectiveSlope.of(1))
     assert not arc.contains(ProjectiveSlope.of(3))
+
+
+def test_interval_rejects_equal_endpoints_and_an_excluded_endpoint():
+    a, b = ProjectiveSlope.of(1, 2), ProjectiveSlope.of(3)
+    with pytest.raises(ValueError, match="endpoints must be distinct"):
+        SlopeInterval(a, a, b)
+    for excluded in (a, b):
+        with pytest.raises(ValueError, match="excluded witness must avoid the endpoints"):
+            SlopeInterval(a, b, excluded)
 
 
 def test_interval_complement_xor():
