@@ -340,18 +340,20 @@ def carried_paths(ladder, step_bound):
 
 
 def first_violation(ladder, step_bound):
-    """The steps of the first path of ``carried_paths`` that breaks the
-    two-line property, or None: by ``_first_witness`` where the DP applies,
-    else from the search, which stops at that path."""
+    """The ``(steps, truncated)`` of the first path of ``carried_paths`` that
+    breaks the two-line property, or None: by ``_first_witness`` where the DP
+    applies, which it does only when no path is cut, else from the search,
+    which stops at that path."""
     tables = _build_tables(*ladder)
     decode = tables.decode
     counts = _suffix_counts(tables, step_bound)
     if counts is None:
-        paths = (path for path, _ in _search(tables, step_bound))
-        witness = next((p for p in paths if _path_violates(p, decode, tables.forward_dir)), None)
+        paths = _search(tables, step_bound)
+        bad = (w for w in paths if _path_violates(w[0], decode, tables.forward_dir))
+        witness, truncated = next(bad, (None, False))
     else:
-        witness = _first_witness(tables, counts)
-    return None if witness is None else tuple(map(decode, witness))
+        witness, truncated = _first_witness(tables, counts), False
+    return None if witness is None else (tuple(map(decode, witness)), truncated)
 
 
 def scan_ladder(seed, cases, max_levels, max_rungs_per_gap, alternating, step_bound):

@@ -309,7 +309,7 @@ def system_from_json(doc) -> AdmissibleArcSystem:
     """Load the ``arc_system_v1`` JSON schema, naming a malformed entry."""
     if doc.get("schema") != "arc_system_v1":
         raise ValueError("expected schema arc_system_v1")
-    action = MonodromyBoundaryAction.build(*_action_entries(doc, "monodromy"))
+    action = MonodromyBoundaryAction(*_action_entries(doc, "monodromy"))
     arcs = doc.get("arcs")
     if not isinstance(arcs, list):
         raise ValueError('"arcs": expected a list')

@@ -141,9 +141,7 @@ def _single_orbit(locus, c):
         raise ValueError("orbit length must be >= 1")
     if c > ORBIT_LENGTH_CAP:
         raise ValueError("--orbit-length must be at most %d, not %d" % (ORBIT_LENGTH_CAP, c))
-    return BoundaryOrbit(
-        circles=tuple("C%d" % i for i in range(c)), c=c, locus=locus
-    )
+    return BoundaryOrbit(tuple("C%d" % i for i in range(c)), locus)
 
 
 def _cmd_interval(args):

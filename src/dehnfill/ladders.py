@@ -309,7 +309,7 @@ def check_two_line_property(track: LadderTrack, step_bound: int = 10**4):
     witness = _scan_track("first_violation", track, step_bound)
     if witness is None:
         return True, []
-    return False, [CarriedPath(witness, False)]
+    return False, [CarriedPath(*witness)]
 
 
 def separation_check(track: LadderTrack, path: CarriedPath) -> bool:

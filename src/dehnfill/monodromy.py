@@ -21,7 +21,6 @@ __all__ = [
     "DegeneracyLocus",
     "BoundaryOrbit",
     "Coorientation",
-    "orbit_decomposition",
     "boundary_orbits",
     "canonical_locus",
     "classify_coorientation",
@@ -65,16 +64,6 @@ class MonodromyBoundaryAction:
                 raise ValueError(
                     "circles %s in one orbit have differing singularity counts" % cycle
                 )
-
-    @staticmethod
-    def build(circles, permutation, shifts):
-        """The action on ``(id, count)`` pairs with distinct ids, a
-        permutation of the ids and one integer shift per circle."""
-        circles = sorted(circles)
-        ids = [cid for cid, _ in circles]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate circle ids")
-        return MonodromyBoundaryAction(dict(circles), permutation, shifts)
 
     def image(self, circle_id, position):
         """The ``(circle id, position)`` that ``position`` on ``circle_id``
@@ -135,53 +124,31 @@ class DegeneracyLocus:
 
 
 @dataclass(frozen=True)
-class RawOrbit:
-    """A permutation orbit before locus canonicalization."""
-
-    circles: tuple
-    c: int
-    p: int
-    shift: int
-
-
-@dataclass(frozen=True)
 class BoundaryOrbit:
+    """A permutation orbit: its circles in cycle order from the least id,
+    and the canonical locus of its first-return map."""
+
     circles: tuple
-    c: int
     locus: DegeneracyLocus
 
-    def __post_init__(self):
-        if self.c != len(self.circles):
-            raise ValueError("orbit length must equal the number of circles")
+    @property
+    def c(self) -> int:
+        return len(self.circles)
 
     @property
     def base_id(self):
         return self.circles[0]
 
 
-def orbit_decomposition(action: MonodromyBoundaryAction):
-    """Partition the circles into permutation orbits.
-
-    Orbits are reported sorted by smallest circle id, carrying the orbit
-    length, the shared singularity count and the raw (uncanonicalized)
-    shift: the sum of the shifts of the orbit's circles.
-    """
+def boundary_orbits(action: MonodromyBoundaryAction):
+    """The orbits of the action, sorted by least circle id, each with the
+    canonical locus of its raw shift: the sum of the shifts of its circles."""
     return [
-        RawOrbit(
-            circles=tuple(cycle),
-            c=len(cycle),
-            p=action.counts[cycle[0]],
-            shift=sum(action.shifts[cid] for cid in cycle),
+        BoundaryOrbit(
+            tuple(cycle),
+            canonical_locus(action.counts[cycle[0]], sum(action.shifts[cid] for cid in cycle)),
         )
         for cycle in action._orbit_cycles()
-    ]
-
-
-def boundary_orbits(action: MonodromyBoundaryAction):
-    """Orbit decomposition with canonicalized degeneracy loci."""
-    return [
-        BoundaryOrbit(circles=o.circles, c=o.c, locus=canonical_locus(o.p, o.shift))
-        for o in orbit_decomposition(action)
     ]
 
 
@@ -225,13 +192,15 @@ ORBIT_LENGTH_CAP = 100_000
 
 
 def _circle_entries(doc):
-    """The ``(id, stable_sings)`` pairs of the ``circles`` list of a boundary
-    document, naming the entry and the field that is missing, not an int or
-    above ``STABLE_SINGS_CAP``."""
+    """The ``{id: stable_sings}`` of the ``circles`` list of a boundary
+    document, naming the first entry with a field that is missing, a count
+    that is not an int or above ``STABLE_SINGS_CAP``, or an id that is not a
+    string (as the keys of the permutation and shifts objects are).  The ids
+    must be distinct."""
     circles = doc.get("circles")
     if not isinstance(circles, list):
         raise ValueError('"circles": expected a list')
-    pairs = []
+    counts = {}
     for k, entry in enumerate(circles):
         if not isinstance(entry, dict):
             raise ValueError("circles[%d]: expected an object" % k)
@@ -245,8 +214,12 @@ def _circle_entries(doc):
                 'circles[%d]: "stable_sings" must be at most %d, not %d'
                 % (k, STABLE_SINGS_CAP, entry["stable_sings"])
             )
-        pairs.append((entry["id"], entry["stable_sings"]))
-    return pairs
+        if not isinstance(entry["id"], str):
+            raise ValueError('circles[%d]: "id" must be a string' % k)
+        counts[entry["id"]] = entry["stable_sings"]
+    if len(counts) != len(circles):
+        raise ValueError("duplicate circle ids")
+    return counts
 
 
 def _object_entries(doc, field, kind, expected, prefix=""):
@@ -264,15 +237,11 @@ def _object_entries(doc, field, kind, expected, prefix=""):
 
 
 def _action_entries(doc, maps_field=None):
-    """The circles, permutation and shifts of a boundary document:
-    ``(id, stable_sings)`` pairs, an object of circle id to circle id and an
-    object of circle id to integer shift.  The two objects are read from
-    ``doc[maps_field]`` when it is given, else from ``doc``.  Circle ids are
-    strings, as the keys of those objects are; a malformed entry is named."""
-    circles = _circle_entries(doc)
-    for k, (cid, _) in enumerate(circles):
-        if not isinstance(cid, str):
-            raise ValueError('circles[%d]: "id" must be a string' % k)
+    """The counts, permutation and shifts of a boundary document: objects
+    of circle id to stable singularity count, to circle id and to integer
+    shift.  The last two are read from ``doc[maps_field]`` when it is given,
+    else from ``doc``; a malformed entry is named."""
+    counts = _circle_entries(doc)
     maps, prefix = doc, ""
     if maps_field is not None:
         maps, prefix = doc.get(maps_field), maps_field + "."
@@ -282,7 +251,7 @@ def _action_entries(doc, maps_field=None):
         maps, "permutation", str, "a circle id (a string)", prefix
     )
     shifts = _object_entries(maps, "shifts", int, "an integer", prefix)
-    return circles, permutation, shifts
+    return counts, permutation, shifts
 
 
 def action_from_json(doc) -> MonodromyBoundaryAction:
@@ -292,9 +261,9 @@ def action_from_json(doc) -> MonodromyBoundaryAction:
     the other circles of the orbit get shift 0."""
     if doc.get("schema") != "monodromy_boundary_v1":
         raise ValueError("expected schema monodromy_boundary_v1")
-    circles, permutation, shifts = _action_entries(doc)
-    action = MonodromyBoundaryAction.build(
-        circles, permutation, {cid: shifts.get(cid, 0) for cid, _ in circles}
+    counts, permutation, shifts = _action_entries(doc)
+    action = MonodromyBoundaryAction(
+        counts, permutation, {cid: shifts.get(cid, 0) for cid in counts}
     )
     bases = [cycle[0] for cycle in action._orbit_cycles()]
     if sorted(shifts) != bases:

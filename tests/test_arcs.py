@@ -21,12 +21,9 @@ from dehnfill.arcs import (
 from dehnfill.monodromy import MonodromyBoundaryAction, action_from_json
 
 
-def boundary(counts, permutation, shifts):
-    return MonodromyBoundaryAction.build(counts.items(), permutation, shifts)
-
-
 def rotation(counts, shift):
-    return boundary(counts, {cid: cid for cid in counts}, {cid: shift for cid in counts})
+    identity = {cid: cid for cid in counts}
+    return MonodromyBoundaryAction(counts, identity, {cid: shift for cid in counts})
 
 
 def test_refined_matching_one_circle_p2():
@@ -50,9 +47,16 @@ def test_refined_matching_p4_two_matchings():
         assert validate_system(system) == []
 
 
+def test_a_matching_pairs_each_beta_slot_once():
+    action = rotation({"A": 4}, 1)
+    (beta, gamma), (_, other) = next(iter(enumerate_matchings(action, default_polarity(action))))
+    with pytest.raises(ValueError, match="matching must pair each beta slot with one gamma slot"):
+        refined_matching(action, matching=((beta, gamma), (beta, other)))
+
+
 def test_refined_matching_two_circles_total6():
     system = refined_matching(
-        boundary({"A": 2, "B": 4}, {"A": "A", "B": "B"}, {"A": 1, "B": 1})
+        MonodromyBoundaryAction({"A": 2, "B": 4}, {"A": "A", "B": "B"}, {"A": 1, "B": 1})
     )
     assert len(system.arcs) == 3
     assert validate_system(system) == []
@@ -81,7 +85,7 @@ def small_actions():
                 if any(counts[cid] != counts[permutation[cid]] for cid in ids):
                     continue
                 for shifts in product(*(range(p) for p in sizes)):
-                    yield boundary(counts, permutation, dict(zip(ids, shifts)))
+                    yield MonodromyBoundaryAction(counts, permutation, dict(zip(ids, shifts)))
 
 
 def test_refined_endpoints_take_one_of_two_offsets():
@@ -194,7 +198,7 @@ def test_validate_catches_segment_multiplicity():
 
 
 def test_validate_catches_monodromy_image():
-    swap = boundary({"A": 2, "B": 2}, {"A": "B", "B": "A"}, {"A": 0, "B": 0})
+    swap = MonodromyBoundaryAction({"A": 2, "B": 2}, {"A": "B", "B": "A"}, {"A": 0, "B": 0})
     arcs = (
         CombinatorialArc(ArcEndpoint("A", Fraction(1, 4)), ArcEndpoint("A", Fraction(7, 4))),
         CombinatorialArc(ArcEndpoint("B", Fraction(1, 4)), ArcEndpoint("B", Fraction(7, 4))),
@@ -226,7 +230,7 @@ def test_refined_systems_pass_validation_randomized():
         if any(counts[a] != counts[b] for a, b in perm.items()):
             continue
         shifts = {cid: rng.randint(0, 7) for cid in counts}
-        action = boundary(counts, perm, shifts)
+        action = MonodromyBoundaryAction(counts, perm, shifts)
         if any(
             perm[cid] == cid and shifts[cid] % counts[cid] == 0 for cid in counts
         ):
@@ -242,7 +246,7 @@ def test_refined_systems_pass_validation_randomized():
 
 def test_relabelling_equivariance():
     rng = random.Random(7)
-    action = boundary(
+    action = MonodromyBoundaryAction(
         {"A": 4, "B": 4, "C": 2}, {"A": "B", "B": "A", "C": "C"}, {"A": 1, "B": 3, "C": 1}
     )
     system = refined_matching(action)
@@ -250,7 +254,7 @@ def test_relabelling_equivariance():
     for _ in range(10):
         names = ["A", "B", "C"]
         relabel = dict(zip(names, rng.sample(names, 3)))
-        action2 = boundary(
+        action2 = MonodromyBoundaryAction(
             {relabel[cid]: p for cid, p in action.counts.items()},
             {relabel[cid]: relabel[img] for cid, img in action.permutation.items()},
             {relabel[cid]: s for cid, s in action.shifts.items()},
@@ -288,7 +292,7 @@ def actions(draw):
             counts[cid] = p
             permutation[cid] = cycle[(k + 1) % len(cycle)]
             shifts[cid] = draw(st.integers(-9, 9))
-    return boundary(counts, permutation, shifts)
+    return MonodromyBoundaryAction(counts, permutation, shifts)
 
 
 def test_action_json_roundtrip():
@@ -305,7 +309,7 @@ def test_action_json_roundtrip():
         "shifts": {"A": 3, "C": -1},
     }
     action = action_from_json(doc)
-    assert action == boundary(
+    assert action == MonodromyBoundaryAction(
         {"A": 4, "B": 4, "C": 2}, {"A": "B", "B": "A", "C": "C"}, {"A": 3, "B": 0, "C": -1}
     )
     system = refined_matching(action)

@@ -644,6 +644,12 @@ def test_track_slopes_malformed_entry_exits_two(capsys, tmp_path, branches, swit
             [{"id": "A", "stable_sings": 1002}],
             'circles[0]: "stable_sings" must be at most 1000, not 1002',
         ),
+        ([{"id": "A", "stable_sings": 4}, {"id": "A", "stable_sings": 4}], "duplicate circle ids"),
+        # Two faulty entries: the first in document order is named.
+        (
+            [{"id": 1, "stable_sings": 4}, {"id": "B", "stable_sings": "4"}],
+            'circles[0]: "id" must be a string',
+        ),
     ],
 )
 def test_arcs_malformed_circle_exits_two(capsys, tmp_path, command, circles, message):

@@ -7,7 +7,8 @@ refine`` and ``arcs validate`` on fixed boundary data, and ``track build`` and
 ``track slopes`` for each endpoint preset, ``track slopes`` on ``(4;1)`` c=5
 and on seeded random tracks of every kind, a 9,000-branch track, a partial
 ``analyze`` report as JSON and as text, ``analyze`` with no slope, on
-preserving-parity data and with every slope inside or every slope outside
+preserving-parity data (with a positive and with a negative degeneracy
+slope) and with every slope inside or every slope outside
 the interval, and ``census show``.  A refactor that changes any
 byte of valid output breaks a digest here.
 """
@@ -102,6 +103,12 @@ REPORTS = {
     "analyze-preserving": [
         "analyze", "--locus", "4,2", "--orbit-length", "1", "--slope", "1", "--slope", "2"
     ],
+    # Preserving parity with a negative degeneracy slope, 8/-2 = -4, whose
+    # numerator zung_sign_check flips: slope 1 gets CTF and LO, and slope 0,
+    # with a zero sign value, CTF only, so the verdict is "partial".
+    "analyze-preserving-negative-delta": [
+        "analyze", "--locus", "8,-2", "--orbit-length", "1", "--slope", "1", "--slope", "0"
+    ],
     # Slopes 1 and 0 both lie inside the interval of (6;1): the shared
     # verdict "guaranteed" across two slopes.
     "analyze-all-inside": [
@@ -142,6 +149,7 @@ GOLDEN = {
     "analyze-partial-text": (0, "c221fc84f7b02ba4980c3b551afca60287cd1020ec47c21bfc2aac627cb0d7d3"),
     "analyze-no-slope": (0, "446194b5b6f8219ef2d71d97190e61efffbe6c26cd5c528b4534f56357090b26"),
     "analyze-preserving": (0, "a9bb770abe849c0c8fb9338adcb5011cc582be9cbcd8472f88704f69e75d8856"),
+    "analyze-preserving-negative-delta": (0, "23f1557f21ab0d944beed55fcb5bcd3e214577336aae820866383ecf80ec9380"),
     "analyze-all-inside": (0, "616385ab6930b82b4d2219ec81470528b61106d334cc581e01bcc19ed2d83f26"),
     "analyze-all-outside": (0, "739ebe5d2069af9854f210db6cb3d6de73ed12e6eb405f0bbf977221bba4eadc"),
     "census-show": (0, "528eb362af0303ee05ce7d246d601aa624e2d2ddbf771d58f9ebee0c76f04109"),

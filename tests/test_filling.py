@@ -18,9 +18,7 @@ from dehnfill.slopes import INFINITY, ProjectiveSlope
 
 
 def orbit(p, q, c):
-    return BoundaryOrbit(
-        circles=tuple("C%d" % i for i in range(c)), c=c, locus=DegeneracyLocus(p, q)
-    )
+    return BoundaryOrbit(tuple("C%d" % i for i in range(c)), DegeneracyLocus(p, q))
 
 
 def reduced_slopes(bound):

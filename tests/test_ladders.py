@@ -256,6 +256,12 @@ def test_ladder_validation():
         LadderTrack(2, standard_orientations(2), (Rung(1, Fraction(1), Fraction(1), 1, 1),))
 
 
+def test_one_orientation_sign_per_level():
+    for n_levels, orientations in ((3, (1, -1)), (0, ())):
+        with pytest.raises(ValueError, match="need one orientation sign per level"):
+            LadderTrack(n_levels, orientations, ())
+
+
 def test_levels_are_integers():
     for level in (0.5, True, Fraction(0)):
         with pytest.raises(TypeError, match="lower_level must be an integer"):

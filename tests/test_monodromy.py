@@ -1,18 +1,20 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from dehnfill.monodromy import (
+    BoundaryOrbit,
     Coorientation,
     DegeneracyLocus,
     MonodromyBoundaryAction,
+    _circle_entries,
     action_from_json,
     boundary_orbits,
     canonical_locus,
     classify_coorientation,
     locus_distance,
-    orbit_decomposition,
 )
 from dehnfill.slopes import ProjectiveSlope, canonical_meridian, distance
 
@@ -32,8 +34,8 @@ def action(circle_sings, permutation, shifts):
 
 def test_orbit_decomposition_identity():
     a = action({"C0": 4}, {"C0": "C0"}, {"C0": 1})
-    (orbit,) = orbit_decomposition(a)
-    assert orbit.c == 1 and orbit.circles == ("C0",) and orbit.p == 4
+    (orbit,) = boundary_orbits(a)
+    assert orbit.c == 1 and orbit.circles == ("C0",) and orbit.locus == DegeneracyLocus(4, 1)
 
 
 def test_orbit_decomposition_three_cycle():
@@ -42,7 +44,7 @@ def test_orbit_decomposition_three_cycle():
         {"C0": "C1", "C1": "C2", "C2": "C0"},
         {"C0": 1},
     )
-    (orbit,) = orbit_decomposition(a)
+    (orbit,) = boundary_orbits(a)
     assert orbit.c == 3
     assert orbit.circles == ("C0", "C1", "C2")
 
@@ -53,7 +55,7 @@ def test_orbit_decomposition_mixed():
         {"A": "B", "B": "A", "C": "C"},
         {"A": 0, "C": 3},
     )
-    orbits = orbit_decomposition(a)
+    orbits = boundary_orbits(a)
     assert [o.c for o in orbits] == [2, 1]
     assert orbits[0].circles == ("A", "B")
 
@@ -71,14 +73,14 @@ def test_action_validation():
 
 
 def test_build_keeps_one_shift_per_circle():
-    a = MonodromyBoundaryAction.build(
-        [("B", 4), ("A", 4), ("C", 2)],
+    a = MonodromyBoundaryAction(
+        {"B": 4, "A": 4, "C": 2},
         {"A": "B", "B": "A", "C": "C"},
         {"A": 1, "B": 2, "C": 1},
     )
     assert list(a.counts) == ["A", "B", "C"]
     # The first-return map on A rotates by the shifts of A and B together.
-    assert [o.shift for o in orbit_decomposition(a)] == [3, 1]
+    assert [o.locus for o in boundary_orbits(a)] == [canonical_locus(4, 3), canonical_locus(2, 1)]
     assert a.image("A", Fraction(1, 4)) == ("B", Fraction(5, 4))
     assert a.image("B", Fraction(7, 2)) == ("A", Fraction(3, 2))
 
@@ -95,24 +97,19 @@ def test_build_keeps_one_shift_per_circle():
     ],
 )
 def test_build_rejects(circles, permutation, shifts, message):
+    # Only a document's circle list can repeat an id; its reader rejects that.
+    doc = {"circles": [{"id": cid, "stable_sings": count} for cid, count in circles]}
     with pytest.raises(ValueError, match=message):
-        MonodromyBoundaryAction.build(circles, permutation, shifts)
-    # The constructor runs the same checks; only a list of pairs can repeat an id.
-    if message != "duplicate circle ids":
-        with pytest.raises(ValueError, match=message):
-            MonodromyBoundaryAction(dict(circles), permutation, shifts)
+        MonodromyBoundaryAction(_circle_entries(doc), permutation, shifts)
 
 
 def test_the_constructor_stores_the_circles_in_sorted_order():
     action = MonodromyBoundaryAction(
         {"B": 2, "A": 2, "C": 4}, {"C": "C", "B": "A", "A": "B"}, {"B": 0, "C": 1, "A": 1}
     )
-    assert action == MonodromyBoundaryAction.build(
-        [("A", 2), ("B", 2), ("C", 4)], {"A": "B", "B": "A", "C": "C"}, {"A": 1, "B": 0, "C": 1}
-    )
     for field in (action.counts, action.permutation, action.shifts):
         assert list(field) == ["A", "B", "C"]
-    assert [o.circles for o in orbit_decomposition(action)] == [("A", "B"), ("C",)]
+    assert [o.circles for o in boundary_orbits(action)] == [("A", "B"), ("C",)]
 
 
 def test_canonical_locus_examples():
@@ -203,6 +200,9 @@ def test_boundary_orbits():
     assert orbits[0].locus == DegeneracyLocus(4, -1)
     assert orbits[1].locus == DegeneracyLocus(2, 1)
     assert orbits[0].base_id == "A"
+    # The orbit length is the number of circles, not a field of its own.
+    assert [f.name for f in fields(BoundaryOrbit)] == ["circles", "locus"]
+    assert [o.c for o in orbits] == [2, 1]
 
 
 def test_action_from_json():
@@ -213,8 +213,8 @@ def test_action_from_json():
         "shifts": {"A": 1},
     }
     # B is off the base of its orbit, so it gets shift 0.
-    assert action_from_json(doc) == MonodromyBoundaryAction.build(
-        [("A", 4), ("B", 4)], {"A": "B", "B": "A"}, {"A": 1, "B": 0}
+    assert action_from_json(doc) == MonodromyBoundaryAction(
+        {"A": 4, "B": 4}, {"A": "B", "B": "A"}, {"A": 1, "B": 0}
     )
     with pytest.raises(ValueError):
         action_from_json({"schema": "nope"})

@@ -19,13 +19,14 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_cli import capture
 
 from dehnfill import _ladder, _ladder_py
 from dehnfill.ladders import (
     SIZE_CAP,
+    CarriedPath,
     LadderTrack,
     Rung,
     _rung_lists,
@@ -50,13 +51,13 @@ def counts(track, step_bound):
 
 
 def searched(track, step_bound):
-    """The counts of the track by a tally of the search, and the steps of
-    its first violating path or None."""
+    """The counts of the track by a tally of the search, and the
+    ``(steps, truncated)`` of its first violating path or None."""
     tables = _ladder_py._build_tables(*ladder_lists(track))
     paths = list(_ladder_py._search(tables, step_bound))
-    bad = [p for p, _ in paths if _ladder_py._path_violates(p, tables.decode, tables.forward_dir)]
+    bad = [w for w in paths if _ladder_py._path_violates(w[0], tables.decode, tables.forward_dir)]
     tally = (len(paths), len(bad), sum(t for _, t in paths), max(len(p) for p, _ in paths))
-    return tally, tuple(map(tables.decode, bad[0])) if bad else None
+    return tally, (tuple(map(tables.decode, bad[0][0])), bad[0][1]) if bad else None
 
 
 @st.composite
@@ -110,13 +111,15 @@ def test_the_state_graph_is_closed_under_reversal(track):
 
 @settings(deadline=None, max_examples=300)
 @given(seeded_ladders | any_ladders() | st.just(CYCLIC), STEP_BOUNDS)
+# The first violating path of this ladder is cut at step bound 3.
+@example(random_ladder(0, alternating=False), 3)
 def test_the_witness_is_the_first_violating_path(track, step_bound):
     forward_dir = _ladder_py._build_tables(*ladder_lists(track)).forward_dir
     paths = enumerate_carried_paths(track, step_bound)
     bad = [p for p in paths if _ladder_py._path_violates(p.steps, lambda step: step, forward_dir)]
     ok, witnesses = check_two_line_property(track, step_bound)
     assert ok == (not bad)
-    assert [w.steps for w in witnesses] == [p.steps for p in bad[:1]]
+    assert witnesses == bad[:1]
 
 
 def test_a_cycle_falls_back_to_the_search():
@@ -126,7 +129,7 @@ def test_a_cycle_falls_back_to_the_search():
     assert counts(CYCLIC, 10**4) == tally
     # Only the search truncates, at the first repeated state.
     assert tally[2] > 0 and tally[1] > 0 and witness is not None
-    assert check_two_line_property(CYCLIC)[1][0].steps == witness
+    assert check_two_line_property(CYCLIC)[1][0] == CarriedPath(*witness)
 
 
 def test_the_first_witness_is_the_searchs():
@@ -138,7 +141,7 @@ def test_the_first_witness_is_the_searchs():
             ok, witnesses = check_two_line_property(track)
             assert ok == (tally[1] == 0) == (witness is None), (sizes, seed)
             if not ok:
-                assert witnesses[0].steps == witness
+                assert witnesses[0] == CarriedPath(*witness)
                 found += 1
     assert found > 100
 

@@ -10,6 +10,7 @@ from dehnfill.tracks import (
     HEAD,
     TAIL,
     Branch,
+    CarriedSlopes,
     EndpointConfig,
     RayClasses,
     Switch,
@@ -89,6 +90,13 @@ def test_carried_slopes_two_ray_arc():
     assert cs.arc.closed_a and cs.arc.closed_b
     assert cs.contains_class((1, 1)) and cs.contains_class((2, 1))
     assert not cs.contains_class((0, 1)) and not cs.contains_class((-1, 1))
+
+
+def test_no_carried_set_holds_the_zero_class():
+    empty = CarriedSlopes("empty")
+    assert not empty.contains_class((1, 0)) and not empty.contains_class((0, 0))
+    assert CarriedSlopes("all").contains_class((1, 0))
+    assert not CarriedSlopes("all").contains_class((0, 0))
 
 
 def test_carried_slopes_degenerate_single():
