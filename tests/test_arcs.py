@@ -217,6 +217,19 @@ def test_validate_catches_singularity_and_count():
     assert {"singularity", "arc-count"} <= kinds
 
 
+@pytest.mark.parametrize(
+    "position, in_range",
+    [(0, True), (Fraction(7, 4), True), (2, False), (Fraction(-1, 4), False)],
+)
+def test_validate_takes_positions_from_zero_up_to_p(position, in_range):
+    arcs = (CombinatorialArc(ArcEndpoint("A", position), ArcEndpoint("A", Fraction(5, 4))),)
+    details = [v.detail for v in validate_system(AdmissibleArcSystem(rotation({"A": 2}, 1), arcs))]
+    out_of_range = "position %s out of range on circle A" % position
+    assert (out_of_range not in details) == in_range
+    # Exactly 0 is in range, and a stable singularity.
+    assert ("endpoint at stable singularity 0 on circle A" in details) == (position == 0)
+
+
 def test_refined_systems_pass_validation_randomized():
     rng = random.Random(1234)
     cases = 0

@@ -702,6 +702,7 @@ def test_analyze_orbit_length_cap(capsys):
     # checked before anything is built.  `interval` takes constant work at
     # any length and has no cap.
     cap = monodromy.ORBIT_LENGTH_CAP
+    assert cap == 100_000  # the README's figure
     code, out, err = run(capsys, "analyze", "--locus", "6,1", "--orbit-length", str(cap))
     doc = json.loads(out)
     assert code == 0 and err == ""
@@ -846,6 +847,45 @@ def test_arcs_validate_malformed_system_exits_two(capsys, tmp_path, changes, mes
     assert err == "error: %s\n" % message
     with pytest.raises(ValueError, match=re.escape(message)):
         system_from_json(doc)
+
+
+@pytest.mark.parametrize("schema", ["monodromy_boundary_v1", "arc_system_v1", "v1", MISSING])
+@pytest.mark.parametrize(
+    "argv, body, expected, loader",
+    [
+        (
+            ("arcs", "refine"),
+            {"circles": [{"id": "A", "stable_sings": 4}], "permutation": {"A": "A"}}
+            | {"shifts": {"A": 3}},
+            "monodromy_boundary_v1",
+            action_from_json,
+        ),
+        (
+            ("arcs", "validate"),
+            {"circles": [{"id": "A", "stable_sings": 2}], "arcs": [_arc()]}
+            | {"monodromy": {"permutation": {"A": "A"}, "shifts": {"A": 1}}},
+            "arc_system_v1",
+            system_from_json,
+        ),
+    ],
+    ids=["refine", "validate"],
+)
+def test_a_well_formed_body_under_another_schema_exits_two(
+    capsys, tmp_path, schema, argv, body, expected, loader
+):
+    doc = dict(body) if schema is MISSING else {"schema": schema, **body}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--input", str(path))
+    if schema == expected:
+        # Read: refined (exit 0), or validated as not admissible (exit 1).
+        assert code in (0, 1) and err == ""
+        return
+    message = "expected schema %s" % expected
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+    with pytest.raises(ValueError, match="^%s$" % message):
+        loader(doc)
 
 
 @pytest.mark.parametrize(

@@ -156,6 +156,9 @@ def test_locus_invariants():
         DegeneracyLocus(4, -2)  # the tie representative must be positive
     with pytest.raises(ValueError):
         DegeneracyLocus(4, 3)
+    # p = 0 fails the q-range check too, but the message names p first.
+    with pytest.raises(ValueError, match=r"^non-co-orientable boundary data: p must be even > 0$"):
+        DegeneracyLocus(0, 0)
 
 
 def test_classify_coorientation():

@@ -147,6 +147,8 @@ def test_parse_and_format():
 @pytest.mark.parametrize(
     "text, pos, reason",
     [
+        ("", 0, "empty"),
+        ("  ", 0, "empty"),
         ("-", 0, "expected integer"),
         ("+-1", 0, "expected integer"),
         ("/2", 0, "expected integer"),
