@@ -13,11 +13,11 @@ ends it at one of incoming polarity, which makes both transversality flags
 hold by construction.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from numbers import Rational
 
+from ._value import Value, setfield
 from .monodromy import MonodromyBoundaryAction, _action_entries
 from .slopes import _exact
 
@@ -37,18 +37,16 @@ BETA = "beta"
 GAMMA = "gamma"
 
 
-@dataclass(frozen=True)
-class ArcEndpoint:
-    circle_id: str
-    position: Fraction
+class ArcEndpoint(Value):
+    __slots__ = ("circle_id", "position")
 
-    def __post_init__(self):
-        if not isinstance(self.position, Rational):
+    def __init__(self, circle_id: str, position: Fraction):
+        if not isinstance(position, Rational):
             raise ValueError(
-                "arc positions must be exact rationals (int or Fraction), not %r"
-                % (self.position,)
+                "arc positions must be exact rationals (int or Fraction), not %r" % (position,)
             )
-        object.__setattr__(self, "position", Fraction(self.position))
+        setfield(self, "circle_id", circle_id)
+        setfield(self, "position", Fraction(position))
 
     @property
     def segment(self) -> int:
@@ -58,36 +56,47 @@ class ArcEndpoint:
         return self.position.denominator == 1
 
 
-@dataclass(frozen=True)
-class CombinatorialArc:
-    start: ArcEndpoint
-    end: ArcEndpoint
-    pos_transverse_stable: bool = True
-    pos_transverse_unstable: bool = False
+class CombinatorialArc(Value):
+    __slots__ = ("start", "end", "pos_transverse_stable", "pos_transverse_unstable")
 
-    def __post_init__(self):
-        if self.start == self.end:
+    def __init__(
+        self,
+        start: ArcEndpoint,
+        end: ArcEndpoint,
+        pos_transverse_stable: bool = True,
+        pos_transverse_unstable: bool = False,
+    ):
+        if start == end:
             raise ValueError("arc endpoints must occupy distinct slots")
+        setfield(self, "start", start)
+        setfield(self, "end", end)
+        setfield(self, "pos_transverse_stable", pos_transverse_stable)
+        setfield(self, "pos_transverse_unstable", pos_transverse_unstable)
 
     @property
     def endpoints(self):
         return (self.start, self.end)
 
 
-@dataclass(frozen=True)
-class AdmissibleArcSystem:
-    action: MonodromyBoundaryAction
-    arcs: tuple
+class AdmissibleArcSystem(Value):
+    __slots__ = ("action", "arcs")
+
+    def __init__(self, action: MonodromyBoundaryAction, arcs: tuple):
+        setfield(self, "action", action)
+        setfield(self, "arcs", arcs)
 
     @property
     def endpoints(self):
         return tuple(e for arc in self.arcs for e in arc.endpoints)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "arc-count" | "segment-multiplicity" | "monodromy-image" | "singularity"
-    detail: str
+class Violation(Value):
+    __slots__ = ("kind", "detail")
+
+    def __init__(self, kind: str, detail: str):
+        # kind: "arc-count" | "segment-multiplicity" | "monodromy-image" | "singularity"
+        setfield(self, "kind", kind)
+        setfield(self, "detail", detail)
 
 
 def validate_system(sys: AdmissibleArcSystem):

@@ -12,8 +12,7 @@ earlier surgery constructions reach one slope further than the open
 guarantee.
 """
 
-from dataclasses import dataclass
-
+from ._value import Value, setfield
 from .filling import guaranteed_interval
 from .monodromy import DegeneracyLocus
 from .slopes import SlopeInterval, format_slope, parse_slope
@@ -33,16 +32,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrintedInterval:
+class PrintedInterval(Value):
     """A tabulated slope set: the arc between two endpoint slopes, on the side
     containing ``through``, with per-endpoint closure flags."""
 
-    end_a: str
-    end_b: str
-    closed_a: bool
-    closed_b: bool
-    through: str
+    __slots__ = ("end_a", "end_b", "closed_a", "closed_b", "through")
+
+    def __init__(self, end_a: str, end_b: str, closed_a: bool, closed_b: bool, through: str):
+        setfield(self, "end_a", end_a)
+        setfield(self, "end_b", end_b)
+        setfield(self, "closed_a", closed_a)
+        setfield(self, "closed_b", closed_b)
+        setfield(self, "through", through)
 
     def __str__(self):
         la = "[" if self.closed_a else "("
@@ -50,33 +51,56 @@ class PrintedInterval:
         return "%s%s, %s%s" % (la, self.end_a, self.end_b, rb)
 
 
-@dataclass(frozen=True)
-class CensusEntry:
-    name: str
-    genus: int | None
-    degeneracy_slope: str
-    locus: DegeneracyLocus
-    c: int
-    i_nls: PrintedInterval
-    endpoint_prior_work: bool = False
-    notes: str = ""
-    source: str = "Dunfield census non-L-space filling data"
+class CensusEntry(Value):
+    __slots__ = (
+        "name",
+        "genus",
+        "degeneracy_slope",
+        "locus",
+        "c",
+        "i_nls",
+        "endpoint_prior_work",
+        "notes",
+        "source",
+    )
 
-    def __post_init__(self):
-        delta, _ = parse_slope(self.degeneracy_slope)
-        if delta != self.locus.delta:
+    def __init__(
+        self,
+        name: str,
+        genus: int | None,
+        degeneracy_slope: str,
+        locus: DegeneracyLocus,
+        c: int,
+        i_nls: PrintedInterval,
+        endpoint_prior_work: bool = False,
+        notes: str = "",
+        source: str = "Dunfield census non-L-space filling data",
+    ):
+        delta, _ = parse_slope(degeneracy_slope)
+        if delta != locus.delta:
             raise ValueError(
-                "entry %s: locus %s does not reduce to slope %s"
-                % (self.name, self.locus, self.degeneracy_slope)
+                "entry %s: locus %s does not reduce to slope %s" % (name, locus, degeneracy_slope)
             )
+        setfield(self, "name", name)
+        setfield(self, "genus", genus)
+        setfield(self, "degeneracy_slope", degeneracy_slope)
+        setfield(self, "locus", locus)
+        setfield(self, "c", c)
+        setfield(self, "i_nls", i_nls)
+        setfield(self, "endpoint_prior_work", endpoint_prior_work)
+        setfield(self, "notes", notes)
+        setfield(self, "source", source)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
-    name: str
-    computed: SlopeInterval
-    status: str  # ExactMatch | ClosureNote | Mismatch
-    detail: str
+class VerificationRecord(Value):
+    __slots__ = ("name", "computed", "status", "detail")
+
+    def __init__(self, name: str, computed: SlopeInterval, status: str, detail: str):
+        # status: ExactMatch | ClosureNote | Mismatch
+        setfield(self, "name", name)
+        setfield(self, "computed", computed)
+        setfield(self, "status", status)
+        setfield(self, "detail", detail)
 
 
 def _interval(end_a, end_b, through, closed_a=False, closed_b=False):

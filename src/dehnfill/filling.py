@@ -31,8 +31,7 @@ guaranteed interval exactly when ``x`` lies outside ``[q-c, q+c]``: when
 ``tests/test_filling.py`` checks this bound over unbounded integers.
 """
 
-from dataclasses import dataclass
-
+from ._value import Value, setfield
 from .monodromy import (
     BoundaryOrbit,
     Coorientation,
@@ -107,23 +106,46 @@ def check_fried(locus: DegeneracyLocus, s: ProjectiveSlope):
     return dist, dist >= 2, dist == 2
 
 
-@dataclass(frozen=True)
-class FillingReport:
-    orbit: BoundaryOrbit
-    interval: SlopeInterval
-    slope: ProjectiveSlope | None
-    in_interval: bool
-    dist_to_locus: int
-    fried_ok: bool
-    special_no_singular: bool
-    guarantees: frozenset = frozenset()
+class FillingReport(Value):
+    __slots__ = (
+        "orbit",
+        "interval",
+        "slope",
+        "in_interval",
+        "dist_to_locus",
+        "fried_ok",
+        "special_no_singular",
+        "guarantees",
+    )
+
+    def __init__(
+        self,
+        orbit: BoundaryOrbit,
+        interval: SlopeInterval,
+        slope: ProjectiveSlope | None,
+        in_interval: bool,
+        dist_to_locus: int,
+        fried_ok: bool,
+        special_no_singular: bool,
+        guarantees: frozenset = frozenset(),
+    ):
+        setfield(self, "orbit", orbit)
+        setfield(self, "interval", interval)
+        setfield(self, "slope", slope)
+        setfield(self, "in_interval", in_interval)
+        setfield(self, "dist_to_locus", dist_to_locus)
+        setfield(self, "fried_ok", fried_ok)
+        setfield(self, "special_no_singular", special_no_singular)
+        setfield(self, "guarantees", guarantees)
 
 
-@dataclass(frozen=True)
-class MultislopeReport:
-    reports: tuple
-    verdict: str
-    notes: tuple = ()
+class MultislopeReport(Value):
+    __slots__ = ("reports", "verdict", "notes")
+
+    def __init__(self, reports: tuple, verdict: str, notes: tuple = ()):
+        setfield(self, "reports", reports)
+        setfield(self, "verdict", verdict)
+        setfield(self, "notes", notes)
 
 
 def zung_sign_check(orbits, slopes) -> bool:

@@ -13,10 +13,10 @@ each such path separates the levels far below from the levels far above.
 """
 
 import random as _random
-from dataclasses import dataclass
 from numbers import Integral, Rational
 
 from . import _ladder
+from ._value import Value, setfield
 
 __all__ = [
     "Rung",
@@ -35,55 +35,59 @@ def kernel_backend() -> str:
     return _ladder.BACKEND
 
 
-@dataclass(frozen=True)
-class Rung:
+class Rung(Value):
     """A rung from ``lower_level`` to the level above.
 
     Positions along the two lines are exact rationals of any type (``int``,
-    ``Fraction``); only their order along each line matters.
+    ``Fraction``); only their order along each line matters.  The cusps are
+    the geometric signs along the lower and the upper line.
     """
 
-    lower_level: int
-    low_pos: Rational
-    high_pos: Rational
-    cusp_low: int  # geometric sign along the lower line
-    cusp_high: int
+    __slots__ = ("lower_level", "low_pos", "high_pos", "cusp_low", "cusp_high")
 
-    def __post_init__(self):
-        _check_integers(
-            lower_level=self.lower_level, cusp_low=self.cusp_low, cusp_high=self.cusp_high
-        )
-        if self.cusp_low not in (-1, 1) or self.cusp_high not in (-1, 1):
+    def __init__(
+        self, lower_level: int, low_pos: Rational, high_pos: Rational, cusp_low: int, cusp_high: int
+    ):
+        _check_integers(lower_level=lower_level, cusp_low=cusp_low, cusp_high=cusp_high)
+        if cusp_low not in (-1, 1) or cusp_high not in (-1, 1):
             raise ValueError("cusp signs must be +1 or -1")
-        for pos in (self.low_pos, self.high_pos):
+        for pos in (low_pos, high_pos):
             if not isinstance(pos, Rational):
                 raise ValueError(
                     "rung positions must be exact rationals (int or Fraction), not %r" % (pos,)
                 )
+        setfield(self, "lower_level", lower_level)
+        setfield(self, "low_pos", low_pos)
+        setfield(self, "high_pos", high_pos)
+        setfield(self, "cusp_low", cusp_low)
+        setfield(self, "cusp_high", cusp_high)
 
 
-@dataclass(frozen=True)
-class LadderTrack:
-    n_levels: int
-    orientations: tuple  # chosen orientation sign per level
-    rungs: tuple
+class LadderTrack(Value):
+    """``n_levels`` lines with the chosen orientation sign of each, and the
+    rungs between them."""
 
-    def __post_init__(self):
-        _check_integers(n_levels=self.n_levels)
-        if self.n_levels < 1 or len(self.orientations) != self.n_levels:
+    __slots__ = ("n_levels", "orientations", "rungs")
+
+    def __init__(self, n_levels: int, orientations: tuple, rungs: tuple):
+        _check_integers(n_levels=n_levels)
+        if n_levels < 1 or len(orientations) != n_levels:
             raise ValueError("need one orientation sign per level")
-        for o in self.orientations:
+        for o in orientations:
             _check_integers(orientation=o)
             if o not in (-1, 1):
                 raise ValueError("orientations must be +1 or -1")
         feet = set()
-        for r in self.rungs:
-            if not 0 <= r.lower_level < self.n_levels - 1:
+        for r in rungs:
+            if not 0 <= r.lower_level < n_levels - 1:
                 raise ValueError("rung joins missing levels")
             for foot in ((r.lower_level, r.low_pos), (r.lower_level + 1, r.high_pos)):
                 if foot in feet:
                     raise ValueError("rung feet on level %d collide" % foot[0])
                 feet.add(foot)
+        setfield(self, "n_levels", n_levels)
+        setfield(self, "orientations", orientations)
+        setfield(self, "rungs", rungs)
 
 
 def _rung_lists(rungs):
@@ -267,12 +271,15 @@ def random_ladder(
     return LadderTrack(n_levels, orientations, tuple(map(Rung, *rung_lists)))
 
 
-@dataclass(frozen=True)
-class CarriedPath:
-    """A maximal directed path: line runs and rung crossings in order."""
+class CarriedPath(Value):
+    """A maximal directed path: line runs and rung crossings in order, each
+    step ``("line", level, segment, dir)`` or ``("rung", index, dir)``."""
 
-    steps: tuple  # ("line", level, segment, dir) / ("rung", index, dir)
-    truncated: bool
+    __slots__ = ("steps", "truncated")
+
+    def __init__(self, steps: tuple, truncated: bool):
+        setfield(self, "steps", steps)
+        setfield(self, "truncated", truncated)
 
     @property
     def levels_met(self):

@@ -11,9 +11,9 @@ orbit length ``c``.
 """
 
 import json
-from dataclasses import dataclass
 from math import gcd
 
+from ._value import Value, setfield
 from .slopes import ProjectiveSlope
 
 __all__ = [
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MonodromyBoundaryAction:
+class MonodromyBoundaryAction(Value):
     """The monodromy on the boundary circles: circle ``j`` goes to
     ``permutation[j]``, and slot position ``x`` on it to ``x + shifts[j]``.
 
@@ -39,26 +38,24 @@ class MonodromyBoundaryAction:
     by circle id; the constructor stores them in sorted order.
     """
 
-    counts: dict
-    permutation: dict
-    shifts: dict
+    __slots__ = ("counts", "permutation", "shifts")
 
-    def __post_init__(self):
-        ids = sorted(self.counts)
+    def __init__(self, counts: dict, permutation: dict, shifts: dict):
+        ids = sorted(counts)
         for cid in ids:
-            if self.counts[cid] < 2 or self.counts[cid] % 2 != 0:
+            if counts[cid] < 2 or counts[cid] % 2 != 0:
                 raise ValueError(
                     "co-orientable boundary data needs an even count >= 2 of "
-                    "stable singularities, got %d on circle %s" % (self.counts[cid], cid)
+                    "stable singularities, got %d on circle %s" % (counts[cid], cid)
                 )
         id_set = set(ids)
-        if set(self.permutation) != id_set or set(self.permutation.values()) != id_set:
+        if set(permutation) != id_set or set(permutation.values()) != id_set:
             raise ValueError("permutation is not a bijection on the circle ids")
-        if set(self.shifts) != id_set or any(type(s) is not int for s in self.shifts.values()):
+        if set(shifts) != id_set or any(type(s) is not int for s in shifts.values()):
             raise ValueError("need one integer shift per circle")
-        for field in ("counts", "permutation", "shifts"):
-            value = getattr(self, field)
-            object.__setattr__(self, field, {cid: value[cid] for cid in ids})
+        setfield(self, "counts", {cid: counts[cid] for cid in ids})
+        setfield(self, "permutation", {cid: permutation[cid] for cid in ids})
+        setfield(self, "shifts", {cid: shifts[cid] for cid in ids})
         for cycle in self._orbit_cycles():
             if len({self.counts[cid] for cid in cycle}) != 1:
                 raise ValueError(
@@ -93,22 +90,22 @@ class Coorientation:
     REVERSING = "reversing"
 
 
-@dataclass(frozen=True)
-class DegeneracyLocus:
+class DegeneracyLocus(Value):
     """The pair ``(p; q)`` with ``p`` even, ``q`` reduced to ``(-p/2, p/2]``.
 
     The multiplicity is ``n = gcd(p, |q|)`` (with ``gcd(p, 0) = p``) and the
     degeneracy slope is ``(p/n) / (q/n)``.
     """
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p <= 0 or self.p % 2 != 0:
+    def __init__(self, p: int, q: int):
+        if p <= 0 or p % 2 != 0:
             raise ValueError("non-co-orientable boundary data: p must be even > 0")
-        if not (-self.p // 2 < self.q <= self.p // 2):
-            raise ValueError("q must lie in (-p/2, p/2], got q=%d" % self.q)
+        if not (-p // 2 < q <= p // 2):
+            raise ValueError("q must lie in (-p/2, p/2], got q=%d" % q)
+        setfield(self, "p", p)
+        setfield(self, "q", q)
 
     @property
     def multiplicity(self) -> int:
@@ -123,13 +120,15 @@ class DegeneracyLocus:
         return "(%d;%d)" % (self.p, self.q)
 
 
-@dataclass(frozen=True)
-class BoundaryOrbit:
+class BoundaryOrbit(Value):
     """A permutation orbit: its circles in cycle order from the least id,
     and the canonical locus of its first-return map."""
 
-    circles: tuple
-    locus: DegeneracyLocus
+    __slots__ = ("circles", "locus")
+
+    def __init__(self, circles: tuple, locus: DegeneracyLocus):
+        setfield(self, "circles", circles)
+        setfield(self, "locus", locus)
 
     @property
     def c(self) -> int:

@@ -8,9 +8,10 @@ nothing here ever touches floating point.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from ._value import Value, setfield
 
 __all__ = [
     "ProjectiveSlope",
@@ -25,20 +26,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProjectiveSlope:
+class ProjectiveSlope(Value):
     """A coprime pair ``num/den`` with ``den >= 0``; ``inf`` is ``1/0``."""
 
-    num: int
-    den: int
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.num == 0 and self.den == 0:
+    def __init__(self, num: int, den: int):
+        if num == 0 and den == 0:
             raise ValueError("0/0 is not a slope")
-        if gcd(abs(self.num), abs(self.den)) != 1:
-            raise ValueError("slope pair must be coprime: %d/%d" % (self.num, self.den))
-        if self.den < 0 or (self.den == 0 and self.num != 1):
-            raise ValueError("slope pair not normalized: %d/%d" % (self.num, self.den))
+        if gcd(abs(num), abs(den)) != 1:
+            raise ValueError("slope pair must be coprime: %d/%d" % (num, den))
+        if den < 0 or (den == 0 and num != 1):
+            raise ValueError("slope pair not normalized: %d/%d" % (num, den))
+        setfield(self, "num", num)
+        setfield(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is ProjectiveSlope:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     @staticmethod
     def of(num, den=1):
@@ -75,23 +84,44 @@ def distance(x: ProjectiveSlope, y: ProjectiveSlope) -> int:
     return abs(_det(x, y))
 
 
-@dataclass(frozen=True)
-class SlopeInterval:
+class SlopeInterval(Value):
     """The arc of the projective line bounded by ``end_a`` and ``end_b`` that
     does not contain ``excluded``.  An endpoint belongs to the arc when its
     closure flag is set; both are open by default."""
 
-    end_a: ProjectiveSlope
-    end_b: ProjectiveSlope
-    excluded: ProjectiveSlope
-    closed_a: bool = False
-    closed_b: bool = False
+    __slots__ = ("end_a", "end_b", "excluded", "closed_a", "closed_b")
 
-    def __post_init__(self):
-        if self.end_a == self.end_b:
+    def __init__(
+        self,
+        end_a: ProjectiveSlope,
+        end_b: ProjectiveSlope,
+        excluded: ProjectiveSlope,
+        closed_a: bool = False,
+        closed_b: bool = False,
+    ):
+        if end_a == end_b:
             raise ValueError("interval endpoints must be distinct")
-        if self.excluded in (self.end_a, self.end_b):
+        if excluded in (end_a, end_b):
             raise ValueError("excluded witness must avoid the endpoints")
+        setfield(self, "end_a", end_a)
+        setfield(self, "end_b", end_b)
+        setfield(self, "excluded", excluded)
+        setfield(self, "closed_a", closed_a)
+        setfield(self, "closed_b", closed_b)
+
+    def __eq__(self, other):
+        if other.__class__ is SlopeInterval:
+            return (
+                self.end_a == other.end_a
+                and self.end_b == other.end_b
+                and self.excluded == other.excluded
+                and self.closed_a == other.closed_a
+                and self.closed_b == other.closed_b
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.end_a, self.end_b, self.excluded, self.closed_a, self.closed_b))
 
     def _side(self, s: ProjectiveSlope) -> int:
         # Sign of the quadratic form vanishing exactly at the endpoints; the

@@ -10,12 +10,11 @@ curve is the weight-sum of branch classes, which is what makes the weight
 cone's image decide the realizable slopes.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from numbers import Rational
 
+from ._value import Value, setfield
 from .monodromy import Coorientation, DegeneracyLocus, classify_coorientation
 from .slopes import ProjectiveSlope, SlopeInterval, _exact
 
@@ -38,31 +37,55 @@ __all__ = [
 TAIL, HEAD = 0, 1
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Value):
     """An oriented branch with homology class ``(a, b)``."""
 
-    a: int
-    b: int
-    label: str = ""
+    __slots__ = ("a", "b", "label")
+
+    def __init__(self, a: int, b: int, label: str = ""):
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is Branch:
+            return self.a == other.a and self.b == other.b and self.label == other.label
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.label))
 
 
-@dataclass(frozen=True)
-class Switch:
+class Switch(Value):
     """A trivalent switch: one branch-end on the smooth side, two on the
-    cusped side.  Ends are ``(branch_index, TAIL|HEAD)``."""
+    cusped side (``double``, a pair).  Ends are ``(branch_index, TAIL|HEAD)``."""
 
-    single: tuple
-    double: tuple  # pair of ends
-    label: str = ""
+    __slots__ = ("single", "double", "label")
+
+    def __init__(self, single: tuple, double: tuple, label: str = ""):
+        setfield(self, "single", single)
+        setfield(self, "double", double)
+        setfield(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is Switch:
+            return (
+                self.single == other.single
+                and self.double == other.double
+                and self.label == other.label
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.single, self.double, self.label))
 
 
-@dataclass(frozen=True)
-class TorusTrainTrack:
-    branches: tuple
-    switches: tuple
+class TorusTrainTrack(Value):
+    __slots__ = ("branches", "switches")
 
-    def __post_init__(self):
+    def __init__(self, branches: tuple, switches: tuple):
+        setfield(self, "branches", branches)
+        setfield(self, "switches", switches)
         validate_track(self)
 
 
@@ -258,8 +281,7 @@ def _cycle_sums(track: TorusTrainTrack, labels):
                         held[w].add(v)
 
 
-@dataclass
-class RayClasses:
+class RayClasses(Value):
     """The homology classes of a track's extreme rays, without the rays.
 
     ``least`` maps each class ``(a, b)`` to the least mask among the rays of
@@ -268,8 +290,12 @@ class RayClasses:
     branch ``b``.
     """
 
-    least: dict
-    rays: int
+    __slots__ = ("least", "rays")
+    __hash__ = None
+
+    def __init__(self, least: dict, rays: int):
+        setfield(self, "least", least)
+        setfield(self, "rays", rays)
 
     def __len__(self):
         return self.rays
@@ -310,8 +336,7 @@ def weight_cone(track: TorusTrainTrack) -> RayClasses:
     return RayClasses(classes, rays)
 
 
-@dataclass(frozen=True)
-class CarriedSlopes:
+class CarriedSlopes(Value):
     """Projectivized homology image of the weight cone.
 
     ``kind`` is one of ``empty`` (nothing carried), ``single`` (one slope),
@@ -320,11 +345,21 @@ class CarriedSlopes:
     endpoints.  ``extreme_rays`` counts the extreme rays of the weight cone.
     """
 
-    kind: str
-    slope: ProjectiveSlope | None = None
-    arc: SlopeInterval | None = None
-    extreme_classes: tuple = ()
-    extreme_rays: int = 0
+    __slots__ = ("kind", "slope", "arc", "extreme_classes", "extreme_rays")
+
+    def __init__(
+        self,
+        kind: str,
+        slope: ProjectiveSlope | None = None,
+        arc: SlopeInterval | None = None,
+        extreme_classes: tuple = (),
+        extreme_rays: int = 0,
+    ):
+        setfield(self, "kind", kind)
+        setfield(self, "slope", slope)
+        setfield(self, "arc", arc)
+        setfield(self, "extreme_classes", extreme_classes)
+        setfield(self, "extreme_rays", extreme_rays)
 
     def contains_class(self, cls) -> bool:
         """Closed containment test for an integer homology class."""
@@ -427,8 +462,7 @@ def integral_carried_classes(track: TorusTrainTrack, weight_bound: int):
     return out
 
 
-@dataclass(frozen=True)
-class EndpointConfig:
+class EndpointConfig(Value):
     """Interleaving of arc-endpoint feet within each boundary segment.
 
     Outgoing arc endpoints sit at ``segment + lower_out``, incoming ones at
@@ -439,19 +473,29 @@ class EndpointConfig:
     named presets.
     """
 
-    phase: int = 0
-    lower_out: Fraction = Fraction(1, 4)
-    lower_in: Fraction = Fraction(3, 4)
-    upper_nudge: Fraction = Fraction(1, 8)
+    __slots__ = ("phase", "lower_out", "lower_in", "upper_nudge", "_scaled_feet")
 
-    def __post_init__(self):
-        if not all(
-            isinstance(f, Rational) for f in (self.lower_out, self.lower_in, self.upper_nudge)
-        ):
+    def __init__(
+        self,
+        phase: int = 0,
+        lower_out: Fraction = Fraction(1, 4),
+        lower_in: Fraction = Fraction(3, 4),
+        upper_nudge: Fraction = Fraction(1, 8),
+    ):
+        if not all(isinstance(f, Rational) for f in (lower_out, lower_in, upper_nudge)):
             raise ValueError("foot positions must be exact: an int or a Fraction")
+        setfield(self, "phase", phase)
+        setfield(self, "lower_out", lower_out)
+        setfield(self, "lower_in", lower_in)
+        setfield(self, "upper_nudge", upper_nudge)
         fracs = self.foot_fractions()
         if len(set(fracs)) != 4 or not all(0 < f < 1 for f in fracs):
             raise ValueError("foot positions must be four distinct points in (0, 1)")
+        # ``(d, feet)``: the least common denominator ``d`` of the foot
+        # fractions, and the four of them as ints in units of ``1/d``.
+        d = lcm(*(f.denominator for f in fracs))
+        feet = tuple(f.numerator * (d // f.denominator) for f in fracs)
+        setfield(self, "_scaled_feet", (d, feet))
 
     def foot_fractions(self):
         return (
@@ -460,14 +504,6 @@ class EndpointConfig:
             self.lower_out + self.upper_nudge,
             self.lower_in - self.upper_nudge,
         )
-
-    @cached_property
-    def _scaled_feet(self):
-        """``(d, feet)``: the least common denominator ``d`` of the foot
-        fractions, and the four of them as ints in units of ``1/d``."""
-        fracs = self.foot_fractions()
-        d = lcm(*(f.denominator for f in fracs))
-        return d, tuple(f.numerator * (d // f.denominator) for f in fracs)
 
 
 CONFIG_PRESETS = {

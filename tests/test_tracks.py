@@ -1,12 +1,16 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cone_oracle import cycle_rays
 
 from dehnfill.monodromy import DegeneracyLocus
 from dehnfill.slopes import INFINITY, ProjectiveSlope
 from dehnfill.tracks import (
+    CONFIG_PRESETS,
     HEAD,
     TAIL,
     Branch,
@@ -243,13 +247,42 @@ def test_config_presets_and_validation():
 
 
 def test_json_roundtrip_bit_exact():
-    import json
-
     track = build_boundary_track(DegeneracyLocus(4, 1), 1)
     doc = track_to_json(track)
     text = json.dumps(doc, indent=2)
     again = track_to_json(track_from_json(json.loads(text)))
     assert json.dumps(again, indent=2) == text
+
+
+@st.composite
+def relabelled_tracks(draw):
+    """A random or built track's switch structure, with new branch classes
+    and labels: neither enters the track's validity."""
+    if draw(st.booleans()):
+        shape = random_track(draw(st.integers(0, 10**6)))
+    else:
+        p = draw(st.sampled_from([2, 4, 6]))
+        q = draw(st.sampled_from([q for q in range(-p // 2 + 1, p // 2 + 1) if q % 2]))
+        c = draw(st.sampled_from([1, 3]))
+        preset = draw(st.sampled_from(sorted(CONFIG_PRESETS)))
+        shape = build_boundary_track(DegeneracyLocus(p, q), c, CONFIG_PRESETS[preset])
+    classes = st.integers(-(2**70), 2**70)
+    branches = tuple(
+        Branch(draw(classes), draw(classes), draw(st.text(max_size=4))) for _ in shape.branches
+    )
+    switches = tuple(
+        Switch(sw.single, sw.double, draw(st.text(max_size=4))) for sw in shape.switches
+    )
+    return TorusTrainTrack(branches, switches)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_tracks())
+def test_generated_tracks_roundtrip_bit_exact(track):
+    text = json.dumps(track_to_json(track), indent=2)
+    again = track_from_json(json.loads(text))
+    assert again == track
+    assert json.dumps(track_to_json(again), indent=2) == text
 
 
 def test_weight_cone_rays_are_feasible_and_extreme():
