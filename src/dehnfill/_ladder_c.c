@@ -18,12 +18,25 @@
  *       dehnfill._ladder_py.scan_ladder whole.
  *
  * A scan_ladder call of `cases` ladders runs on min(CPUs, cases / 16)
- * threads, where CPUs counts the CPUs in the process's affinity mask, less
- * the worker threads still alive (at most MAX_THREADS): the calling thread
- * and detached POSIX threads that touch no Python object, each started on a
- * CPU of its own (see start_workers).  The threads take blocks in turn from a
- * shared counter, each with its own generators, buffers and counts; the
- * calling thread keeps the GIL, runs the signal handlers, and merges the
+ * threads, where CPUs counts the CPUs in the calling thread's affinity mask,
+ * less the pool threads still inside a job (at most MAX_THREADS): the calling
+ * thread and the idle threads of a process-wide pool, which touch no Python
+ * object.  The pool holds at most CPUs - 1 detached POSIX threads, each
+ * started the first time a call needs it and bound to a CPU of its own (see
+ * slot_start).  A call hands each thread it takes the job through one atomic
+ * pointer.  After a job, a pool thread waits on the CPU, with the pause
+ * instruction, for SPIN_NS (1 ms), as the next call of a loop usually comes
+ * within microseconds, then sleeps on a condition variable until a call
+ * wakes it.  A pool thread keeps its eight generators, its buffers and its
+ * list of deferred ladders from call to call; it frees any of these above
+ * KEEP_BYTES (256 KiB) at the end of a job, as a ladder at the size cap needs
+ * about 190 MB a thread.  A call takes only the idle threads, down to the
+ * calling thread alone: some may still be busy after an interrupted call, or
+ * when a call starts in a signal handler or in fold_in during another.  A
+ * forked child has none of its parent's pool threads, so a pthread_atfork
+ * handler starts it on a pool of its own.  The threads take blocks in turn
+ * from a shared counter, each with its own generators, buffers and counts;
+ * the calling thread keeps the GIL, runs the signal handlers, and merges the
  * counts once every block is done.  Each thread keeps the lowest index of the
  * violating ladders it counted, and leaves out of its counts, by index, every
  * ladder that the DP cannot count or whose counts leave 64 bits; the calling
@@ -547,7 +560,8 @@ mt_key(long long v, uint32_t words[2], size_t *len)
 
 typedef struct Job Job;
 
-/* What each thread of a call owns. */
+/* What each thread of a call owns: its generators and buffers, which a pool
+ * thread keeps from call to call, and its counts of the call. */
 typedef struct {
     Job *job;
     MT g[LANES];
@@ -561,8 +575,8 @@ typedef struct {
 } Worker;
 
 /* One scan_ladder call, shared by its threads.  It is freed by the last
- * thread to let it go, so the calling thread need not wait for a worker
- * thread that has not started by the time every block is taken. */
+ * thread to let it go, so the calling thread need not wait for a pool thread
+ * that the host has not run by the time every block is taken. */
 struct Job {
     long long first; /* the first seed; every seed of the call fits */
     Py_ssize_t cases, n_blocks;
@@ -572,8 +586,7 @@ struct Job {
     atomic_int stop;         /* set when a thread fails */
     atomic_int busy;         /* threads that may be inside a block */
     atomic_int refs;         /* threads that still use the job */
-    int n_threads;
-    Worker w[]; /* w[0] is the calling thread's */
+    Worker caller;           /* the calling thread's */
 };
 
 /* Seed g[0..n-1] for the seeds of the call at indices base, ..., base + n - 1.
@@ -807,36 +820,255 @@ run_blocks(Worker *w)
 static void
 job_release(Job *job)
 {
-    if (atomic_fetch_sub(&job->refs, 1) > 1) {
-        return;
+    if (atomic_fetch_sub(&job->refs, 1) == 1) {
+        free(job);
     }
-    for (int k = 0; k < job->n_threads; k++) {
-        free(job->w[k].deferred);
-        scratch_free(&job->w[k].sc);
-    }
-    free(job);
 }
 
-/* Worker threads alive in the process.  A call starts no more of them than
- * the CPUs allow beside those still alive, so threads that the host has not
- * yet run do not pile up over calls. */
-static atomic_int live_workers;
-
-static void *
-worker_main(void *arg)
+/* Ready `w` for `job`: a new tally and no deferred ladder.  Its generators and
+ * buffers stay as they are. */
+static void
+worker_join(Worker *w, Job *job, int caller)
 {
-    Worker *w = arg;
-    run_blocks(w);
-    job_release(w->job);
-    atomic_fetch_sub(&live_workers, 1);
+    w->job = job;
+    w->sc.stop = &job->stop;
+    w->sc.caller = caller;
+    w->tally = (Tally){0, 0, 0, 0, job->cases};
+    w->n_deferred = 0;
+}
+
+/* ------------------------------------------------------------------------
+ * The pool: at most (usable CPUs - 1) threads, each started the first time a
+ * call needs it, which keep their Worker from call to call.
+ * ------------------------------------------------------------------------ */
+
+/* The most bytes a buffer of a pool thread keeps between calls.  The ladders
+ * of the size cap need about 190 MB a thread, so larger buffers are freed at
+ * the end of each job. */
+#define KEEP_BYTES ((size_t)1 << 18)
+
+/* How long a pool thread waits for its next job on the CPU before it
+ * sleeps. */
+#define SPIN_NS 1000000LL
+
+/* `buf`, or NULL, with `buf` freed and `*cap` zero, when it holds more than
+ * KEEP_BYTES. */
+static void *
+shrink(void *buf, size_t *cap, size_t size)
+{
+    if (*cap * size <= KEEP_BYTES) {
+        return buf;
+    }
+    free(buf);
+    *cap = 0;
     return NULL;
 }
 
-/* A forked child has only the thread that forked. */
 static void
-forget_workers(void)
+scratch_shrink(Scratch *sc)
 {
-    atomic_store(&live_workers, 0);
+    sc->ints = shrink(sc->ints, &sc->n_ints, sizeof(int));
+    sc->frames = shrink(sc->frames, &sc->n_frames, sizeof(Frame));
+    sc->marks = shrink(sc->marks, &sc->n_marks, 1);
+    sc->dp = shrink(sc->dp, &sc->n_dp, sizeof(Suffix));
+}
+
+/* A pool thread and the Worker it keeps. */
+typedef struct {
+    Worker w;
+    _Atomic(Job *) job; /* the job handed to the thread; NULL once it is done */
+    /* 2 from a claim, one for the call and one for the thread, each let go
+     * when done with w; 0 when the slot is idle. */
+    atomic_int holders;
+    atomic_int parked; /* 1 while the thread may sleep on `wake` */
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+} Slot;
+
+/* The slots started, each allocated when its thread starts. */
+static Slot *pool[MAX_THREADS - 1];
+static int pool_size;
+static pthread_mutex_t pool_lock = PTHREAD_MUTEX_INITIALIZER;
+
+/* Pool threads inside a job. */
+static atomic_int busy_workers;
+
+static inline void
+cpu_relax(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+}
+
+static long long
+now_ns(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return t.tv_sec * 1000000000LL + t.tv_nsec;
+}
+
+/* The next job of `s`: a thread spins for SPIN_NS, since the next call of a
+ * loop usually comes within microseconds, then sleeps until hand_over wakes
+ * it. */
+static Job *
+await_job(Slot *s)
+{
+    Job *job;
+    long long start = now_ns();
+    for (unsigned int spins = 1; (job = atomic_load(&s->job)) == NULL; spins++) {
+        cpu_relax();
+        if (spins % 64 == 0 && now_ns() - start >= SPIN_NS) {
+            break;
+        }
+    }
+    if (job != NULL) {
+        return job;
+    }
+    pthread_mutex_lock(&s->lock);
+    atomic_store(&s->parked, 1);
+    while ((job = atomic_load(&s->job)) == NULL) {
+        pthread_cond_wait(&s->wake, &s->lock);
+    }
+    atomic_store(&s->parked, 0);
+    pthread_mutex_unlock(&s->lock);
+    return job;
+}
+
+static void *
+slot_main(void *arg)
+{
+    Slot *s = arg;
+    for (;;) {
+        Job *job = await_job(s);
+        run_blocks(&s->w);
+        job_release(job);
+        scratch_shrink(&s->w.sc);
+        atomic_store(&s->job, NULL);
+        atomic_fetch_sub(&busy_workers, 1);
+        atomic_fetch_sub(&s->holders, 1);
+    }
+    return NULL;
+}
+
+/* Hand `job` to the claimed slot `s`.  The store of s->job and the load of
+ * s->parked here, and the store of s->parked and the load of s->job in
+ * await_job, are sequentially consistent, so either the thread sees the job
+ * or this sees the thread parked and wakes it. */
+static void
+hand_over(Slot *s, Job *job)
+{
+    worker_join(&s->w, job, 0);
+    atomic_fetch_add(&job->refs, 1);
+    atomic_fetch_add(&busy_workers, 1);
+    atomic_store(&s->job, job);
+    if (atomic_load(&s->parked)) {
+        pthread_mutex_lock(&s->lock);
+        pthread_cond_signal(&s->wake);
+        pthread_mutex_unlock(&s->lock);
+    }
+}
+
+/* Let go of a slot once the call has read its counts. */
+static void
+slot_release(Slot *s)
+{
+    s->w.deferred = shrink(s->w.deferred, &s->w.deferred_cap, sizeof(Py_ssize_t));
+    atomic_fetch_sub(&s->holders, 1);
+}
+
+/* A new slot, whose thread waits for its first job, or NULL.  The thread
+ * starts with the asynchronous signals blocked, so that those go to threads
+ * that run Python; a fault in it still reaches its handler.  With glibc, the
+ * thread of slot `index` is bound to the index-th CPU of the mask other than
+ * the calling thread's: a new thread starts on its creator's CPU, and on a
+ * 2-vCPU VM the scheduler often left it there for the whole of a 50 ms
+ * call. */
+static Slot *
+slot_start(int index)
+{
+    Slot *s = calloc(1, sizeof(Slot));
+    if (s == NULL) {
+        return NULL;
+    }
+    pthread_mutex_init(&s->lock, NULL);
+    pthread_cond_init(&s->wake, NULL);
+    pthread_attr_t attr;
+    pthread_attr_init(&attr);
+#ifdef __GLIBC__
+    cpu_set_t mask;
+    int here = sched_getcpu();
+    if (here >= 0 && sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+        for (int cpu = 0; cpu < CPU_SETSIZE; cpu++) {
+            if (cpu != here && CPU_ISSET(cpu, &mask) && index-- == 0) {
+                cpu_set_t one;
+                CPU_ZERO(&one);
+                CPU_SET(cpu, &one);
+                pthread_attr_setaffinity_np(&attr, sizeof(one), &one);
+                break;
+            }
+        }
+    }
+#endif
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    sigset_t async, old;
+    sigfillset(&async);
+    sigdelset(&async, SIGSEGV);
+    sigdelset(&async, SIGBUS);
+    sigdelset(&async, SIGFPE);
+    sigdelset(&async, SIGILL);
+    pthread_sigmask(SIG_BLOCK, &async, &old);
+    pthread_t thread;
+    int failed = pthread_create(&thread, &attr, slot_main, s);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    pthread_attr_destroy(&attr);
+    if (failed) {
+        pthread_cond_destroy(&s->wake);
+        pthread_mutex_destroy(&s->lock);
+        free(s);
+        return NULL;
+    }
+    return s;
+}
+
+/* Claim up to `want` idle slots into team[], starting threads while the pool
+ * has fewer than `cap`.  Returns the count claimed: fewer where slots are
+ * busy, as after an interrupted call or in a call made from fold_in or a
+ * signal handler during another, or where a thread cannot start.  The blocks
+ * are shared out as the threads come, so the call is the same with fewer. */
+static int
+claim_slots(Slot **team, long want, long cap)
+{
+    int got = 0;
+    pthread_mutex_lock(&pool_lock);
+    for (int i = 0; got < want && i < cap && i < MAX_THREADS - 1; i++) {
+        if (i == pool_size) {
+            if ((pool[i] = slot_start(i)) == NULL) {
+                break;
+            }
+            pool_size++;
+        }
+        int idle = 0;
+        if (atomic_compare_exchange_strong(&pool[i]->holders, &idle, 2)) {
+            team[got++] = pool[i];
+        }
+    }
+    pthread_mutex_unlock(&pool_lock);
+    return got;
+}
+
+/* A forked child has only the thread that forked, so it starts a pool of its
+ * own.  The old slots are not freed, as a call in progress on the forking
+ * thread may still let go of them. */
+static void
+forget_pool(void)
+{
+    pool_size = 0;
+    atomic_store(&busy_workers, 0);
+    pthread_mutex_init(&pool_lock, NULL);
 }
 
 /* The CPUs that this process may run on. */
@@ -852,73 +1084,17 @@ usable_cpus(void)
     return sysconf(_SC_NPROCESSORS_ONLN);
 }
 
-/* The threads for a call of `cases` ladders: one per 16, so that each has at
- * least two blocks to take, up to the usable CPUs less the worker threads
- * still alive, and at least the calling thread. */
+/* The threads for a call of `cases` ladders on `cpus` CPUs: one per 16, so
+ * that each has at least two blocks to take, up to the CPUs less the pool
+ * threads still inside a job, and at least the calling thread. */
 static int
-thread_count(Py_ssize_t cases)
+thread_count(Py_ssize_t cases, long cpus)
 {
-    if (cases < 4 * LANES) {
-        return 1;
-    }
-    long n = usable_cpus() - atomic_load(&live_workers);
+    long n = cpus - atomic_load(&busy_workers);
     if (n > cases / (2 * LANES)) {
         n = cases / (2 * LANES);
     }
     return n < 1 ? 1 : n > MAX_THREADS ? MAX_THREADS : (int)n;
-}
-
-/* Start detached worker threads for w[1], ..., w[n - 1], with the
- * asynchronous signals blocked, so that those go to threads that run Python;
- * a fault in a worker still reaches its handler.  Stops at the first thread
- * that the system refuses; the blocks are shared out as the threads come, so
- * the call is the same with fewer.  With glibc, each worker is bound to its
- * own CPU of the mask other than the calling thread's: a new thread starts on
- * its creator's CPU, and on a 2-vCPU VM the scheduler often left it there for
- * the whole of a 50 ms call. */
-static void
-start_workers(Job *job, int n)
-{
-    sigset_t async, old;
-    sigfillset(&async);
-    sigdelset(&async, SIGSEGV);
-    sigdelset(&async, SIGBUS);
-    sigdelset(&async, SIGFPE);
-    sigdelset(&async, SIGILL);
-    pthread_sigmask(SIG_BLOCK, &async, &old);
-#ifdef __GLIBC__
-    cpu_set_t mask, one;
-    int cpu = -1, here = sched_getcpu();
-    int place = here >= 0 && sched_getaffinity(0, sizeof(mask), &mask) == 0;
-#endif
-    for (int k = 1; k < n; k++) {
-        pthread_t thread;
-        pthread_attr_t attr;
-        pthread_attr_init(&attr);
-#ifdef __GLIBC__
-        if (place) {
-            do {
-                cpu++;
-            } while (cpu < CPU_SETSIZE && (cpu == here || !CPU_ISSET(cpu, &mask)));
-            if (cpu < CPU_SETSIZE) {
-                CPU_ZERO(&one);
-                CPU_SET(cpu, &one);
-                pthread_attr_setaffinity_np(&attr, sizeof(one), &one);
-            }
-        }
-#endif
-        atomic_fetch_add(&job->refs, 1);
-        atomic_fetch_add(&live_workers, 1);
-        int failed = pthread_create(&thread, &attr, worker_main, &job->w[k]);
-        pthread_attr_destroy(&attr);
-        if (failed) {
-            atomic_fetch_sub(&job->refs, 1);
-            atomic_fetch_sub(&live_workers, 1);
-            break;
-        }
-        pthread_detach(thread);
-    }
-    pthread_sigmask(SIG_SETMASK, &old, NULL);
 }
 
 /* On the calling thread, once every block is taken or the call has stopped:
@@ -931,7 +1107,7 @@ await_blocks(Job *job)
     struct timespec nap = {0, 1000000};
     for (unsigned int spins = 0; atomic_load(&job->busy) > 0; spins++) {
         if (!atomic_load(&job->stop)) {
-            stopping(&job->w[0].sc);
+            stopping(&job->caller.sc);
         }
         if (spins >= 1U << 16) {
             nanosleep(&nap, NULL);
@@ -956,30 +1132,36 @@ merge(Tally *into, const Tally *from)
     }
 }
 
-/* `result`, the result of the ladders that the threads of `job` counted, with
- * those they deferred folded in by dehnfill._ladder_py.fold_in, which scans
- * them on the calling thread, counts in Python ints and keeps the lowest
- * violating seed.  Steals `result`; returns the whole result, or NULL with an
- * exception set. */
-static PyObject *
-fold_deferred(const Job *job, PyObject *result)
+/* Append to `seeds` the seeds of the ladders that `w` deferred.  Returns 0, or
+ * -1 with an exception set. */
+static int
+add_deferred(PyObject *seeds, const Worker *w)
 {
-    PyObject *seeds = PyList_New(0), *func = NULL, *folded = NULL;
-    for (int k = 0; seeds != NULL && k < job->n_threads; k++) {
-        for (size_t i = 0; seeds != NULL && i < job->w[k].n_deferred; i++) {
-            PyObject *seed = PyLong_FromLongLong(job->first + job->w[k].deferred[i]);
-            if (seed == NULL || PyList_Append(seeds, seed) < 0) {
-                Py_CLEAR(seeds);
-            }
-            Py_XDECREF(seed);
+    for (size_t i = 0; i < w->n_deferred; i++) {
+        PyObject *seed = PyLong_FromLongLong(w->job->first + w->deferred[i]);
+        int failed = seed == NULL || PyList_Append(seeds, seed) < 0;
+        Py_XDECREF(seed);
+        if (failed) {
+            return -1;
         }
     }
-    if (seeds != NULL && (func = python_kernel("fold_in")) != NULL) {
+    return 0;
+}
+
+/* `result`, the result of the ladders that the threads of `job` counted, with
+ * those of `seeds`, which they deferred, folded in by
+ * dehnfill._ladder_py.fold_in, which scans them on the calling thread, counts
+ * in Python ints and keeps the lowest violating seed.  Steals `result`;
+ * returns the whole result, or NULL with an exception set. */
+static PyObject *
+fold_deferred(const Job *job, PyObject *result, PyObject *seeds)
+{
+    PyObject *func = python_kernel("fold_in"), *folded = NULL;
+    if (func != NULL) {
         folded = PyObject_CallFunction(func, "OOiiOl", result, seeds, job->max_levels, job->max_rungs,
                                        job->alternating ? Py_True : Py_False, job->step_bound);
         Py_DECREF(func);
     }
-    Py_XDECREF(seeds);
     Py_DECREF(result);
     return folded;
 }
@@ -1023,8 +1205,7 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         return whole;
     }
-    int n_threads = thread_count(cases);
-    Job *job = calloc(1, sizeof(Job) + (size_t)n_threads * sizeof(Worker));
+    Job *job = calloc(1, sizeof(Job));
     if (job == NULL) {
         return PyErr_NoMemory();
     }
@@ -1036,37 +1217,55 @@ scan_ladder(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     job->alternating = alternating;
     job->step_bound = step_bound;
     atomic_init(&job->refs, 1);
-    job->n_threads = n_threads;
-    for (int k = 0; k < n_threads; k++) {
-        job->w[k].job = job;
-        job->w[k].sc.stop = &job->stop;
-        job->w[k].sc.caller = k == 0;
-        job->w[k].tally.first_bad = cases;
+    worker_join(&job->caller, job, 1);
+    Slot *team[MAX_THREADS - 1];
+    int n_team = 0;
+    if (cases >= 4 * LANES) {
+        long cpus = usable_cpus();
+        n_team = claim_slots(team, thread_count(cases, cpus) - 1, cpus - 1);
     }
-    start_workers(job, n_threads);
-    run_blocks(job->w);
+    for (int k = 0; k < n_team; k++) {
+        hand_over(team[k], job);
+    }
+    run_blocks(&job->caller);
     await_blocks(job);
-    PyObject *result = NULL;
-    Tally *all = &job->w[0].tally;
+    scratch_free(&job->caller.sc);
+    PyObject *result = NULL, *seeds = NULL;
+    Tally *all = &job->caller.tally;
     if (atomic_load(&job->stop)) {
         if (!PyErr_Occurred()) {
             PyErr_NoMemory();
         }
-        goto done;
     }
-    size_t n_deferred = job->w[0].n_deferred;
-    for (int k = 1; k < n_threads; k++) {
-        merge(all, &job->w[k].tally);
-        n_deferred += job->w[k].n_deferred;
+    else {
+        size_t n_deferred = job->caller.n_deferred;
+        for (int k = 0; k < n_team; k++) {
+            merge(all, &team[k]->w.tally);
+            n_deferred += team[k]->w.n_deferred;
+        }
+        /* The C counts no truncated path. */
+        PyObject *first_bad = all->first_bad < cases ? PyLong_FromLongLong(job->first + all->first_bad)
+                                                     : Py_NewRef(Py_None);
+        result = Py_BuildValue("(NLLiiL)", first_bad, all->paths, all->violations, 0, all->max_len, all->max_paths);
+        if (result != NULL && n_deferred > 0) {
+            int failed = (seeds = PyList_New(0)) == NULL || add_deferred(seeds, &job->caller) < 0;
+            for (int k = 0; !failed && k < n_team; k++) {
+                failed = add_deferred(seeds, &team[k]->w) < 0;
+            }
+            if (failed) {
+                Py_CLEAR(result);
+            }
+        }
     }
-    /* The C counts no truncated path. */
-    PyObject *first_bad = all->first_bad < cases ? PyLong_FromLongLong(job->first + all->first_bad)
-                                                 : Py_NewRef(Py_None);
-    result = Py_BuildValue("(NLLiiL)", first_bad, all->paths, all->violations, 0, all->max_len, all->max_paths);
-    if (result != NULL && n_deferred > 0) {
-        result = fold_deferred(job, result);
+    /* The slots are free again before fold_in runs Python, which may scan. */
+    for (int k = 0; k < n_team; k++) {
+        slot_release(team[k]);
     }
-done:
+    free(job->caller.deferred);
+    if (result != NULL && seeds != NULL) {
+        result = fold_deferred(job, result, seeds);
+    }
+    Py_XDECREF(seeds);
     job_release(job);
     return result;
 }
@@ -1086,7 +1285,7 @@ PyMODINIT_FUNC
 PyInit__ladder_c(void)
 {
     mt_init_base();
-    pthread_atfork(NULL, NULL, forget_workers);
+    pthread_atfork(NULL, NULL, forget_pool);
     PyObject *module = PyModule_Create(&module_def);
     if (module != NULL && PyModule_AddStringConstant(module, "BACKEND", "c") < 0) {
         Py_DECREF(module);

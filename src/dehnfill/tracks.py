@@ -703,13 +703,16 @@ def _is_switch(entry):
 
 def _entries(doc, key, is_valid, shape):
     """The list ``doc[key]``, after checking that each entry is an object
-    that passes ``is_valid``; ``shape`` describes a valid entry."""
+    that passes ``is_valid``, with a string ``label`` if any; ``shape``
+    describes a valid entry."""
     entries = doc.get(key)
     if not isinstance(entries, list):
         raise ValueError('"%s": expected a list' % key)
     for k, entry in enumerate(entries):
         if not (isinstance(entry, dict) and is_valid(entry)):
             raise ValueError("%s[%d]: expected an object with %s" % (key, k, shape))
+        if not isinstance(entry.get("label", ""), str):
+            raise ValueError('%s[%d]: "label" must be a string' % (key, k))
     return entries
 
 

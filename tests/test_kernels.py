@@ -245,6 +245,71 @@ def test_a_signal_stops_the_compiled_scan(compiled_kernel, args):
         signal.signal(signal.SIGALRM, previous)
         gc.callbacks[:] = callbacks
     assert time.perf_counter() - start < 5
+    # The pool threads of the interrupted call may still be in a ladder; the
+    # next call takes the idle ones, down to the calling thread alone.
+    args = (0, 200, 8, 6, True, 10**4)
+    assert compiled_kernel.scan_ladder(*args) == _ladder_py.scan_ladder(*args)
+
+
+def run_kernel_script(compiled_kernel, body):
+    """Run ``body`` in a new interpreter, with ``kernel`` the compiled kernel
+    and ``ARGS`` the arguments of a control run split across threads; returns
+    its stdout and the ``_ladder_py`` result of ``ARGS``."""
+    args = (0, 200, 8, 6, False, 10**4)
+    code = (
+        "import importlib.util, os, sys\n"
+        "spec = importlib.util.spec_from_file_location('dehnfill._ladder_c', sys.argv[1])\n"
+        "kernel = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(kernel)\n"
+        "ARGS = %r\n" % (args,)
+    ) + body
+    proc = subprocess.run(
+        [sys.executable, "-c", code, compiled_kernel.__file__],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout, _ladder_py.scan_ladder(*args)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_forked_child_scans_on_threads_of_its_own(compiled_kernel):
+    # The child has none of its parent's pool threads, so it starts its own:
+    # as many as the parent, where the process's threads can be counted.
+    body = (
+        "import warnings\n"
+        "def threads():\n"
+        "    return len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        "print(kernel.scan_ladder(*ARGS), threads(), flush=True)\n"
+        # Python 3.12 and later warn of a fork in a process with threads.
+        "warnings.simplefilter('ignore', DeprecationWarning)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    print(kernel.scan_ladder(*ARGS), threads(), flush=True)\n"
+        "    os._exit(0)\n"
+        "print(os.waitpid(pid, 0)[1])\n"
+    )
+    out, expected = run_kernel_script(compiled_kernel, body)
+    parent, child, status = out.splitlines()
+    assert status == "0" and parent == child
+    assert parent.startswith("%r " % (expected,)), parent
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_scans_follow_the_affinity_mask(compiled_kernel):
+    # Pinned to one CPU, a call runs on the calling thread alone, with the
+    # pool started; widened again, it takes the pool's threads.
+    body = (
+        "mask = os.sched_getaffinity(0)\n"
+        "print(kernel.scan_ladder(*ARGS))\n"
+        "os.sched_setaffinity(0, {min(mask)})\n"
+        "print(kernel.scan_ladder(*ARGS))\n"
+        "os.sched_setaffinity(0, mask)\n"
+        "print(kernel.scan_ladder(*ARGS))\n"
+    )
+    out, expected = run_kernel_script(compiled_kernel, body)
+    assert out == "%r\n" % (expected,) * 3
 
 
 def test_threaded_scan_under_tracemalloc(compiled_kernel):

@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -210,6 +211,31 @@ HAND_OVER_CALLS += [
     (start, 200, 8, 6, False, 10**4)
     for start in (2**63 - 200, 2**63 - 100, -(2**63), -(2**63) - 100)
 ]
+
+
+def test_two_python_threads_share_the_thread_pool(compiled_kernel):
+    # fold_in runs Python in the middle of most of these calls, so the other
+    # thread's calls run then, and each call takes the idle threads of the
+    # compiled kernel's pool.
+    expected = [compiled_kernel.scan_ladder(*args) for args in HAND_OVER_CALLS]
+    results = [[], []]
+
+    def loop(out):
+        for _ in range(5):
+            out.append([compiled_kernel.scan_ladder(*args) for args in HAND_OVER_CALLS])
+
+    threads = [threading.Thread(target=loop, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[expected] * 5] * 2
 
 
 def test_threaded_and_one_cpu_scans_agree(compiled_kernel):
