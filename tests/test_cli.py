@@ -605,17 +605,6 @@ BAD_SWITCH = (
         ([{"class": [1, 0]}, {"class": [1]}], [], "branches[1]: " + BAD_BRANCH),
         ([{"class": ["1", 0]}], [], "branches[0]: " + BAD_BRANCH),
         ([{"label": "x"}], [], "branches[0]: " + BAD_BRANCH),
-        # A label is a string: a list would leave the branch unhashable.
-        (
-            [{"class": [1, 0]}, {"class": [0, 1], "label": [1, {"x": None}]}],
-            [],
-            'branches[1]: "label" must be a string',
-        ),
-        (
-            [],
-            [{"single": [0, 1], "double": [[1, 0], [2, 0]], "label": 7}],
-            'switches[0]: "label" must be a string',
-        ),
         (None, [], '"branches": expected a list'),
         ([], [[0, 1]], "switches[0]: " + BAD_SWITCH),
         ([], [{"single": [0, 1], "double": [[1, 0]]}], "switches[0]: " + BAD_SWITCH),
@@ -628,6 +617,17 @@ BAD_SWITCH = (
                 {"single": [0, 1], "double": [[1, 1], [2, 1]]},
             ],
             "branch end (0, 1) attached to two switches",
+        ),
+        # A label is a string: a list would leave the branch unhashable.
+        (
+            [{"class": [1, 0]}, {"class": [0, 1], "label": [1, {"x": None}]}],
+            [],
+            'branches[1]: "label" must be a string',
+        ),
+        (
+            [],
+            [{"single": [0, 1], "double": [[1, 0], [2, 0]], "label": 7}],
+            'switches[0]: "label" must be a string',
         ),
     ],
 )

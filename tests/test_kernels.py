@@ -312,6 +312,28 @@ def test_scans_follow_the_affinity_mask(compiled_kernel):
     assert out == "%r\n" % (expected,) * 3
 
 
+@pytest.mark.skipif(CPUS < 2, reason="one CPU: every call stays on the calling thread")
+def test_a_parked_pool_thread_takes_part_in_the_next_call(compiled_kernel):
+    # A pool thread sleeps once it has waited 1 ms for a job, so after 50 ms
+    # the next call must wake it: the threads other than the calling one then
+    # take CPU time in the call.  A thread that the host does not run in time
+    # leaves the call to the calling thread, so the best of five calls counts.
+    body = (
+        "import time\n"
+        "kernel.scan_ladder(*ARGS)\n"
+        "shares = []\n"
+        "for _ in range(5):\n"
+        "    time.sleep(0.05)\n"
+        "    others, mine = time.process_time() - time.thread_time(), time.thread_time()\n"
+        "    kernel.scan_ladder(0, 20000, 8, 6, False, 10**4)\n"
+        "    mine = time.thread_time() - mine\n"
+        "    shares.append((time.process_time() - time.thread_time() - others) / mine)\n"
+        "print(max(shares))\n"
+    )
+    out, _ = run_kernel_script(compiled_kernel, body)
+    assert float(out) > 0.2, out
+
+
 def test_threaded_scan_under_tracemalloc(compiled_kernel):
     # tracemalloc's hook on PyMem_RawMalloc takes the GIL, which the calling
     # thread holds for the whole call, so worker threads take their memory
