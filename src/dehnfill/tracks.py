@@ -43,6 +43,8 @@ class Branch(Value):
     __slots__ = ("a", "b", "label")
 
     def __init__(self, a: int, b: int, label: str = ""):
+        if type(a) is not int or type(b) is not int:
+            raise ValueError("a branch class is two ints, not %r" % ((a, b),))
         setfield(self, "a", a)
         setfield(self, "b", b)
         setfield(self, "label", label)
@@ -95,48 +97,46 @@ def _switch_ends(sw: Switch):
 
 def validate_track(track: TorusTrainTrack):
     n = len(track.branches)
-    used = set()
-    attached = [0] * n  # per branch: how many of its ends a switch holds
-    adj = [[] for _ in range(n)]  # per branch: the branches at its switches
-    for sw in track.switches:
+    at = [0] * (2 * n)  # at 2 * branch + end: 1 + the index of its switch, or 0
+    where = []  # the indices into ``at`` of each switch's three ends
+    for s, sw in enumerate(track.switches, 1):
         ends = _switch_ends(sw)
         if len(set(ends)) != 3:
             raise ValueError("switch %r must reference three distinct ends" % (sw.label,))
         for bid, end in ends:
-            if not (isinstance(bid, int) and 0 <= bid < n) or end not in (TAIL, HEAD):
+            # Exact ints: a bool would pass as 0 or 1 and be written as one.
+            if not (type(bid) is int and 0 <= bid < n and type(end) is int and 0 <= end <= 1):
                 raise ValueError("switch %r references a bad end" % (sw.label,))
-            if (bid, end) in used:
-                raise ValueError(
-                    "branch end (%d, %d) attached to two switches" % (bid, end)
-                )
-            used.add((bid, end))
-            attached[bid] += 1
+            i = 2 * bid + end
+            if at[i]:
+                raise ValueError("branch end (%d, %d) attached to two switches" % (bid, end))
+            at[i] = s
+            where.append(i)
         # Orientation coherence: the smooth side flows opposite to the cusped
         # side, so a tail there forces heads on the double side and vice versa.
-        single_out = sw.single[1] == TAIL
-        for bid, end in sw.double:
-            if (end == TAIL) == single_out:
-                raise ValueError("switch %r mixes orientations" % (sw.label,))
-        (x, _), (y, _), (z, _) = ends
-        adj[x] += y, z
-        adj[y] += x, z
-        adj[z] += x, y
-    for bid in range(n):
-        if attached[bid] == 1:
-            raise ValueError(
-                "branch %d has one attached end; branches are loops or fully attached"
-                % bid
-            )
-    # Connectivity over the branch graph (switches join their branches).
-    if n:
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
+        if ends[1][1] == ends[0][1] or ends[2][1] == ends[0][1]:
+            raise ValueError("switch %r mixes orientations" % (sw.label,))
+    if 0 in at:
+        for bid in range(n):
+            if (at[2 * bid] == 0) != (at[2 * bid + 1] == 0):
+                raise ValueError(
+                    "branch %d has one attached end; branches are loops or fully attached" % bid
+                )
+        # A loop branch meets no other branch.
+        if n > 1:
+            raise ValueError("track is disconnected")
+    elif where:
+        # Every branch joins the switches at its two ends, so the branches
+        # are connected when the switches are.
+        seen = [True, True] + [False] * (len(track.switches) - 1)
+        stack = [1]
         while stack:
-            for nxt in adj[stack.pop()]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
+            k = 3 * stack.pop()
+            for i in where[k - 3 : k]:
+                s = at[i ^ 1]
+                if not seen[s]:
+                    seen[s] = True
+                    stack.append(s)
         if not all(seen):
             raise ValueError("track is disconnected")
 
@@ -631,29 +631,43 @@ def build_boundary_track(
 def random_track(seed: int) -> TorusTrainTrack:
     """A random connected oriented trivalent track with small classes.
 
-    It has 0, 2 or 4 switches and so at most 6 branches: a loop branch beside
-    any other branch leaves the track disconnected, and such a draw is made
-    again."""
+    It has 0, 2 or 4 switches and so at most 6 branches.  Only
+    ``getrandbits`` is called, by the rule of ``ladders._draw``, on the words
+    of ``choice([0, 2, 2, 4])``, ``randint(0 if n_joint else 1, 2)``, two
+    ``randint(-2, 2)`` per branch and ``shuffle`` of the tails, then of the
+    heads.  A loop branch beside any other branch leaves the track
+    disconnected, so such a draw is made again before anything is built."""
     import random as _random
+    bits = _random.Random(seed).getrandbits
 
-    rng = _random.Random(seed)
+    def below(n):
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
     for _ in range(200):
-        n_switches = rng.choice([0, 2, 2, 4])
+        n_switches = (0, 2, 2, 4)[below(4)]
         n_joint = 3 * n_switches // 2
         # Loop branches are unconstrained weights, so cap them to keep the
         # brute-force integral enumeration oracle at desk scale.
-        n_loops = rng.randint(0 if n_joint else 1, 2)
+        n_loops = below(3) if n_joint else 1 + below(2)
         n = n_joint + n_loops
-        branches = tuple(
-            Branch(rng.randint(-2, 2), rng.randint(-2, 2), label="b%d" % i)
-            for i in range(n)
-        )
+        classes = [below(5) - 2 for _ in range(2 * n)]
         # Half the switches take their smooth side from a tail, half from a
         # head, so tails and heads balance across the slots.
         tails = [(i, TAIL) for i in range(n_joint)]
         heads = [(i, HEAD) for i in range(n_joint)]
-        rng.shuffle(tails)
-        rng.shuffle(heads)
+        for ends in tails, heads:
+            for i in range(n_joint - 1, 0, -1):
+                j = below(i + 1)
+                ends[i], ends[j] = ends[j], ends[i]
+        if n_loops and n > 1:
+            continue
+        branches = tuple(
+            Branch(classes[2 * i], classes[2 * i + 1], label="b%d" % i) for i in range(n)
+        )
         switches = []
         for k in range(n_switches):
             if k < n_switches // 2:

@@ -6,11 +6,14 @@ import pytest
 from dehnfill.census import (
     CENSUS,
     SYMBOLIC_FAMILIES,
+    census_entries,
     census_entry,
     census_to_json,
     census_verify,
+    entry_to_json,
     rp3_family_rows,
 )
+from dehnfill.cli import main
 from dehnfill.filling import guaranteed_interval
 from dehnfill.monodromy import DegeneracyLocus
 from dehnfill.slopes import parse_slope
@@ -123,6 +126,12 @@ def test_json_roundtrip_bit_exact():
     assert json.dumps(json.loads(text), indent=2) == text
     assert len(doc["entries"]) == 15
     assert doc["symbolic_families"] == list(SYMBOLIC_FAMILIES)
+
+
+def test_census_entries_are_the_rows_census_list_prints(capsys):
+    assert main(["census", "list"]) == 0
+    printed = json.loads(capsys.readouterr().out)["entries"]
+    assert [entry_to_json(e) for e in census_entries()] == printed
 
 
 def test_symbolic_pretzel_family():

@@ -1,15 +1,19 @@
-"""Oracles for ``dehnfill.tracks.build_boundary_track`` and
-``dehnfill.tracks.validate_track``.
+"""Oracles for ``dehnfill.tracks.build_boundary_track``,
+``dehnfill.tracks.validate_track`` and ``dehnfill.tracks.random_track``.
 
 ``fraction_boundary_track`` is the boundary-track builder as it was first
 written, with every foot position a ``Fraction`` and the crossings found by
 ``floor`` of a true division.  ``set_validate_track`` is the track validator
-as it was first written, with the connectivity check on a dict of sets.  The
-library builds the same track on integer foot coordinates and checks
-connectivity on adjacency lists; tests check that each pair gives equal
-tracks, or raises the same ``ValueError``.
+as it was first written, with the ends it has seen in a set of ``(branch,
+end)`` tuples and the connectivity check on a dict of sets.
+``method_random_track`` is the random track as it was first written, drawn
+with ``Random.choice``, ``randint`` and ``shuffle`` and validated whole.  The
+library builds the same track on integer foot coordinates, validates it on
+a flat per-end list, and draws it through ``getrandbits`` alone; tests check
+that each pair gives equal tracks, or raises the same ``ValueError``.
 """
 
+import random
 from math import floor
 
 from dehnfill.monodromy import Coorientation, DegeneracyLocus, classify_coorientation
@@ -173,3 +177,36 @@ def set_validate_track(track: TorusTrainTrack):
                     stack.append(nxt)
         if len(seen) != n:
             raise ValueError("track is disconnected")
+
+
+def method_random_track(seed: int) -> TorusTrainTrack:
+    """``random_track`` through ``Random``'s methods: each draw is built into
+    a ``TorusTrainTrack``, whose validation rejects a disconnected one."""
+    rng = random.Random(seed)
+    for _ in range(200):
+        n_switches = rng.choice([0, 2, 2, 4])
+        n_joint = 3 * n_switches // 2
+        n_loops = rng.randint(0 if n_joint else 1, 2)
+        n = n_joint + n_loops
+        branches = tuple(
+            Branch(rng.randint(-2, 2), rng.randint(-2, 2), label="b%d" % i)
+            for i in range(n)
+        )
+        tails = [(i, TAIL) for i in range(n_joint)]
+        heads = [(i, HEAD) for i in range(n_joint)]
+        rng.shuffle(tails)
+        rng.shuffle(heads)
+        switches = []
+        for k in range(n_switches):
+            if k < n_switches // 2:
+                single = tails.pop()
+                double = (heads.pop(), heads.pop())
+            else:
+                single = heads.pop()
+                double = (tails.pop(), tails.pop())
+            switches.append(Switch(single=single, double=double, label="s%d" % k))
+        try:
+            return TorusTrainTrack(branches, tuple(switches))
+        except ValueError:
+            continue
+    raise RuntimeError("could not sample a valid track")
