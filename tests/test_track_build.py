@@ -18,8 +18,10 @@ from dehnfill.tracks import (
     CONFIG_PRESETS,
     HEAD,
     TAIL,
+    Branch,
     EndpointConfig,
     Switch,
+    TorusTrainTrack,
     _fraction_text,
     build_boundary_track,
     random_track,
@@ -176,6 +178,36 @@ def test_validator_rejects_a_branch_index_that_is_not_an_int(bid):
         ],
     )
     assert validation(validate_track, track) == "ValueError: switch 's0' references a bad end"
+
+
+def two_switch_track(single, double):
+    """Branch 0 runs from switch s0 to s1, and branches 1 and 2 back, when
+    ``single`` is ``(0, TAIL)`` and ``double`` is ``((1, HEAD), (2, HEAD))``."""
+    return TorusTrainTrack(
+        (Branch(0, 1), Branch(1, 0), Branch(-1, 0)),
+        (
+            Switch(single, double, label="s0"),
+            Switch((0, HEAD), ((1, TAIL), (2, TAIL)), label="s1"),
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "single, double",
+    [
+        ((0, False), ((1, HEAD), (2, HEAD))),
+        ((False, TAIL), ((1, HEAD), (2, HEAD))),
+        ((0, TAIL), ((True, HEAD), (2, HEAD))),
+        ((0, TAIL), ((1, True), (2, HEAD))),
+        ((0, TAIL), ((1, HEAD), (2, 1.0))),
+    ],
+)
+def test_switch_ends_are_exact_ints(single, double):
+    # A bool or a float equal to 0 or 1 was taken, and track_to_json wrote a
+    # bool as false or true, which track_from_json rejects.
+    two_switch_track((0, TAIL), ((1, HEAD), (2, HEAD)))
+    with pytest.raises(ValueError, match=re.escape("switch 's0' references a bad end")):
+        two_switch_track(single, double)
 
 
 def test_validator_matches_set_validator_on_valid_tracks():

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -283,6 +284,55 @@ def test_generated_tracks_roundtrip_bit_exact(track):
     again = track_from_json(json.loads(text))
     assert again == track
     assert json.dumps(track_to_json(again), indent=2) == text
+
+
+@st.composite
+def switch_structures(draw):
+    """A random or built track's branches and switches, where each ``0`` or
+    ``1`` among the switch ends may be ``False`` or ``True``, which equal
+    them."""
+    if draw(st.booleans()):
+        shape = random_track(draw(st.integers()))
+    else:
+        p = draw(st.sampled_from([2, 4]))
+        c = draw(st.sampled_from([1, 2]))
+        preset = draw(st.sampled_from(sorted(CONFIG_PRESETS)))
+        shape = build_boundary_track(DegeneracyLocus(p, 1), c, CONFIG_PRESETS[preset])
+    flip = st.booleans() if draw(st.booleans()) else st.just(False)
+
+    def end(e):
+        return tuple(bool(x) if x in (0, 1) and draw(flip) else x for x in e)
+
+    switches = tuple(
+        Switch(end(sw.single), (end(sw.double[0]), end(sw.double[1])), sw.label)
+        for sw in shape.switches
+    )
+    return shape.branches, switches
+
+
+@settings(max_examples=200, deadline=None)
+@given(switch_structures())
+def test_every_track_that_validates_round_trips(structure):
+    try:
+        track = TorusTrainTrack(*structure)
+    except ValueError as exc:
+        assert "references a bad end" in str(exc)
+        return
+    text = json.dumps(track_to_json(track), indent=2)
+    again = track_from_json(json.loads(text))
+    assert again == track
+    assert json.dumps(track_to_json(again), indent=2) == text
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [(0.5, 0), (0, 1.0), (Fraction(1), 0), ("1", 0), (0, "2"), (True, 0), (0, False), (None, 1)],
+)
+def test_branch_class_is_two_exact_ints(cls):
+    # A float class reached track_to_json, and carried_slopes raised
+    # AttributeError on it; a bool was written as true.
+    with pytest.raises(ValueError, match=re.escape(repr(cls))):
+        Branch(*cls)
 
 
 def test_weight_cone_rays_are_feasible_and_extreme():
