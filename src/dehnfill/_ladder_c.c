@@ -461,70 +461,66 @@ mt_init_base(void)
 #define ALWAYS_INLINE
 #endif
 
-/* init_by_array on the keys of `lanes` generators, each key_len words long,
- * in lock-step.  Each step waits on the one before in its own chain, about
- * 1,250 steps per seeding; the chains overlap.  `lanes` is a constant at each
- * call (see mt_seed), so the compiler keeps the chains' last words in
- * registers. */
+/* init_by_array on the two-word keys of `lanes` generators, in lock-step.
+ * Each step waits on the one before in its own chain, about 1,250 steps per
+ * seeding; the chains overlap.  `lanes` is a constant at each call (see
+ * mt_seed), so the compiler keeps the chains' last words in registers. */
 static inline ALWAYS_INLINE void
-mt_seed_lanes(MT *const *g, const uint32_t *const *key, size_t key_len, int lanes)
+mt_seed_lanes(MT *g, uint32_t (*key)[2], int lanes)
 {
     uint32_t prev[LANES];
     for (int l = 0; l < lanes; l++) {
-        memcpy(g[l]->mt, mt_base, sizeof(mt_base));
+        memcpy(g[l].mt, mt_base, sizeof(mt_base));
         prev[l] = mt_base[0];
     }
     size_t i = 1, j = 0;
-    for (size_t k = MT_N > key_len ? MT_N : key_len; k; k--) {
+    for (size_t k = MT_N; k; k--) {
         for (int l = 0; l < lanes; l++) {
             uint32_t p = prev[l];
-            prev[l] = g[l]->mt[i] = (g[l]->mt[i] ^ ((p ^ (p >> 30)) * 1664525U)) + key[l][j] + (uint32_t)j;
+            prev[l] = g[l].mt[i] = (g[l].mt[i] ^ ((p ^ (p >> 30)) * 1664525U)) + key[l][j] + (uint32_t)j;
         }
         i++;
-        j++;
+        j ^= 1;
         if (i >= MT_N) {
             for (int l = 0; l < lanes; l++) {
-                g[l]->mt[0] = prev[l];
+                g[l].mt[0] = prev[l];
             }
             i = 1;
-        }
-        if (j >= key_len) {
-            j = 0;
         }
     }
     for (size_t k = MT_N - 1; k; k--) {
         for (int l = 0; l < lanes; l++) {
             uint32_t p = prev[l];
-            prev[l] = g[l]->mt[i] = (g[l]->mt[i] ^ ((p ^ (p >> 30)) * 1566083941U)) - (uint32_t)i;
+            prev[l] = g[l].mt[i] = (g[l].mt[i] ^ ((p ^ (p >> 30)) * 1566083941U)) - (uint32_t)i;
         }
         i++;
         if (i >= MT_N) {
             for (int l = 0; l < lanes; l++) {
-                g[l]->mt[0] = prev[l];
+                g[l].mt[0] = prev[l];
             }
             i = 1;
         }
     }
     for (int l = 0; l < lanes; l++) {
-        g[l]->mt[0] = 0x80000000U;
-        g[l]->pos = 0;
+        g[l].mt[0] = 0x80000000U;
+        g[l].pos = 0;
     }
 }
 
 /* Seed the `lanes` generators g[0..lanes-1] (1 <= lanes <= LANES) from their
- * keys, all key_len words long, seeding only those. */
+ * keys, seeding only those. */
 static void
-mt_seed(MT *const *g, const uint32_t *const *key, size_t key_len, int lanes)
+mt_seed(MT *g, uint32_t (*key)[2], int lanes)
 {
     switch (lanes) {
-    case 1: mt_seed_lanes(g, key, key_len, 1); break;
-    case 2: mt_seed_lanes(g, key, key_len, 2); break;
-    case 3: mt_seed_lanes(g, key, key_len, 3); break;
-    case 4: mt_seed_lanes(g, key, key_len, 4); break;
-    case 5: mt_seed_lanes(g, key, key_len, 5); break;
-    case 6: mt_seed_lanes(g, key, key_len, 6); break;
-    case 7: mt_seed_lanes(g, key, key_len, 7); break;
-    default: mt_seed_lanes(g, key, key_len, LANES);
+    case 1: mt_seed_lanes(g, key, 1); break;
+    case 2: mt_seed_lanes(g, key, 2); break;
+    case 3: mt_seed_lanes(g, key, 3); break;
+    case 4: mt_seed_lanes(g, key, 4); break;
+    case 5: mt_seed_lanes(g, key, 5); break;
+    case 6: mt_seed_lanes(g, key, 6); break;
+    case 7: mt_seed_lanes(g, key, 7); break;
+    default: mt_seed_lanes(g, key, LANES);
     }
 }
 
@@ -546,16 +542,18 @@ mt_next(MT *g)
     return y;
 }
 
-/* The init_by_array key of the seed `v`: the 32-bit little-endian words of
- * abs(v), [0] for 0, written to `words`, and their count in `*len`. */
-static const uint32_t *
-mt_key(long long v, uint32_t words[2], size_t *len)
+/* A two-word init_by_array key of the seed `v` that seeds the same state as
+ * CPython's key, the 32-bit little-endian words of abs(v), [0] for 0.  Below
+ * 2^32 CPython's key is the one word w = abs(v); the key (w, w - 1 mod 2^32)
+ * seeds the same state, because step j of init_by_array adds key[j] + j, which
+ * is w at every step for both keys, and both keys run max(624, key length) =
+ * 624 steps. */
+static void
+mt_key(long long v, uint32_t words[2])
 {
     unsigned long long u = v < 0 ? 0ULL - (unsigned long long)v : (unsigned long long)v;
     words[0] = (uint32_t)u;
-    words[1] = (uint32_t)(u >> 32);
-    *len = words[1] ? 2 : 1;
-    return words;
+    words[1] = u >> 32 ? (uint32_t)(u >> 32) : words[0] - 1U;
 }
 
 typedef struct Job Job;
@@ -589,34 +587,16 @@ struct Job {
     Worker caller;           /* the calling thread's */
 };
 
-/* Seed g[0..n-1] for the seeds of the call at indices base, ..., base + n - 1.
- * Lanes whose keys have the same length are seeded together. */
+/* Seed g[0..n-1] for the seeds of the call at indices base, ..., base + n - 1,
+ * in lock-step: every key has two words (mt_key). */
 static void
 seed_block(MT *g, const Job *job, Py_ssize_t base, int n)
 {
-    uint32_t words[LANES][2];
-    const uint32_t *key[LANES];
-    size_t len[LANES];
+    uint32_t key[LANES][2];
     for (int l = 0; l < n; l++) {
-        key[l] = mt_key(job->first + base + l, words[l], &len[l]);
+        mt_key(job->first + base + l, key[l]);
     }
-    unsigned int seeded = 0; /* a bit per lane */
-    for (int l = 0; l < n; l++) {
-        if (seeded >> l & 1) {
-            continue;
-        }
-        MT *group[LANES];
-        const uint32_t *group_key[LANES];
-        int m = 0;
-        for (int o = l; o < n; o++) {
-            if (!(seeded >> o & 1) && len[o] == len[l]) {
-                group[m] = &g[o];
-                group_key[m++] = key[o];
-                seeded |= 1U << o;
-            }
-        }
-        mt_seed(group, group_key, len[l], m);
-    }
+    mt_seed(g, key, n);
 }
 
 /* A draw below n as Random._randbelow makes it: the top n.bit_length() bits

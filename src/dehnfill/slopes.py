@@ -109,20 +109,6 @@ class SlopeInterval(Value):
         setfield(self, "closed_a", closed_a)
         setfield(self, "closed_b", closed_b)
 
-    def __eq__(self, other):
-        if other.__class__ is SlopeInterval:
-            return (
-                self.end_a == other.end_a
-                and self.end_b == other.end_b
-                and self.excluded == other.excluded
-                and self.closed_a == other.closed_a
-                and self.closed_b == other.closed_b
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.end_a, self.end_b, self.excluded, self.closed_a, self.closed_b))
-
     def _side(self, s: ProjectiveSlope) -> int:
         # Sign of the quadratic form vanishing exactly at the endpoints; the
         # two complementary arcs carry opposite signs.
@@ -206,8 +192,8 @@ def parse_slope(text: str):
     num, den = int(m[1]), int(m[3] or 1)
     if num == 0 and den == 0:
         raise SlopeParseError(text, 0, "0/0 is not a slope")
-    normalized = gcd(abs(num), abs(den)) != 1 or den < 0 or (den == 0 and num != 1)
-    return ProjectiveSlope.of(num, den), normalized
+    slope = ProjectiveSlope.of(num, den)
+    return slope, (slope.num, slope.den) != (num, den)
 
 
 def _exact(value, where):

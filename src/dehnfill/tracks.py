@@ -49,14 +49,6 @@ class Branch(Value):
         setfield(self, "b", b)
         setfield(self, "label", label)
 
-    def __eq__(self, other):
-        if other.__class__ is Branch:
-            return self.a == other.a and self.b == other.b and self.label == other.label
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.label))
-
 
 class Switch(Value):
     """A trivalent switch: one branch-end on the smooth side, two on the
@@ -69,18 +61,6 @@ class Switch(Value):
         setfield(self, "double", double)
         setfield(self, "label", label)
 
-    def __eq__(self, other):
-        if other.__class__ is Switch:
-            return (
-                self.single == other.single
-                and self.double == other.double
-                and self.label == other.label
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.single, self.double, self.label))
-
 
 class TorusTrainTrack(Value):
     __slots__ = ("branches", "switches")
@@ -91,17 +71,21 @@ class TorusTrainTrack(Value):
         validate_track(self)
 
 
-def _switch_ends(sw: Switch):
-    return (sw.single, sw.double[0], sw.double[1])
-
-
 def validate_track(track: TorusTrainTrack):
     n = len(track.branches)
     at = [0] * (2 * n)  # at 2 * branch + end: 1 + the index of its switch, or 0
     where = []  # the indices into ``at`` of each switch's three ends
     for s, sw in enumerate(track.switches, 1):
-        ends = _switch_ends(sw)
-        if len(set(ends)) != 3:
+        ends = (sw.single, *sw.double) if type(sw.double) is tuple else ()
+        if len(ends) != 3:
+            raise ValueError("switch %r references a bad end" % (sw.label,))
+        e0, e1, e2 = ends
+        # Pairs, checked first: the loop unpacks pairs, and a third end of
+        # ``double`` would go unread.  == compares ends whose contents set()
+        # could not hash; the loop then rejects those contents.
+        if not (type(e0) is type(e1) is type(e2) is tuple and len(e0) == len(e1) == len(e2) == 2):
+            raise ValueError("switch %r references a bad end" % (sw.label,))
+        if e0 == e1 or e0 == e2 or e1 == e2:
             raise ValueError("switch %r must reference three distinct ends" % (sw.label,))
         for bid, end in ends:
             # Exact ints: a bool would pass as 0 or 1 and be written as one.
@@ -114,7 +98,7 @@ def validate_track(track: TorusTrainTrack):
             where.append(i)
         # Orientation coherence: the smooth side flows opposite to the cusped
         # side, so a tail there forces heads on the double side and vice versa.
-        if ends[1][1] == ends[0][1] or ends[2][1] == ends[0][1]:
+        if e1[1] == e0[1] or e2[1] == e0[1]:
             raise ValueError("switch %r mixes orientations" % (sw.label,))
     if 0 in at:
         for bid in range(n):
@@ -681,7 +665,7 @@ def random_track(seed: int) -> TorusTrainTrack:
             return TorusTrainTrack(branches, tuple(switches))
         except ValueError:
             continue
-    raise RuntimeError("could not sample a valid track")  # pragma: no cover
+    raise RuntimeError("could not sample a valid track")
 
 
 def track_to_json(track: TorusTrainTrack):

@@ -27,7 +27,6 @@ from dehnfill.tracks import (
     CarriedSlopes,
     _cycle_sums,
     _reach,
-    _switch_ends,
     _switch_equations,
 )
 
@@ -52,7 +51,7 @@ def unreduced_cycle_masks(track):
     n = len(track.branches)
     at = {}
     for i, sw in enumerate(track.switches):
-        for end in _switch_ends(sw):
+        for end in (sw.single, *sw.double):
             at[end] = i
     masks = []
     succ = [[] for _ in track.switches]  # per vertex: (head vertex, bit)

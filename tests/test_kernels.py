@@ -22,6 +22,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from kernel_build import built_kernels, run_setup
 from test_ladder_draw import SEEDS, SIZES
 
@@ -72,10 +74,24 @@ def test_seeded_scans_agree(compiled_kernel, sizes, alternating):
             assert got == (first, *counts, counts[0]), seed
 
 
-# The edges of the compiled kernel's int conversion: one and two key words,
-# the long long range and past it.
+# The edges of the compiled kernel's int conversion: seeds of one and two
+# 32-bit words, the long long range and past it.
 EDGE_SEEDS = [0, 1, -1, 2**32 - 1, -(2**32 - 1), 2**32, -(2**32), 2**63 - 1, -(2**63 - 1)]
 EDGE_SEEDS += [-(2**63), 2**63, 2**64 - 1, -(2**64 - 1), 2**64 + 7, -(10**30) - 3]
+
+
+@given(st.integers(2, 2**32 - 1))
+@example(0)
+@example(2)
+@example(2**31)
+@example(2**32 - 1)
+def test_a_two_word_key_seeds_as_the_one_word_key(w):
+    """Below 2**32, Random(w) runs init_by_array on the key [w], and the
+    compiled kernel on (w, w - 1 mod 2**32), the key of a two-word seed.
+    Step j adds key[j] + j, which is w at every step for both keys, and both
+    run 624 steps.  For w = 1 the formula gives 1, a one-word seed, so ±1
+    are left to EDGE_SEEDS, which run through both kernels."""
+    assert random.Random(w).getstate() == random.Random((w - 1) % 2**32 << 32 | w).getstate()
 
 
 @pytest.mark.parametrize("alternating", [True, False])
@@ -92,9 +108,10 @@ def test_seeding_agrees_at_the_edges(compiled_kernel, alternating):
     )
 
 
-# Runs of seeds that cross, inside one block of eight lanes, 0 or a change of
-# key length (one word below 2**32, two below 2**64) or of the C int
-# conversion (2**63).
+# Runs of seeds that cross, inside one block of eight lanes, 0, the seeds
+# where the second word of the key that the C builds turns from
+# w - 1 mod 2**32 into the seed's high word (2**32), and the ends of the C int
+# conversion (2**63) and of two-word seeds (2**64).
 BATCH_STARTS = [-4, 2**32 - 4, -(2**32) - 3, 2**63 - 4, -(2**63) - 3, 2**64 - 4, -(2**64) - 3]
 # No run at all, tails of 1 to 7 lanes, a full block, and one and two blocks
 # with a tail of one.

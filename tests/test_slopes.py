@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dehnfill.slopes import (
@@ -180,3 +180,25 @@ def test_parse_format_roundtrip(num, den):
     s = ProjectiveSlope.of(num, den)
     parsed, normalized = parse_slope(format_slope(s))
     assert parsed == s and not normalized
+
+
+def stated_normalized(num, den):
+    """The reduced-form rule stated apart from ``ProjectiveSlope``: the
+    oracle for the ``normalized`` flag of ``parse_slope``."""
+    return gcd(abs(num), abs(den)) != 1 or den < 0 or (den == 0 and num != 1)
+
+
+@given(st.integers(), st.integers())
+# inf written as a pair, the only den == 0 pairs that are not 0/0 or unreduced.
+@example(1, 0)
+@example(-1, 0)
+def test_normalized_flags_every_pair_not_in_reduced_form(num, den):
+    if num == 0 and den == 0:
+        return
+    assert parse_slope("%d/%d" % (num, den)) == (
+        ProjectiveSlope.of(num, den),
+        stated_normalized(num, den),
+    )
+    assert parse_slope("%d" % num) == (ProjectiveSlope.of(num), stated_normalized(num, 1))
+    for text in ("inf", "-inf", "+inf"):
+        assert parse_slope(text) == (INFINITY, False)

@@ -200,14 +200,34 @@ def two_switch_track(single, double):
         ((0, TAIL), ((True, HEAD), (2, HEAD))),
         ((0, TAIL), ((1, True), (2, HEAD))),
         ((0, TAIL), ((1, HEAD), (2, 1.0))),
+        ([0, 0], ((1, HEAD), (2, HEAD))),
+        ((0, 0, 0), ((1, HEAD), (2, HEAD))),
+        ((0,), ((1, HEAD), (2, HEAD))),
+        (5, ((1, HEAD), (2, HEAD))),
+        (None, ((1, HEAD), (2, HEAD))),
+        ((0, TAIL), ((1, HEAD),)),
+        ((0, TAIL), ((1, HEAD), (2, HEAD), (99, HEAD))),
+        ((0, TAIL), None),
+        ((0, TAIL), [(1, HEAD), (2, HEAD)]),
+        (([0], TAIL), ((1, HEAD), (2, HEAD))),
     ],
 )
 def test_switch_ends_are_exact_ints(single, double):
     # A bool or a float equal to 0 or 1 was taken, and track_to_json wrote a
-    # bool as false or true, which track_from_json rejects.
+    # bool as false or true, which track_from_json rejects.  An end that is
+    # not a pair, or holds a list, raised TypeError, IndexError or an
+    # unpacking error, and the third end of a double of three went unread, so
+    # the track validated and track_to_json wrote a document that
+    # track_from_json rejects.
     two_switch_track((0, TAIL), ((1, HEAD), (2, HEAD)))
     with pytest.raises(ValueError, match=re.escape("switch 's0' references a bad end")):
         two_switch_track(single, double)
+
+
+def test_a_repeated_end_is_reported_before_its_type():
+    # (False, TAIL) == (0, TAIL), and the distinctness check comes first.
+    with pytest.raises(ValueError, match=re.escape("switch 's0' must reference three distinct ends")):
+        two_switch_track((0, TAIL), ((False, TAIL), (2, HEAD)))
 
 
 def test_validator_matches_set_validator_on_valid_tracks():

@@ -4,6 +4,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from track_oracle import method_random_track
@@ -84,3 +85,24 @@ def test_redrawn_draws_build_nothing(monkeypatch):
     # reach TorusTrainTrack.
     assert len(failed_builds(monkeypatch, method_random_track, range(300))) == 544
     assert failed_builds(monkeypatch, random_track, range(300)) == [4] * 6
+
+
+def test_the_draw_gives_up_after_200_draws(monkeypatch):
+    # getrandbits(k) = 1 for k > 1 draws two switches and a loop branch
+    # every time, so every draw is made again: 14 words each, one for the
+    # switch count, one for the loops, eight for the four branch classes and
+    # two for each shuffle.
+    drawn = []
+
+    class Ones:
+        def __init__(self, seed):
+            pass
+
+        def getrandbits(self, k):
+            drawn.append(k)
+            return 1 if k > 1 else 0
+
+    monkeypatch.setattr(random, "Random", Ones)
+    with pytest.raises(RuntimeError, match="^could not sample a valid track$"):
+        random_track(0)
+    assert len(drawn) == 200 * 14

@@ -25,7 +25,6 @@ from dehnfill.tracks import (
     EndpointConfig,
     Switch,
     TorusTrainTrack,
-    _switch_ends,
 )
 
 
@@ -136,7 +135,7 @@ def set_validate_track(track: TorusTrainTrack):
     n = len(track.branches)
     used = set()
     for sw in track.switches:
-        ends = _switch_ends(sw)
+        ends = (sw.single, *sw.double)
         if len(set(ends)) != 3:
             raise ValueError("switch %r must reference three distinct ends" % (sw.label,))
         for bid, end in ends:
@@ -164,7 +163,7 @@ def set_validate_track(track: TorusTrainTrack):
     if n:
         adj = {i: set() for i in range(n)}
         for sw in track.switches:
-            ids = [bid for bid, _ in _switch_ends(sw)]
+            ids = [bid for bid, _ in (sw.single, *sw.double)]
             for x in ids:
                 for y in ids:
                     adj[x].add(y)
