@@ -15,7 +15,7 @@ import sys
 
 from .arcs import refined_matching, system_from_json, system_to_json, validate_system
 from .census import census_entry, census_to_json, census_verify, entry_to_json
-from .filling import _interval_json, guaranteed_interval
+from .filling import _interval_json, _outside_paper_domain, guaranteed_interval
 from .filling import analyze_multislope, merge_reports, report_to_json
 from .ladders import kernel_backend, verify_ladders
 from .monodromy import ORBIT_LENGTH_CAP, BoundaryOrbit, DegeneracyLocus, action_from_json
@@ -145,8 +145,12 @@ def _single_orbit(locus, c):
 
 
 def _cmd_interval(args):
-    interval = guaranteed_interval(_parse_locus(args.locus), args.orbit_length)
-    _emit({"schema": "interval_v1", **_interval_json(interval)}, args)
+    locus = _parse_locus(args.locus)
+    doc = {"schema": "interval_v1"}
+    doc.update(_interval_json(guaranteed_interval(locus, args.orbit_length)))
+    if _outside_paper_domain(locus, args.orbit_length):
+        doc["domain"] = "outside_paper_domain"
+    _emit(doc, args)
     return 0
 
 
@@ -233,7 +237,7 @@ def _carried_doc(track):
 def _cmd_track(args):
     if args.track_cmd == "build":
         locus = _parse_locus(args.locus)
-        if args.orbit_length >= 2 and args.orbit_length % 2 == 0 and locus.q % 2:
+        if args.orbit_length >= 1 and _outside_paper_domain(locus, args.orbit_length):
             raise ValueError(
                 "--orbit-length %d: on a locus with odd q the orbit length is odd; "
                 "an even one lies outside the paper's domain" % args.orbit_length

@@ -77,6 +77,16 @@ def guaranteed_interval(locus: DegeneracyLocus, c: int) -> SlopeInterval:
     )
 
 
+def _outside_paper_domain(locus: DegeneracyLocus, c: int) -> bool:
+    """Whether orbit length ``c >= 1`` is even on a locus with odd ``q``.
+
+    On such a locus the orbit length is odd, so the paper's construction
+    never meets this input.  ``interval_v1`` and ``filling_report_v1`` label
+    it ``outside_paper_domain``, and ``track build`` rejects it.
+    """
+    return c % 2 == 0 and locus.q % 2 == 1
+
+
 def excluded_window(locus: DegeneracyLocus) -> SlopeInterval:
     """The closed arc of slopes within unit shift of the locus.
 
@@ -271,6 +281,8 @@ def report_to_json(report: MultislopeReport):
             "orbit_length": r.orbit.c,
             "locus": _locus_json(locus),
         }
+        if _outside_paper_domain(locus, r.orbit.c):
+            row["domain"] = "outside_paper_domain"
         if r.slope is None:
             row.update(interval=_interval_json(r.interval), slope=None)
         else:

@@ -26,7 +26,6 @@ from dehnfill.tracks import (
     TAIL,
     CarriedSlopes,
     _cycle_sums,
-    _reach,
     _switch_equations,
 )
 
@@ -42,6 +41,18 @@ def cycle_rays(track):
     """``cycle_masks`` as 0/1 weight vectors, in lexicographic order."""
     n = len(track.branches)
     return [tuple((m >> (n - 1 - b)) & 1 for b in range(n)) for m in cycle_masks(track)]
+
+
+def _reach(adj, s):
+    """Vertices ``>= s`` reachable from ``s`` through vertices ``>= s``."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for w, _ in adj[stack.pop()]:
+            if w >= s and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def unreduced_cycle_masks(track):

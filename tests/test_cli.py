@@ -708,6 +708,20 @@ def test_track_build_even_orbit_length_on_odd_q_exits_two(capsys, locus, c):
     )
 
 
+@pytest.mark.parametrize("locus", ["4,1", "8,-3", "4,2", "6,0"])
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_interval_and_analyze_label_even_orbit_length_on_odd_q(capsys, locus, c):
+    odd_q = int(locus.split(",")[1]) % 2
+    label = "outside_paper_domain" if c % 2 == 0 and odd_q else None
+    argv = ("--locus", locus, "--orbit-length", str(c))
+    code, out, _ = run(capsys, "interval", *argv)
+    assert code == 0 and json.loads(out).get("domain") == label
+    for slopes in ((), ("--slope", "1")):
+        code, out, _ = run(capsys, "analyze", *argv, *slopes)
+        (row,) = json.loads(out)["orbits"]
+        assert code == 0 and row.get("domain") == label
+
+
 def test_analyze_orbit_length_cap(capsys):
     # One circle id per unit of length is built and printed, so the cap is
     # checked before anything is built.  `interval` takes constant work at

@@ -9,7 +9,8 @@ and on seeded random tracks of every kind, a 9,000-branch track, a partial
 ``analyze`` report as JSON and as text, ``analyze`` with no slope, on
 preserving-parity data (with a positive and with a negative degeneracy
 slope) and with every slope inside or every slope outside
-the interval, and ``census show``.  A refactor that changes any
+the interval, ``interval`` and ``analyze`` on an even orbit length, and
+``census show``.  A refactor that changes any
 byte of valid output breaks a digest here.
 """
 
@@ -120,6 +121,14 @@ REPORTS = {
         "analyze", "--locus", "6,1", "--orbit-length", "1", "--slope", "4", "--slope", "5"
     ],
     "census-show": ["census", "show", "m003"],
+    # An even orbit length on a locus with odd q lies outside the paper's
+    # domain, and both documents say so; with even q it does not.
+    "interval-even-orbit-length": ["interval", "--locus", "4,1", "--orbit-length", "2"],
+    "analyze-even-orbit-length": [
+        "analyze", "--locus", "4,1", "--orbit-length", "2", "--slope", "0"
+    ],
+    "analyze-even-orbit-length-no-slope": ["analyze", "--locus", "6,-1", "--orbit-length", "4"],
+    "interval-even-q-even-orbit-length": ["interval", "--locus", "4,2", "--orbit-length", "2"],
 }
 
 GOLDEN = {
@@ -153,6 +162,10 @@ GOLDEN = {
     "analyze-all-inside": (0, "616385ab6930b82b4d2219ec81470528b61106d334cc581e01bcc19ed2d83f26"),
     "analyze-all-outside": (0, "739ebe5d2069af9854f210db6cb3d6de73ed12e6eb405f0bbf977221bba4eadc"),
     "census-show": (0, "528eb362af0303ee05ce7d246d601aa624e2d2ddbf771d58f9ebee0c76f04109"),
+    "interval-even-orbit-length": (0, "ddf13c787607319ed1ac55126396325a6d950dac67191683a04b4e18457bd5b2"),
+    "analyze-even-orbit-length": (0, "8440b51a6f767a2e7e44cb8453b557f300b40754b6df2ad37d1170d380a23e27"),
+    "analyze-even-orbit-length-no-slope": (0, "51f1f1c4d5c5dd7c777fb7d44d4853aaf7c53f14bbbebee6fb0f6d0277d225c0"),
+    "interval-even-q-even-orbit-length": (0, "fc69421417ab9eae3db480e38ff2919ba5268f6fd99ac8c98dd8fa81abea52b5"),
     "track-build-odd-config": (0, "da588cc29adfa33a42e89d4dbce84650f5c278188f18ccaf11eb2db5173e20e5"),
     "track-slopes-default-4,1": (0, "349ad61c6e44e01e71858cd157b3f1b0c4dfcef788417589eacec5d43309cecf"),
     "track-slopes-default-6,1": (0, "10ff6fd816b9cf2da0218cd6f672ac8eaad12b2a3aa2a9567d8e339bab6ead70"),

@@ -131,6 +131,36 @@ def test_reduced_search_on_splice_edge_cases(name):
     assert cycle_rays(track) == double_description(track)
 
 
+# A track that reaches Johnson's search with three switches left.  Switches
+# 0 and 1, 2 to 6, and 7 to 9 reduce to switches A, B and C, with A -> B and
+# A -> C, two parallel edges B -> A, and two parallel edges each way between
+# B and C.  Each reduced edge is a chain of branches.
+JOHNSON_TRACK = track_of(
+    (0, 1), (1, 2), (1, 7), (9, 2), (9, 3), (2, 3), (3, 4), (4, 5),
+    (4, 6), (5, 0), (5, 0), (6, 7), (6, 8), (7, 8), (8, 9),
+)
+A_B, A_C = {0, 1, 5, 6}, {0, 2, 13}
+B_A = [{7, 9}, {7, 10}]
+B_C = [{8, 12}, {8, 11, 13}]
+C_B = [{4, 6, 14}, {3, 5, 6, 14}]
+# A B A twice, B C B four times, and A C B A four times.  Searched from A,
+# C is left blocked under B when B C B is tried while B is on the path, and
+# only the cascade from B's B list frees it for A C B A.
+JOHNSON_CYCLES = (
+    [A_B | e for e in B_A]
+    + [e | f for e in B_C for f in C_B]
+    + [A_C | f | e for f in C_B for e in B_A]
+)
+
+
+def test_johnson_search_on_a_hand_made_track():
+    n = len(JOHNSON_TRACK.branches)
+    want = sorted(sum(1 << (n - 1 - b) for b in cycle) for cycle in JOHNSON_CYCLES)
+    assert len(set(want)) == 10
+    assert cycle_masks(JOHNSON_TRACK) == want == unreduced_cycle_masks(JOHNSON_TRACK)
+    assert cycle_rays(JOHNSON_TRACK) == double_description(JOHNSON_TRACK)
+
+
 @st.composite
 def trivalent_tracks(draw):
     """Tracks of ``k <= 8`` switches whose smooth side is a tail and ``k``
@@ -163,8 +193,19 @@ def test_reduced_search_matches_unreduced_on_generated_tracks(track):
 # Tracks whose ``track slopes`` output is pinned by GOLDEN_SLOPES_SHA256, a
 # digest taken with the double-description implementation.
 GOLDEN_RANDOM_SEEDS = range(400)
-GOLDEN_BUILT = [(2, 1, 1), (4, -1, 1), (6, 3, 1), (8, 3, 1), (2, 1, 3), (6, 1, 3)]
-GOLDEN_SLOPES_SHA256 = "b969c7f9c67c851344775bc7760dc1380283139aa51ce4048093fab89f9f9caa"
+GOLDEN_BUILT = [
+    (2, 1, 1),
+    (4, -1, 1),
+    (6, 3, 1),
+    (8, 3, 1),
+    (2, 1, 3),
+    (6, 1, 3),
+    # The heaviest tracks of the perfbench ``tracks`` grid, added before
+    # their search moved to flat per-vertex lists.
+    (4, 1, 5),
+    (4, -1, 5),
+]
+GOLDEN_SLOPES_SHA256 = "16e97af8f77163e9427849c1b571d9fc6213083c36630bcb837f9b1743628e39"
 
 
 def track_slopes_digest(workdir):

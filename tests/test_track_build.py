@@ -243,6 +243,14 @@ def test_inexact_feet_are_rejected():
         EndpointConfig(lower_out=0.25)
 
 
+@pytest.mark.parametrize("phase", [0.5, "1", True])
+def test_a_phase_that_is_not_an_int_is_rejected(phase):
+    # 0.5 built a track carrying 0..inf at (4; 1), c = 1, in place of the
+    # design target 2..inf; "1" failed inside the builder; True was stored.
+    with pytest.raises(ValueError, match=re.escape("phase must be an int, not %r" % (phase,))):
+        EndpointConfig(phase=phase)
+
+
 def test_branch_cap():
     assert BRANCH_CAP == 30_000
     start = time.perf_counter()
