@@ -164,8 +164,7 @@ def _cycle_sums(track: TorusTrainTrack, labels):
     on what is left, on lists indexed by vertex.  Each start ``s`` is
     searched within its strong component among the vertices ``>= s``: a
     search forward from ``s`` marks what it reaches, and a search back from
-    ``s`` through the marked vertices collects the component.  A component
-    of one vertex holds no cycle, since no self-loop is left.  The blocked
+    ``s`` through the marked vertices collects the component.  The blocked
     flags and B lists keep the work proportional to the number of cycles
     found.  Blocking is per vertex, so parallel edges each close their own
     cycle: a vertex from which a cycle was found is unblocked before the
@@ -182,9 +181,9 @@ def _cycle_sums(track: TorusTrainTrack, labels):
 
     What each phase costs, on the heaviest tracks of perfbench's ``tracks``
     grid, ``(6; q)`` at c = 3 and ``(4; q)`` at c = 5, with 54-60 branches
-    and 205-350 cycles (2-vCPU VM, CPython 3.11.7): about 0.50 ms a call,
+    and 205-350 cycles (2-vCPU VM, CPython 3.11.7): about 0.47 ms a call,
     of which the series reduction takes 0.07 ms, the per-vertex lists and
-    the strong components 0.05 ms, and the search the other 0.38 ms.  The
+    the strong components 0.05 ms, and the search the other 0.35 ms.  The
     reduction leaves nothing of a ``random_track``, whose call takes about
     4 us.
     """
@@ -259,29 +258,23 @@ def _cycle_sums(track: TorusTrainTrack, labels):
         for v in members:
             adj[v] = [(w, m) for w, m in succ[v] if comp[w] == s]
         blocked[s] = True
-        path = [s]
-        prefix = [0]  # label sum of the path up to each vertex
-        found = [False]  # whether a cycle was closed below each vertex
-        frames = [iter(adj[s])]
-        while frames:
-            for w, m in frames[-1]:
+        # The path's last vertex, the path's label sum, whether a cycle was
+        # closed from the vertex or below it, and the vertex's edges not yet
+        # tried; ``path`` holds the same for each earlier vertex of the path.
+        v, total, hit, edges = s, 0, False, iter(adj[s])
+        path = []
+        while True:
+            for w, m in edges:
                 if w == s:
-                    yield prefix[-1] + m
-                    found[-1] = True
+                    yield total + m
+                    hit = True
                 elif not blocked[w]:
                     blocked[w] = True
-                    path.append(w)
-                    prefix.append(prefix[-1] + m)
-                    found.append(False)
-                    frames.append(iter(adj[w]))
+                    path.append((v, total, hit, edges))
+                    v, total, hit, edges = w, total + m, False, iter(adj[w])
                     break
             else:
-                frames.pop()
-                v = path.pop()
-                prefix.pop()
-                if found.pop():
-                    if found:
-                        found[-1] = True
+                if hit:
                     unblock = [v]
                     while unblock:
                         u = unblock.pop()
@@ -293,6 +286,11 @@ def _cycle_sums(track: TorusTrainTrack, labels):
                     for w, _ in adj[v]:
                         if v not in held[w]:
                             held[w].append(v)
+                if not path:
+                    break
+                child_hit = hit
+                v, total, hit, edges = path.pop()
+                hit = hit or child_hit
 
 
 class RayClasses(Value):
@@ -496,8 +494,8 @@ class EndpointConfig(Value):
         lower_in: Fraction = Fraction(3, 4),
         upper_nudge: Fraction = Fraction(1, 8),
     ):
-        # Exact ints only: the builder reads the parity of ``phase``, which a
-        # float or a bool would give silently and a str not at all.
+        # Exact ints only: the builder reads its parity, which 0.5 or True
+        # would give silently.
         if type(phase) is not int:
             raise ValueError("phase must be an int, not %r" % (phase,))
         if not all(isinstance(f, Rational) for f in (lower_out, lower_in, upper_nudge)):

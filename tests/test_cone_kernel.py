@@ -98,8 +98,18 @@ def track_of(*edges):
     return TorusTrainTrack(tuple(Branch(0, 0) for _ in edges), tuple(switches))
 
 
-# Hand-made tracks for each way a splice can end, with their cycles as sets
-# of branches.
+# Johnson's search gets three switches of this track: switches 0 and 1, 2 to
+# 6, and 7 to 9 reduce to switches A, B and C, with A -> B and A -> C, two
+# parallel edges B -> A, and two parallel edges each way between B and C.
+# Each reduced edge is a chain of branches.
+A_B, A_C = {0, 1, 5, 6}, {0, 2, 13}
+B_A = [{7, 9}, {7, 10}]
+B_C = [{8, 12}, {8, 11, 13}]
+C_B = [{4, 6, 14}, {3, 5, 6, 14}]
+
+
+# Hand-made tracks for each way a splice can end, and one that leaves three
+# switches to Johnson's search, with their cycles as sets of branches.
 SPLICE_CASES = {
     # 0 -> 1 -> 0 and 2 -> 3 -> 2 each become a self-loop of one switch.
     "two_cycles_become_self_loops": (
@@ -119,6 +129,18 @@ SPLICE_CASES = {
         [{0, 1}, {0, 2, 3, 5}, {0, 2, 4, 5}],
     ),
     "no_cycle": (TorusTrainTrack((), ()), []),
+    # A B A twice, B C B four times and A C B A four times.  Searched from
+    # A, C is left blocked under B when B C B is tried while B is on the
+    # path, and only the cascade from B's B list frees it for A C B A.
+    "johnson_cascade": (
+        track_of(
+            (0, 1), (1, 2), (1, 7), (9, 2), (9, 3), (2, 3), (3, 4), (4, 5),
+            (4, 6), (5, 0), (5, 0), (6, 7), (6, 8), (7, 8), (8, 9),
+        ),
+        [A_B | e for e in B_A]
+        + [e | f for e in B_C for f in C_B]
+        + [A_C | f | e for f in C_B for e in B_A],
+    ),
 }
 
 
@@ -129,36 +151,6 @@ def test_reduced_search_on_splice_edge_cases(name):
     want = sorted(sum(1 << (n - 1 - b) for b in cycle) for cycle in cycles)
     assert cycle_masks(track) == want == unreduced_cycle_masks(track)
     assert cycle_rays(track) == double_description(track)
-
-
-# A track that reaches Johnson's search with three switches left.  Switches
-# 0 and 1, 2 to 6, and 7 to 9 reduce to switches A, B and C, with A -> B and
-# A -> C, two parallel edges B -> A, and two parallel edges each way between
-# B and C.  Each reduced edge is a chain of branches.
-JOHNSON_TRACK = track_of(
-    (0, 1), (1, 2), (1, 7), (9, 2), (9, 3), (2, 3), (3, 4), (4, 5),
-    (4, 6), (5, 0), (5, 0), (6, 7), (6, 8), (7, 8), (8, 9),
-)
-A_B, A_C = {0, 1, 5, 6}, {0, 2, 13}
-B_A = [{7, 9}, {7, 10}]
-B_C = [{8, 12}, {8, 11, 13}]
-C_B = [{4, 6, 14}, {3, 5, 6, 14}]
-# A B A twice, B C B four times, and A C B A four times.  Searched from A,
-# C is left blocked under B when B C B is tried while B is on the path, and
-# only the cascade from B's B list frees it for A C B A.
-JOHNSON_CYCLES = (
-    [A_B | e for e in B_A]
-    + [e | f for e in B_C for f in C_B]
-    + [A_C | f | e for f in C_B for e in B_A]
-)
-
-
-def test_johnson_search_on_a_hand_made_track():
-    n = len(JOHNSON_TRACK.branches)
-    want = sorted(sum(1 << (n - 1 - b) for b in cycle) for cycle in JOHNSON_CYCLES)
-    assert len(set(want)) == 10
-    assert cycle_masks(JOHNSON_TRACK) == want == unreduced_cycle_masks(JOHNSON_TRACK)
-    assert cycle_rays(JOHNSON_TRACK) == double_description(JOHNSON_TRACK)
 
 
 @st.composite
