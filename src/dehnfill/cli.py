@@ -146,8 +146,8 @@ def _single_orbit(locus, c):
 
 def _cmd_interval(args):
     locus = _parse_locus(args.locus)
-    doc = {"schema": "interval_v1"}
-    doc.update(_interval_json(guaranteed_interval(locus, args.orbit_length)))
+    interval = guaranteed_interval(locus, args.orbit_length)
+    doc = {"schema": "interval_v1", **_interval_json(interval)}
     if _outside_paper_domain(locus, args.orbit_length):
         doc["domain"] = "outside_paper_domain"
     _emit(doc, args)
